@@ -16,8 +16,8 @@ its regression gate, run by CI's ``bench-perf`` job:
   1000 rows.
 
 * **E22b (distribution agreement)** — at ``T = 1``, the batch engine *is*
-  the counts engine (it wraps one :class:`CountsSimulation` with the same
-  seed), so the trial outcome is asserted bit-identical.  At full ``T``
+  the counts engine (a one-row engine with the same seed always takes the
+  per-row sampler), so the trial outcome is asserted bit-identical.  At full ``T``
   the engines draw from different stream shapes, so agreement is
   statistical: 95% bootstrap confidence intervals of the median
   completion interactions must overlap, and both sides must converge on
@@ -135,8 +135,8 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
     batch_lo, batch_hi = _bootstrap_ci(batch_summary.interactions, rng)
     ci_overlap = counts_lo <= batch_hi and batch_lo <= counts_hi
 
-    # E22b (T = 1 exactness): one-row batches wrap a CountsSimulation with
-    # the same derived seed, so the outcome is bit-identical by law.
+    # E22b (T = 1 exactness): a one-row batch is the counts engine with
+    # the same derived seed, so the outcome is bit-identical.
     protocol = EpidemicProtocol()
     predicate = goal_counts_predicate(protocol)
     single = {

@@ -22,9 +22,9 @@ the ``bench-perf``/nightly jobs (full budget):
   escape hatch (same kernel source, uncompiled) with a trimmed cell — the
   law gate never depends on having a compiler.
 
-* **E24c (T = 1 exactness)** — a one-row batch inherits the batch
-  engine's :class:`CountsSimulation` delegation, so the outcome is
-  asserted bit-identical to ``backend="counts"``.
+* **E24c (T = 1 exactness)** — a one-row engine runs the shared numpy
+  per-row sampler, so the outcome is asserted bit-identical to
+  ``backend="counts"``.
 
 Both tests print the per-step wall-clock breakdown (draw / match /
 apply / retire) from :meth:`BatchCountsEngine.instrument_steps`, so a
@@ -174,7 +174,7 @@ def test_e24_jit_law_equivalence(benchmark, record_table, monkeypatch):
     ks = _ks_statistic(batch_summary.interactions, jit_summary.interactions)
     ks_limit = _ks_threshold(trials, trials)
 
-    # E24c: a one-row batch delegates to the counts engine bit-for-bit.
+    # E24c: a one-row batch is the counts engine, bit for bit.
     protocol = EpidemicProtocol()
     predicate = goal_counts_predicate(protocol)
     single = {

@@ -1,6 +1,6 @@
 """The execution-backend registry — one place that knows every engine.
 
-Five engines run ``Simulation``-shaped workloads today:
+Five registry entries run ``Simulation``-shaped workloads today:
 
 * ``object`` — the per-interaction reference engine
   (:class:`repro.sim.simulation.Simulation`): state objects, Python
@@ -10,24 +10,24 @@ Five engines run ``Simulation``-shaped workloads today:
   codes per agent, dense transition tables, block pair application.
   Finite-state protocols only.
 * ``counts`` — the count-vector engine
-  (:class:`repro.sim.counts_backend.CountsSimulation`): the whole
-  population is an ``S``-length count vector; interactions are sampled in
-  law-exact collision-free runs and applied as aggregate count deltas.
-  Finite-state protocols only, and the engine of choice once only
-  aggregate statistics matter (n ≥ 10⁶ stabilization curves).
-* ``batch`` — the trial-vectorized counts engine
-  (:class:`repro.sim.batch_backend.BatchCountsEngine`): ``T`` whole
-  trials as one ``(T, S)`` counts matrix, advanced in lockstep — one
-  collision-free-run draw and one table gather per step across the
-  batch.  Finite-state protocols only; the engine of choice when a sweep
-  cell or a ``run_trials`` call runs many trials of one small-``S``
-  protocol.
-* ``batch-jit`` — the batch engine with its lockstep step compiled
+  (:class:`repro.sim.counts_backend.CountsSimulation`), one trial per
+  engine: the whole population is an ``S``-length count vector;
+  interactions are sampled in law-exact collision-free runs and applied
+  as aggregate count deltas.  Finite-state protocols only, and the engine
+  of choice once only aggregate statistics matter (n ≥ 10⁶ stabilization
+  curves).
+* ``batch`` — the same counts engine holding a whole sweep cell
+  (:data:`repro.sim.batch_backend.BatchCountsEngine`): ``T`` trials as
+  the rows of one ``(T, S)`` counts matrix, each row advance taking the
+  per-row or the lockstep sampler by ``S`` and the number of rows
+  stepping.  The engine of choice when a sweep cell or a ``run_trials``
+  call runs many trials of one protocol.
+* ``batch-jit`` — the batch engine with its lockstep sampler compiled
   (:class:`repro.sim.kernels.JitBatchCountsEngine`): the same ``(T, S)``
-  matrix and law, stepped by numba-jitted kernels on counter-based
-  per-row streams — law-exact vs ``batch``, not bit-exact (stream
-  interleaving differs).  Requires the optional ``[jit]`` extra;
-  construction without numba raises a pointed install hint.
+  matrix and law, lockstep runs drawn by numba-jitted kernels on
+  counter-based per-row streams — law-exact vs ``batch``, not bit-exact.
+  Requires the optional ``[jit]`` extra; construction without numba
+  raises a pointed install hint.
 
 Every dispatch site in the repository — :func:`make_simulation`,
 :func:`repro.sim.simulation.run_until`, :func:`repro.sim.trials
@@ -89,6 +89,7 @@ from typing import Any, Callable, Optional, Sequence
 from repro.core.protocol import PopulationProtocol
 from repro.sim.initial_state import (
     InitialState,
+    Replicated,
     reject_positional,
     reject_removed_kwargs,
     require_init,
@@ -326,8 +327,9 @@ def _counts_factory(
 ) -> Any:
     from repro.sim.counts_backend import CountsSimulation
 
-    counts = init.to_counts(protocol) if init is not None else None
-    return CountsSimulation(protocol, n=n, seed=seed, counts=counts)
+    if isinstance(init, Replicated):
+        init.to_counts(protocol)  # raises: a counts engine runs one trial
+    return CountsSimulation(protocol, init=init, n=n, seed=seed)
 
 
 def _batch_factory(
@@ -400,8 +402,8 @@ register_backend(
         factory=_batch_factory,
         supports=_finite_state_supports,
         description=(
-            "trial-vectorized (T, S) counts matrix — whole trial batches "
-            "advanced in lockstep (finite-state protocols)"
+            "the counts engine over a (T, S) matrix — a whole trial batch "
+            "per engine, per-row or lockstep sampling (finite-state protocols)"
         ),
         native_form=NATIVE_COUNTS,
         trial_runner=_batch_trial_runner,
@@ -414,7 +416,7 @@ register_backend(
         factory=_batch_jit_factory,
         supports=_finite_state_supports,
         description=(
-            "the batch engine's lockstep step compiled with numba "
+            "the batch engine's lockstep sampler compiled with numba "
             "(optional [jit] extra; law-exact vs 'batch', not bit-exact)"
         ),
         native_form=NATIVE_COUNTS,

@@ -29,10 +29,10 @@ matching by the same Fisher-MVH chain, collisions by the same
 ``U(U-1) : U·A : A·U`` category weights.  Streams differ, bits differ;
 distributions do not — ``batch-jit`` vs ``batch`` is *law-exact, not
 bit-exact* (gated by Monte-Carlo marginals + KS in
-``tests/test_kernels.py`` and benchmark E24).  At ``T = 1`` the engine
-inherits the batch engine's :class:`~repro.sim.counts_backend
-.CountsSimulation` delegation, so single trials stay bit-for-bit the
-per-trial counts engine.
+``tests/test_kernels.py`` and benchmark E24).  Only the lockstep
+sampler is compiled: advances the sampler rule sends to the per-row
+sampler — every advance of a one-row engine among them — run the numpy
+counts loop, so single trials stay bit-for-bit the counts engine.
 
 numba is an optional ``[jit]`` extra.  Without it the backend fails
 loudly at construction with an install hint — never a silent numpy
@@ -47,9 +47,10 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from typing import Any, Optional
+from typing import Optional
 
 from repro.core.protocol import PopulationProtocol
+from repro.obs import perf_counter
 from repro.scheduler.rng import derive_seed
 from repro.sim.batch_backend import BatchCountsEngine
 from repro.sim.counts_backend import CountsBackendError
@@ -482,16 +483,15 @@ if _numba is not None:  # compile in dependency order (globals resolve at compil
 
 
 class JitBatchCountsEngine(BatchCountsEngine):
-    """:class:`BatchCountsEngine` with the lockstep step run in compiled
-    kernels on counter-based per-row streams.
+    """:class:`BatchCountsEngine` with the lockstep sampler run in
+    compiled kernels on counter-based per-row streams.
 
-    Everything but the stepper is inherited: the ``init`` union, burst
-    slicing, retirement discipline, the ``T = 1``
-    :class:`~repro.sim.counts_backend.CountsSimulation` delegation (so
-    single trials are bit-for-bit the counts engine), the batch-driver
-    surface the sweep/fabric stack calls.  For ``T > 1`` the draws come
-    from this module's streams — same law as ``backend='batch'``, not
-    the same bits (see the module docstring).
+    Everything else is inherited: the ``init`` union, burst slicing,
+    retirement discipline, the sampler rule and the numpy per-row sampler
+    (so single trials are bit-for-bit the counts engine), the row-workload
+    surface the sweep/fabric stack calls.  Lockstep draws come from this
+    module's streams — same law as ``backend='batch'``, not the same bits
+    (see the module docstring).
 
     Under :meth:`instrument_steps` the engine switches to the
     phase-split kernels, which consume identical per-row streams — the
@@ -508,8 +508,6 @@ class JitBatchCountsEngine(BatchCountsEngine):
     ):
         require_numba()
         super().__init__(protocol, init=init, n=n, seed=seed)
-        if self._matrix is None:
-            return  # T = 1: inherited CountsSimulation delegation
         np_mod = self._np
         self._neg_survival = np_mod.ascontiguousarray(-self._runs.survival)
         row_base = derive_seed(self.seed, _ROW_KEY_STREAM)
@@ -542,7 +540,7 @@ class JitBatchCountsEngine(BatchCountsEngine):
         make the draw sequence identical to the fused kernel's.
         """
         np_mod = self._np
-        perf = self._perf_counter
+        perf = perf_counter
         size = self.num_states
         counts = self._matrix
         timings = self._timings

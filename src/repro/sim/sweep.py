@@ -23,8 +23,8 @@ trials.  This module is that workload, end to end:
   median repair) are first-class JSONL fields;
 * on a batch-cell backend (``--backend batch``) the sweep instead runs
   :func:`run_scenario_cell`: all of a cell's trials become the rows of
-  one :class:`~repro.sim.batch_backend.BatchCountsEngine` advanced in
-  lockstep, in-process — resume still works cell-wise, re-running any
+  one :class:`~repro.sim.batch_backend.BatchCountsEngine`, in-process —
+  resume still works cell-wise, re-running any
   partially-checkpointed cell deterministically and appending only the
   missing rows;
 * :func:`run_sweep` streams the specs through
@@ -724,19 +724,19 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
 
 
 def run_scenario_cell(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
-    """Run one grid cell's trials as a single lockstep batch.
+    """Run one grid cell's trials as a single counts engine.
 
     The batch twin of per-trial :func:`run_scenario`: all of a cell's
     trial specs become the rows of one
     :class:`~repro.sim.batch_backend.BatchCountsEngine` (built through
     ``make_simulation`` with a
-    :class:`~repro.sim.initial_state.Replicated` start), so the whole
-    cell advances in lockstep with a fixed number of numpy calls per
-    step.  Per-row starts and fault schedules still draw from each
-    spec's own derived seed — burst positions are bit-identical to the
-    per-trial engine's — while the interaction stream is shared (rows
-    are independent and distribution-identical to per-trial runs; a
-    one-trial cell is bit-identical to ``backend='counts'``).
+    :class:`~repro.sim.initial_state.Replicated` start), whose rows
+    advance together under the engine's sampler rule.  Per-row starts
+    and fault schedules still draw from each spec's own derived seed —
+    burst positions are bit-identical to the per-trial engine's — while
+    the interaction stream is shared (rows are independent and
+    distribution-identical to per-trial runs; a one-trial cell is the
+    ``backend='counts'`` stream, bit for bit).
     """
     specs = list(specs)
     first = specs[0]

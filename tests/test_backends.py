@@ -202,7 +202,7 @@ class TestMakeSimulation:
         counts_sim = make_simulation(protocol, init=init, backend="counts")
         assert [protocol.encode_state(s) for s in object_sim.config] == codes
         assert array_sim.codes.tolist() == codes
-        assert counts_sim.counts.tolist() == np.bincount(codes, minlength=2).tolist()
+        assert counts_sim.counts[0].tolist() == np.bincount(codes, minlength=2).tolist()
 
     def test_count_vector_reaches_every_engine_identically(self):
         np = pytest.importorskip("numpy")
@@ -217,7 +217,7 @@ class TestMakeSimulation:
         assert sorted(protocol.encode_state(s) for s in object_sim.config) == \
             [0] * 5 + [1] * 3
         assert np.sort(array_sim.codes).tolist() == [0] * 5 + [1] * 3
-        assert counts_sim.counts.tolist() == [5, 3]
+        assert counts_sim.counts[0].tolist() == [5, 3]
 
     def test_counts_expand_to_fresh_objects_on_the_object_engine(self):
         # The object engine mutates states in place, so the expansion must

@@ -3,9 +3,9 @@
 Contracts gated here:
 
 * a batch of one **is** the per-trial counts engine, bit for bit — clean,
-  from an explicit start, and under fault injection — so the whole
-  vectorized stack is anchored to the engine the equivalence suite
-  already trusts;
+  from an explicit start, and under fault injection — so the row workloads
+  are anchored to the per-trial surface the equivalence suite already
+  trusts;
 * ``run_trials(backend="batch")`` routes through the registry's
   ``trial_runner`` hook and agrees with ``backend="counts"`` exactly at
   one trial;
@@ -18,27 +18,35 @@ Contracts gated here:
   same :class:`~repro.sim.fault_engine.FaultSpec`;
 * validation: mixed population sizes are rejected, ``Replicated`` starts
   are batch-engine-only, protocols without a finite encoding fail
-  loudly, and an engine drives exactly one workload.
-
-Cross-engine *statistical* agreement at ``T > 1`` (same law, different
-stream interleaving) is the E22 benchmark's job.
+  loudly, and an engine drives exactly one workload;
+* the ``T > 1`` law on both samplers: rows agree with independent
+  one-row pair-at-a-time oracles by two-sample KS tests, on a cell the
+  lockstep sampler serves and one the per-row sampler serves;
+* the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
+  matrix it does not read.
 """
 
 from __future__ import annotations
+
+import math
+import tracemalloc
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.core.elect_leader import ElectLeader
-from repro.core.params import ProtocolParams
+from repro.core.params import BaselineParams, ProtocolParams
 from repro.scheduler.rng import derive_seed
+from repro.sim.array_backend import transition_table_for
 from repro.sim.backends import make_simulation
 from repro.sim.batch_backend import BatchCountsEngine, run_trial_batch
 from repro.sim.counts_backend import (
     CountsBackendError,
     CountsSimulation,
+    counts_aware,
     goal_counts_predicate,
 )
 from repro.sim.fault_engine import FaultSpec, make_fault_engine
@@ -56,7 +64,7 @@ def seeded_counts(n: int, sources: int = 1) -> CountVector:
 
 
 class TestSingleTrialAnchor:
-    """T = 1 delegates to a CountsSimulation with the same seed."""
+    """A one-row batch engine is the per-trial counts engine, bit for bit."""
 
     def test_clean_run_bit_identical(self):
         protocol = EpidemicProtocol()
@@ -64,11 +72,11 @@ class TestSingleTrialAnchor:
         init = seeded_counts(48)
         engine = BatchCountsEngine(protocol, init=init, seed=11)
         [row] = engine.run_rows_until(pred, max_interactions=50_000, check_interval=16)
-        sim = CountsSimulation(protocol, counts=init.to_counts(protocol), seed=11)
+        sim = CountsSimulation(protocol, init=init, seed=11)
         result = sim.run_until(pred, 50_000, 16)
         assert row.converged == result.converged
         assert row.interactions == result.interactions
-        assert np.array_equal(engine.counts[0], sim.counts)
+        assert np.array_equal(engine.counts, sim.counts)
 
     def test_fault_run_bit_identical(self):
         protocol = EpidemicProtocol()
@@ -78,15 +86,13 @@ class TestSingleTrialAnchor:
         [row] = engine.run_rows_until(
             pred, max_interactions=2_000, check_interval=8, faults=[spec]
         )
-        sim = CountsSimulation(
-            protocol, counts=seeded_counts(32).to_counts(protocol), seed=4
-        )
+        sim = CountsSimulation(protocol, init=seeded_counts(32), seed=4)
         fault_engine = spec.make_engine(protocol, n=32)
         result = fault_engine.run_until(
             sim, pred, max_interactions=2_000, check_interval=8
         )
         assert (row.converged, row.interactions) == (result.converged, result.interactions)
-        assert np.array_equal(engine.counts[0], sim.counts)
+        assert np.array_equal(engine.counts, sim.counts)
         assert [e.interaction for e in engine.fault_events(0)] == \
             [e.interaction for e in fault_engine.events]
 
@@ -98,9 +104,7 @@ class TestSingleTrialAnchor:
         [report] = engine.measure_rows_availability(
             pred, total_interactions=1_500, checkpoint_every=25, faults=[spec]
         )
-        sim = CountsSimulation(
-            protocol, counts=seeded_counts(32).to_counts(protocol), seed=4
-        )
+        sim = CountsSimulation(protocol, init=seeded_counts(32), seed=4)
         twin = make_fault_engine(
             "scramble_burst", protocol, n=32, rate=3.0, burst_size=2, seed=9
         ).measure_availability(
@@ -196,9 +200,7 @@ class TestBatchSemantics:
             pred, total_interactions=1_000, checkpoint_every=20, faults=specs
         )
         for row, spec in enumerate(specs):
-            sim = CountsSimulation(
-                protocol, counts=seeded_counts(n).to_counts(protocol), seed=99 + row
-            )
+            sim = CountsSimulation(protocol, init=seeded_counts(n), seed=99 + row)
             twin = spec.make_engine(protocol, n=n)
             twin.measure_availability(
                 sim, pred, total_interactions=1_000, checkpoint_every=20
@@ -341,3 +343,107 @@ class TestStepInstrumentation:
         )
         assert (plain.counts == timed.counts).all()
         assert plain_outcomes == timed_outcomes
+
+
+#: Two-sample KS false-alarm rate of each law test below (the tests use
+#: fixed seeds, so a pass is reproducible; this is the rate at which a
+#: correct sampler would fail under a fresh seed).
+KS_ALPHA = 1e-3
+
+
+def _ks_statistic(xs, ys) -> float:
+    """Two-sample KS statistic, exact with ties (CDFs at every sample)."""
+    xs, ys = np.sort(xs), np.sort(ys)
+    grid = np.concatenate((xs, ys))
+    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
+    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
+def _ks_threshold(nx: int, ny: int) -> float:
+    return math.sqrt(-math.log(KS_ALPHA / 2) / 2) * math.sqrt((nx + ny) / (nx * ny))
+
+
+#: Never holds: rows run their whole budget and retire at it.
+NEVER = counts_aware(lambda config: False, lambda counts: False)
+
+
+class TestRowLaw:
+    """Rows of a ``T > 1`` engine follow the law of independent one-row
+    pair-at-a-time oracles (``batching="pair"``), on both samplers."""
+
+    def _oracle(self, protocol, init, budget, trials, statistic, fault=None):
+        values = []
+        for trial in range(trials):
+            oracle = CountsSimulation(
+                protocol, init=init, seed=derive_seed(2, trial), batching="pair"
+            )
+            faults = None if fault is None else [fault(derive_seed(3, trial))]
+            oracle.run_rows_until(
+                NEVER, max_interactions=budget, check_interval=budget, faults=faults
+            )
+            values.append(statistic(oracle.counts[0]))
+        return values
+
+    def test_lockstep_rows_match_the_pair_oracle(self):
+        # The two-way epidemic mid-spread: the number infected after 150
+        # interactions at n=64 (about 25 collision-free runs per row).
+        protocol = EpidemicProtocol()
+        init, budget, rows = seeded_counts(64), 150, 300
+        engine = BatchCountsEngine(protocol, init=Replicated(init, rows), seed=1)
+        assert engine._lockstep(rows)
+        engine.run_rows_until(NEVER, max_interactions=budget, check_interval=budget)
+        batched = engine.counts[:, 1]
+        oracle = self._oracle(protocol, init, budget, rows, lambda counts: counts[1])
+        assert _ks_statistic(batched, oracle) <= _ks_threshold(rows, rows)
+
+    def test_per_row_rows_under_faults_match_the_pair_oracle(self):
+        # loosely_stabilizing at n=16 (S=136) with scramble bursts, two
+        # rows per engine: the per-row sampler's regime.  Statistic: the
+        # code-weighted state mass after 8 parallel time units from the
+        # clean start (timers and leader bits still settling).
+        protocol = LooselyStabilizingLeaderElection(BaselineParams(n=16))
+        assert protocol.num_states() == 136
+        init, budget, engines = Clean(16), 128, 100
+
+        def fault(seed):
+            return FaultSpec(model="scramble_burst", rate=0.5, burst_size=2, seed=seed)
+
+        def mass(counts):
+            return int(counts @ np.arange(136))
+
+        batched = []
+        for index in range(engines):
+            engine = BatchCountsEngine(
+                protocol, init=Replicated(init, 2), seed=derive_seed(4, index)
+            )
+            assert not engine._lockstep(2)
+            specs = [fault(derive_seed(5, 2 * index + row)) for row in range(2)]
+            engine.run_rows_until(
+                NEVER, max_interactions=budget, check_interval=budget, faults=specs
+            )
+            batched.extend(mass(counts) for counts in engine.counts)
+        oracle = self._oracle(protocol, init, budget, 2 * engines, mass, fault)
+        assert _ks_statistic(batched, oracle) <= _ks_threshold(2 * engines, 2 * engines)
+
+
+class TestWideStateMemory:
+    def test_wide_state_engine_never_builds_the_pair_delta(self):
+        # At S=334 the (S², S) int64 pair-delta matrix would be 298 MB;
+        # only the lockstep sampler's matching path (S(S-1) <= sqrt(n))
+        # reads it, so a wide-S engine must never allocate it.
+        protocol = LooselyStabilizingLeaderElection(BaselineParams(n=1000))
+        assert protocol.num_states() == 334
+        transition_table_for(protocol)  # the cached table is not the engine's
+        tracemalloc.start()
+        try:
+            engine = BatchCountsEngine(protocol, init=Replicated(Clean(1000), 2), seed=3)
+            engine.run_rows_until(
+                goal_counts_predicate(protocol), max_interactions=1_500, check_interval=250
+            )
+            engine._step_rows([0, 1], [200, 200])  # the lockstep shuffle path too
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "_pair_delta" not in vars(engine)
+        assert peak < 16 * 2**20

@@ -65,7 +65,7 @@ from repro.sim.counts_backend import (  # noqa: E402
     counts_from_configuration,
     goal_counts_predicate,
 )
-from repro.sim.initial_state import CodeArray, ObjectConfig  # noqa: E402
+from repro.sim.initial_state import CodeArray, CountVector, ObjectConfig  # noqa: E402
 from repro.sim.trials import run_trials  # noqa: E402
 from repro.substrates.epidemics import EpidemicProtocol  # noqa: E402
 
@@ -115,36 +115,38 @@ class TestConstruction:
     def test_clean_start_is_n_copies_of_initial(self):
         protocol = PairwiseElimination(10)
         sim = CountsSimulation(protocol, n=10)
-        assert sim.counts.tolist() == [0, 10]  # everyone a potential leader
+        assert sim.counts.tolist() == [[0, 10]]  # everyone a potential leader
         assert sim.n == 10
 
     def test_config_codes_counts_agree(self):
         protocol = EpidemicProtocol()
         codes = _epidemic_codes(8, 3)
-        by_codes = CountsSimulation(protocol, codes=codes)
+        by_codes = CountsSimulation(protocol, init=CodeArray(codes))
         by_config = CountsSimulation(
-            protocol, config=[protocol.decode_state(c) for c in codes]
+            protocol, init=ObjectConfig([protocol.decode_state(c) for c in codes])
         )
-        by_counts = CountsSimulation(protocol, counts=[5, 3])
+        by_counts = CountsSimulation(protocol, init=CountVector([5, 3]))
         assert (
             by_codes.counts.tolist()
             == by_config.counts.tolist()
             == by_counts.counts.tolist()
-            == [5, 3]
+            == [[5, 3]]
         )
 
     def test_input_validation(self):
         protocol = EpidemicProtocol()
-        with pytest.raises(ValueError, match="at most one"):
-            CountsSimulation(protocol, codes=[0, 1], counts=[1, 1])
+        with pytest.raises(TypeError, match="codes"):
+            CountsSimulation(protocol, codes=[0, 1])
         with pytest.raises(ValueError, match="population size n"):
             CountsSimulation(protocol)
         with pytest.raises(ValueError, match="at least two"):
             CountsSimulation(protocol, n=1)
+        with pytest.raises(ValueError, match="disagrees"):
+            CountsSimulation(protocol, init=CountVector([1, 1]), n=3)
         with pytest.raises(CountsBackendError, match="shape"):
-            CountsSimulation(protocol, counts=[1, 1, 1])
+            CountsSimulation(protocol, init=CountVector([1, 1, 1]))
         with pytest.raises(CountsBackendError, match="non-negative"):
-            CountsSimulation(protocol, counts=[-1, 3])
+            CountsSimulation(protocol, init=CountVector([-1, 3]))
         with pytest.raises(ValueError, match="batching mode"):
             CountsSimulation(protocol, n=8, batching="magic")
 
@@ -270,11 +272,11 @@ class TestCountsSimulation:
         protocol = EpidemicProtocol()
         runs = []
         for _ in range(2):
-            sim = CountsSimulation(protocol, codes=_epidemic_codes(64, 1), seed=11)
+            sim = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(64, 1)), seed=11)
             sim.run_batch(120)  # mid-epidemic: infection still spreading
             runs.append(sim.counts.tolist())
         assert runs[0] == runs[1]
-        other = CountsSimulation(protocol, codes=_epidemic_codes(64, 1), seed=12)
+        other = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(64, 1)), seed=12)
         other.run_batch(120)
         # Not a hard law, but astronomically unlikely to coincide exactly
         # mid-epidemic; catches an ignored seed.
@@ -282,11 +284,11 @@ class TestCountsSimulation:
 
     def test_epidemic_monotone_under_batching(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, codes=_epidemic_codes(100, 1), seed=3)
+        sim = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(100, 1)), seed=3)
         marked = 1
-        while int(sim.counts[1]) < 100:
+        while int(sim.counts[0, 1]) < 100:
             sim.run_batch(50)
-            now = int(sim.counts[1])
+            now = int(sim.counts[0, 1])
             assert now >= marked  # infection never recedes
             marked = now
 
@@ -295,11 +297,11 @@ class TestCountsSimulation:
         sim = CountsSimulation(protocol, n=64, seed=5)
         for _ in range(40):
             sim.run_batch(100)
-            assert int(sim.counts[1]) >= 1  # elimination keeps one leader
+            assert int(sim.counts[0, 1]) >= 1  # elimination keeps one leader
 
     def test_run_until_checks_on_counts(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, codes=_epidemic_codes(32, 1), seed=2)
+        sim = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(32, 1)), seed=2)
         seen = []
 
         def on_counts(counts):
@@ -314,7 +316,7 @@ class TestCountsSimulation:
 
     def test_run_until_plain_predicate_falls_back(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, codes=_epidemic_codes(16, 1), seed=2)
+        sim = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(16, 1)), seed=2)
         result = sim.run_until(
             protocol.is_goal_configuration, max_interactions=50_000, check_interval=32
         )
@@ -323,7 +325,7 @@ class TestCountsSimulation:
 
     def test_converged_start_returns_before_stepping(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, counts=[0, 8], seed=0)
+        sim = CountsSimulation(protocol, init=CountVector([0, 8]), seed=0)
         result = sim.run_until(
             goal_counts_predicate(protocol), max_interactions=1_000, check_interval=10
         )
@@ -352,9 +354,9 @@ class TestSilenceDetection:
 
     def test_saturated_epidemic_is_silent(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, counts=[0, 64], seed=0)
+        sim = CountsSimulation(protocol, init=CountVector([0, 64]), seed=0)
         assert sim.configuration_is_silent()
-        sim2 = CountsSimulation(protocol, counts=[1, 63], seed=0)
+        sim2 = CountsSimulation(protocol, init=CountVector([1, 63]), seed=0)
         assert not sim2.configuration_is_silent()
 
     def test_single_occupancy_diagonal_is_exempt(self):
@@ -362,17 +364,21 @@ class TestSilenceDetection:
         # leaders, so the configuration is silent — exactly the converged
         # state of pairwise elimination.
         protocol = PairwiseElimination(16)
-        assert CountsSimulation(protocol, counts=[15, 1], seed=0).configuration_is_silent()
-        assert not CountsSimulation(protocol, counts=[14, 2], seed=0).configuration_is_silent()
+        one_leader = CountsSimulation(protocol, init=CountVector([15, 1]), seed=0)
+        two_leaders = CountsSimulation(protocol, init=CountVector([14, 2]), seed=0)
+        assert one_leader.configuration_is_silent()
+        assert not two_leaders.configuration_is_silent()
 
     def test_ciw_permutation_is_silent_below_the_cap(self):
         protocol = CaiIzumiWada(BaselineParams(n=32))
         permutation = np.ones(32, dtype=np.int64)
-        assert CountsSimulation(protocol, counts=permutation, seed=0).configuration_is_silent()
+        assert CountsSimulation(
+            protocol, init=CountVector(permutation), seed=0
+        ).configuration_is_silent()
         duplicated = permutation.copy()
         duplicated[0], duplicated[1] = 2, 0
         assert not CountsSimulation(
-            protocol, counts=duplicated, seed=0
+            protocol, init=CountVector(duplicated), seed=0
         ).configuration_is_silent()
 
     def test_cap_returns_the_safe_answer(self):
@@ -380,28 +386,28 @@ class TestSilenceDetection:
 
         n = MAX_SILENCE_STATES + 8
         protocol = CaiIzumiWada(BaselineParams(n=n))
-        sim = CountsSimulation(protocol, counts=np.ones(n, dtype=np.int64), seed=0)
+        sim = CountsSimulation(protocol, init=CountVector(np.ones(n, dtype=np.int64)), seed=0)
         # Genuinely silent, but above the occupied-state cap the check
         # declines (False is always safe — the sampler just runs).
         assert not sim.configuration_is_silent()
 
     def test_silent_batches_skip_but_count(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, counts=[0, 128], seed=7)
+        sim = CountsSimulation(protocol, init=CountVector([0, 128]), seed=7)
         state_before = sim._generator.bit_generator.state
         sim.run_batch(100_000)
         assert sim.metrics.interactions == 100_000
-        assert sim.counts.tolist() == [0, 128]
+        assert sim.counts.tolist() == [[0, 128]]
         # The skip consumes no randomness — the batch was proven a no-op.
         assert sim._generator.bit_generator.state == state_before
 
     def test_pair_oracle_never_skips(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, counts=[0, 16], seed=7, batching="pair")
+        sim = CountsSimulation(protocol, init=CountVector([0, 16]), seed=7, batching="pair")
         state_before = sim._generator.bit_generator.state
         sim.run_batch(10)
         assert sim._generator.bit_generator.state != state_before
-        assert sim.counts.tolist() == [0, 16]
+        assert sim.counts.tolist() == [[0, 16]]
 
 
 class TestModesAgree:
@@ -413,7 +419,7 @@ class TestModesAgree:
         for batching in ("run", "pair"):
             sim = CountsSimulation(protocol, n=2, seed=4, batching=batching)
             sim.run_batch(25)
-            assert sim.counts.tolist() == [1, 1]
+            assert sim.counts.tolist() == [[1, 1]]
         for backend in ("object", "array"):
             sim = make_simulation(protocol, n=2, seed=4, backend=backend)
             sim.run_batch(25)
@@ -425,7 +431,7 @@ class TestModesAgree:
             outcomes = []
             for batching in ("run", "pair"):
                 sim = CountsSimulation(
-                    protocol, codes=_epidemic_codes(40, 2), seed=seed, batching=batching
+                    protocol, init=CodeArray(_epidemic_codes(40, 2)), seed=seed, batching=batching
                 )
                 result = sim.run_until(
                     goal_counts_predicate(protocol),
@@ -561,4 +567,4 @@ class TestVectorizedAdversaries:
         reference = codes.tolist()
         assert [protocol.encode_state(s) for s in object_sim.config] == reference
         assert array_sim.codes.tolist() == reference
-        assert counts_sim.counts.tolist() == np.bincount(codes, minlength=16).tolist()
+        assert counts_sim.counts[0].tolist() == np.bincount(codes, minlength=16).tolist()

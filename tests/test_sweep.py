@@ -713,7 +713,7 @@ class TestBurstSizeAxis:
 
 
 class TestBatchBackendSweep:
-    """--backend batch runs whole cells as one lockstep engine."""
+    """--backend batch runs whole cells as one counts engine."""
 
     def batch_grid(self, **overrides):
         settings = dict(
@@ -730,9 +730,9 @@ class TestBatchBackendSweep:
         return small_grid(**settings)
 
     def test_single_trial_cells_match_counts_backend_exactly(self):
-        # One-trial cells delegate to a CountsSimulation with the same
-        # seed, so everything but the backend label is bit-identical to
-        # the per-trial counts sweep.
+        # A one-trial cell is a one-row counts engine with the same seed,
+        # so everything but the backend label is bit-identical to the
+        # per-trial counts sweep.
         pytest.importorskip("numpy")
         batch = run_sweep(self.batch_grid(trials=1))
         counts = run_sweep(self.batch_grid(trials=1, backend="counts"))

@@ -7,7 +7,10 @@ fault interval to the recovery time of Theorem 1.1.
 
 Sweeps the fault rate (bursts per unit parallel time, each burst
 scrambling two agents completely) and reports availability and median
-repair time for ``ElectLeader_r``.
+repair time for ``ElectLeader_r`` — a
+:class:`~repro.sim.fault_engine.FaultEngine` firing ``scramble_burst``
+into the object engine, whose ``ElectLeader`` applier wraps
+:func:`~repro.adversary.initializers.single_agent_scrambler`.
 
 Shape to reproduce: availability ≈ 1 when the mean fault gap far exceeds
 the ``O((n/r)·log n)`` parallel recovery time, degrading monotonically
@@ -18,14 +21,12 @@ from __future__ import annotations
 
 from conftest import run_once
 
-from repro.adversary.initializers import (
-    correct_verifier_configuration,
-    single_agent_scrambler,
-)
+from repro.adversary.initializers import correct_verifier_configuration
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
-from repro.scheduler.rng import derive_seed, make_rng
-from repro.sim.faults import FaultInjector, measure_availability
+from repro.scheduler.rng import derive_seed
+from repro.sim.fault_engine import make_fault_engine
+from repro.sim.simulation import Simulation
 
 N = 32
 R = 4
@@ -36,23 +37,24 @@ TOTAL = 150_000
 
 def measure_rate(rate: float, seed_base: int) -> dict[str, object]:
     protocol = ElectLeader(ProtocolParams(n=N, r=R))
-    corrupt = single_agent_scrambler(protocol)
     availabilities = []
     repairs = []
     bursts = 0
     for trial in range(TRIALS):
-        injector = FaultInjector(
-            corrupt, rate=rate, burst_size=2, rng=make_rng(derive_seed(seed_base, trial))
+        engine = make_fault_engine(
+            "scramble_burst", protocol, n=N, rate=rate, burst_size=2,
+            seed=derive_seed(seed_base, trial),
         )
-        report = measure_availability(
+        sim = Simulation(
             protocol,
-            lambda config: protocol.leader_count(config) == 1,
-            injector,
-            n=N,
+            config=correct_verifier_configuration(protocol),
             seed=derive_seed(seed_base + 1, trial),
+        )
+        report = engine.measure_availability(
+            sim,
+            lambda config: protocol.leader_count(config) == 1,
             total_interactions=TOTAL,
             checkpoint_every=500,
-            config=correct_verifier_configuration(protocol),
         )
         availabilities.append(report.availability)
         repairs.extend(report.repair_times)

@@ -315,8 +315,10 @@ def random_soup(protocol: ElectLeader, rng: RNG) -> list[AgentState]:
 
 
 def single_agent_scrambler(protocol: ElectLeader):
-    """An :class:`~repro.sim.faults.FaultInjector`-compatible corruption:
-    replaces one agent's entire memory with independent garbage."""
+    """A per-agent corruption ``corrupt(state, rng) -> state`` that
+    replaces one agent's entire memory with independent garbage — the
+    object-layout leg of the ``scramble_burst`` fault model
+    (:class:`repro.sim.fault_engine.ScrambleBurst`)."""
 
     def corrupt(state: AgentState, rng: RNG) -> AgentState:
         return random_agent(protocol, rng)

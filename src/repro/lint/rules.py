@@ -7,10 +7,10 @@ Each rule encodes one repository invariant the type system cannot see:
   ``np_generator`` / ``np_stream``); no direct ``random`` imports or
   ``numpy.random`` construction anywhere else, and fault appliers never
   touch the schedule stream.
-* **L002 backend-contract** — every registered execution engine exposes
-  the complete canonical surface
-  (:data:`repro.sim.backends.ENGINE_SURFACE`); engine-shaped classes in
-  the tree carry the same surface statically.
+* **L002 backend-contract** — engine-shaped classes in the tree define
+  the canonical surface (:data:`repro.sim.backends.ENGINE_SURFACE`), and
+  every registered execution engine exposes it plus the members it
+  inherits from the shared engine driver.
 * **L003 no-backend-conditionals** — no string comparisons against
   backend names outside the registry module (PR 4's invariant, now
   enforced).
@@ -219,6 +219,13 @@ def _engine_surface() -> tuple[str, ...]:
     return ENGINE_SURFACE
 
 
+def _driver_surface() -> tuple[str, ...]:
+    """The public members every engine inherits from the shared driver."""
+    from repro.sim.simulation import _Engine
+
+    return tuple(name for name in vars(_Engine) if not name.startswith("_"))
+
+
 def _class_surface(node: ast.ClassDef) -> set[str]:
     """Every member name a class visibly defines: methods, properties,
     class-level assignments, ``__slots__`` entries, ``self.X`` targets."""
@@ -294,10 +301,13 @@ def _supported_probe(entry):
 
 def _check_registered_backends(context: ProjectContext) -> Iterable[Finding]:
     """importlib half: construct every registered engine, verify the
-    complete canonical surface on the live object (so a surface member
-    deleted from any engine — or absent from a brand-new registration —
-    fails the gate without the linter naming that engine anywhere)."""
-    from repro.sim.backends import ENGINE_SURFACE, backend_names, get_backend
+    canonical surface and the inherited driver members on the live object
+    (so a surface member deleted from any engine — or absent from a
+    brand-new registration — fails the gate without the linter naming
+    that engine anywhere)."""
+    from repro.sim.backends import backend_names, get_backend
+
+    surface = _engine_surface() + _driver_surface()
 
     for name in backend_names():
         entry = get_backend(name)
@@ -316,7 +326,7 @@ def _check_registered_backends(context: ProjectContext) -> Iterable[Finding]:
                 f"contract check ({error})"
             )
             continue
-        missing = [attr for attr in ENGINE_SURFACE if not hasattr(sim, attr)]
+        missing = [attr for attr in surface if not hasattr(sim, attr)]
         if not missing:
             continue
         path, line = _locate_class(context, type(sim))
@@ -343,12 +353,13 @@ L002 = LintRule(
     rule_id="L002",
     name="backend-contract",
     summary=(
-        "every registered execution engine exposes the complete canonical "
-        "surface (repro.sim.backends.ENGINE_SURFACE)"
+        "every execution engine defines the canonical surface "
+        "(repro.sim.backends.ENGINE_SURFACE) and inherits the shared driver"
     ),
     hint=(
-        "implement the full engine surface (run, run_batch, run_until, "
-        "predicate_holds, apply_fault, metrics, config, n) on the engine class"
+        "define the engine surface (run_batch, predicate_holds, apply_fault, "
+        "metrics, config, n) on the engine class and inherit run, run_until "
+        "and the phase clock from the engine driver in repro.sim.simulation"
     ),
     check_file=_check_engine_classes,
     check_project=_check_registered_backends,

@@ -35,7 +35,7 @@ from repro.sim.initial_state import (
     reject_removed_kwargs,
     require_init,
 )
-from repro.sim.faults import AvailabilityReport, FaultInjector, measure_availability
+from repro.sim.faults import AvailabilityReport
 from repro.sim.metrics import Metrics
 from repro.sim.parallel import (
     TrialOutcome,
@@ -176,9 +176,7 @@ __all__ = [
     "correct_ranking",
     "all_of",
     "any_of",
-    "FaultInjector",
     "AvailabilityReport",
-    "measure_availability",
     "FAULT_MODELS",
     "FaultEngine",
     "FaultEngineError",

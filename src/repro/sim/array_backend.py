@@ -58,11 +58,11 @@ from typing import Any, Iterable, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.core.protocol import PopulationProtocol
-from repro.obs import STEP_PHASES, perf_counter
+from repro.obs import perf_counter
 from repro.scheduler.rng import derive_seed
 from repro.scheduler.scheduler import ArrayScheduler
 from repro.sim.metrics import Metrics
-from repro.sim.simulation import ConfigPredicate, SimulationResult
+from repro.sim.simulation import ConfigPredicate, _Engine
 
 try:  # pragma: no cover - exercised implicitly on every import
     import numpy as _np
@@ -401,15 +401,17 @@ def apply_pair_block(codes, initiators, responders, table: TransitionTable, work
 # ---------------------------------------------------------------------------
 
 
-class ArraySimulation:
+class ArraySimulation(_Engine):
     """Table-backed counterpart of :class:`repro.sim.simulation.Simulation`.
 
     Mirrors the object engine's surface — ``run``/``run_batch``/
     ``run_until``/``metrics``/``config`` — over an ``int64`` state-code
-    array.  Seeding: the pair stream is ``PCG64(derive_seed(seed, 0))``
-    (the scheduler slot of the object backend's seed derivation, through
-    the array scheduler's own generator family); table protocols are
-    deterministic, so the transition stream (slot 1) is never consumed.
+    array; its phase clock files pair blocks under ``draw`` and their
+    conflict-safe application under ``apply``.  Seeding: the pair stream
+    is ``PCG64(derive_seed(seed, 0))`` (the scheduler slot of the object
+    backend's seed derivation, through the array scheduler's own
+    generator family); table protocols are deterministic, so the
+    transition stream (slot 1) is never consumed.
 
     Observers are not supported: per-interaction callbacks would force
     scalar dispatch and negate the backend.  Use the object backend for
@@ -457,7 +459,6 @@ class ArraySimulation:
             raise ValueError(f"block size must be positive, got {block_size}")
         self.block_size = block_size
         self._workspace = Workspace(self.n, block_size)
-        self._timings: Optional[dict[str, float]] = None
 
     # ------------------------------------------------------------------
 
@@ -466,66 +467,25 @@ class ArraySimulation:
         """The current configuration as fresh decoded state objects."""
         return decode_configuration(self.protocol, self.codes)
 
-    def run(self, interactions: int) -> None:
-        """Run a fixed number of interactions."""
-        self.run_batch(interactions)
-
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the vectorized path."""
         if count < 0:
             raise ValueError(f"interaction count must be non-negative, got {count}")
         remaining = count
         timings = self._timings
-        if timings is not None:
-            # Instrumented twin: same calls, same stream order, clock
-            # reads around the two sections (draw = pair blocks, apply =
-            # conflict-safe application).
-            while remaining > 0:
-                block = min(remaining, self.block_size)
-                start = perf_counter()
-                initiators, responders = self.scheduler.next_pairs(block)
-                drawn = perf_counter()
-                timings["draw"] += drawn - start
-                apply_pair_block(
-                    self.codes, initiators, responders, self.table, self._workspace
-                )
-                timings["apply"] += perf_counter() - drawn
-                remaining -= block
-            self.metrics.interactions += count
-            return
         while remaining > 0:
             block = min(remaining, self.block_size)
+            if timings is not None:
+                start = perf_counter()
             initiators, responders = self.scheduler.next_pairs(block)
+            if timings is not None:
+                drawn = perf_counter()
+                timings["draw"] += drawn - start
             apply_pair_block(self.codes, initiators, responders, self.table, self._workspace)
+            if timings is not None:
+                timings["apply"] += perf_counter() - drawn
             remaining -= block
         self.metrics.interactions += count
-
-    def run_until(
-        self,
-        predicate: ConfigPredicate,
-        max_interactions: int,
-        check_interval: int = 1,
-    ) -> SimulationResult:
-        """Run until ``predicate(config)`` holds or the budget is exhausted.
-
-        Identical check discipline to the object backend: the predicate is
-        evaluated before the first step and then every ``check_interval``
-        interactions — through :meth:`predicate_holds`, so counts-aware
-        predicates are answered by one ``bincount`` instead of decoding
-        ``n`` state objects per check.
-        """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if self.predicate_holds(predicate):
-            return self._result(converged=True)
-        remaining = max_interactions
-        while remaining > 0:
-            burst = min(check_interval, remaining)
-            self.run_batch(burst)
-            remaining -= burst
-            if self.predicate_holds(predicate):
-                return self._result(converged=True)
-        return self._result(converged=False)
 
     def predicate_holds(self, predicate: ConfigPredicate) -> bool:
         """Evaluate a predicate in this backend's cheapest form.
@@ -548,24 +508,6 @@ class ArraySimulation:
         if timings is not None:
             timings["retire"] += perf_counter() - start
         return held
-
-    def instrument_steps(self) -> dict[str, float]:
-        """Switch on per-phase wall-clock accounting (common engine surface).
-
-        Returns the live accumulator over :data:`repro.obs.STEP_PHASES`:
-        ``draw`` (vectorized pair blocks), ``apply`` (conflict-safe block
-        application), ``retire`` (predicate checks); ``match`` stays zero
-        — pairing happens inside the scheduler draw here.  Only the
-        monotonic clock is read; draws and results are unchanged.
-        """
-        if self._timings is None:
-            self._timings = {phase: 0.0 for phase in STEP_PHASES}
-        return self._timings
-
-    @property
-    def step_timings(self) -> Optional[dict[str, float]]:
-        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
-        return self._timings
 
     def apply_fault(self, model, burst_size: int, generator) -> None:
         """Inject one fault burst (common engine surface).
@@ -604,15 +546,6 @@ class ArraySimulation:
             )
             start = stop
         self.metrics.interactions += len(pairs)
-
-    def _result(self, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            metrics=self.metrics,
-            config=self.config,
-        )
 
 
 def replay_array(

@@ -43,11 +43,13 @@ engine class, and ``batch_cells=True``; zero name conditionals anywhere.
 **The registry contract.**  A :class:`Backend` bundles:
 
 * ``name`` — the string users pass as ``backend=`` / ``--backend``;
-* ``factory(protocol, *, init, n, seed)`` — builds a simulation exposing
-  the common engine surface (``run`` / ``run_batch`` / ``run_until`` /
-  ``predicate_holds`` / ``apply_fault`` / ``instrument_steps`` /
-  ``metrics`` / ``config`` / ``n``).  ``init`` is an :class:`~repro.sim.initial_state.InitialState`
-  (or ``None`` for a clean ``n``-agent start); the factory asks it for
+* ``factory(protocol, *, init, n, seed)`` — builds an engine that
+  defines :data:`ENGINE_SURFACE` (``run_batch`` / ``predicate_holds`` /
+  ``apply_fault`` / ``metrics`` / ``config`` / ``n``) and inherits the
+  shared driver (``run`` / ``run_until`` / ``instrument_steps`` /
+  ``step_timings``).  ``init`` is an
+  :class:`~repro.sim.initial_state.InitialState` (or ``None`` for a
+  clean ``n``-agent start); the factory asks it for
   the engine's native representation (``to_config`` / ``to_codes`` /
   ``to_counts``), so one value describes the start on every backend and
   adversaries no longer need to know which form an engine prefers;
@@ -116,20 +118,18 @@ NATIVE_CONFIG = "config"
 NATIVE_CODES = "codes"
 NATIVE_COUNTS = "counts"
 
-#: The canonical engine surface: every member a registered factory's
-#: simulation object must expose (methods or attributes).  This is the
-#: single machine-readable description of the backend contract — the
-#: static contract checker (:mod:`repro.lint`, rule L002) constructs each
-#: registered engine and verifies the complete surface against this
-#: tuple, so a new registration (the planned numba/CuPy leg included)
-#: inherits the gate without touching the linter.
+#: The canonical engine surface: the members every engine defines itself
+#: (methods or attributes).  Everything else an engine exposes — ``run``,
+#: ``run_until``, ``instrument_steps``, ``step_timings`` — it inherits
+#: from the one engine driver in :mod:`repro.sim.simulation`.  The
+#: contract checker (:mod:`repro.lint`, rule L002) holds engine classes to
+#: this tuple statically, and constructs each registered engine to verify
+#: this tuple plus the inherited driver members on the live object, so a
+#: new registration inherits the gate without touching the linter.
 ENGINE_SURFACE: tuple[str, ...] = (
-    "run",
     "run_batch",
-    "run_until",
     "predicate_holds",
     "apply_fault",
-    "instrument_steps",
     "metrics",
     "config",
     "n",

@@ -66,12 +66,11 @@ disjoint draws, so rows are mutually independent and each is
 distribution-identical to a one-row engine.
 
 **Faults.**  Each row may carry a :class:`~repro.sim.fault_engine
-.FaultSpec`; row advances are sliced at every row's burst boundaries,
-with the row firing its burst from its own schedule/corruption streams
-(the derived-seed tags a :class:`~repro.sim.fault_engine.FaultEngine`
-uses).  Burst positions are a pure function of the schedule stream, so a
-row's burst schedule is bit-identical to a per-trial ``FaultEngine`` under
-the same ``FaultSpec``.
+.FaultSpec`; the row holds the :class:`~repro.sim.fault_engine.FaultEngine`
+it builds, row advances are sliced at every row's burst boundaries, and
+the row's engine fires its bursts through the same firing step it uses on
+a per-trial engine.  A row's burst schedule is therefore bit-identical to
+a per-trial ``FaultEngine`` under the same ``FaultSpec``.
 
 **Determinism.**  A run is a pure function of ``(protocol, initial
 counts, seed, batching mode, advance split sequence)``.  Unlike the array
@@ -110,16 +109,11 @@ from repro.sim.array_backend import (
     require_numpy,
     transition_table_for,
 )
-from repro.sim.fault_engine import (
-    _CORRUPT_STREAM,
-    _SCHEDULE_STREAM,
-    FaultSpec,
-    get_fault_model,
-)
+from repro.sim.fault_engine import FaultEngine, FaultSpec
 from repro.sim.faults import AvailabilityAccounting, AvailabilityReport, FaultEvent
 from repro.sim.initial_state import Clean, InitialState, Replicated
 from repro.sim.metrics import Metrics
-from repro.sim.simulation import ConfigPredicate, SimulationResult
+from repro.sim.simulation import ConfigPredicate, _Engine
 
 
 class CountsBackendError(ArrayBackendError):
@@ -336,7 +330,7 @@ def goal_counts_predicate(protocol: PopulationProtocol) -> CountsAwarePredicate:
 
 
 # ---------------------------------------------------------------------------
-# Per-row results and fault state
+# Per-row results
 # ---------------------------------------------------------------------------
 
 
@@ -350,43 +344,12 @@ class RowOutcome:
     parallel_time: float
 
 
-class _RowFaultState:
-    """One row's materialized :class:`FaultSpec` — streams, clock, events.
-
-    The per-row twin of a :class:`~repro.sim.fault_engine.FaultEngine`'s
-    mutable state: the schedule stream is seeded and consumed exactly as
-    the engine's (one exponential at construction, one per fired burst),
-    so the burst positions recorded in ``events`` are bit-identical to
-    the per-trial engine's under the same spec.
-    """
-
-    __slots__ = (
-        "model", "burst_size", "mean_gap", "schedule", "corrupt",
-        "next_burst", "events",
-    )
-
-    def __init__(self, spec: FaultSpec, protocol: PopulationProtocol, n: int):
-        if spec.rate <= 0:
-            raise ValueError("fault rate must be positive")
-        if spec.burst_size < 1:
-            raise ValueError("burst size must be at least one agent")
-        model = get_fault_model(spec.model) if isinstance(spec.model, str) else spec.model
-        model.require(protocol)
-        self.model = model
-        self.burst_size = spec.burst_size
-        self.mean_gap = n / spec.rate
-        self.schedule = np_stream(spec.seed, _SCHEDULE_STREAM)
-        self.corrupt = np_stream(spec.seed, _CORRUPT_STREAM)
-        self.next_burst = self.schedule.exponential(self.mean_gap)
-        self.events: list[FaultEvent] = []
-
-
 # ---------------------------------------------------------------------------
 # The counts engine
 # ---------------------------------------------------------------------------
 
 
-class CountsSimulation:
+class CountsSimulation(_Engine):
     """``T`` trials as the rows of one ``(T, S)`` ``int64`` counts matrix.
 
     ``init`` is any :class:`~repro.sim.initial_state.InitialState` — a
@@ -400,9 +363,12 @@ class CountsSimulation:
     samplers, ``"pair"`` the pair-at-a-time oracle — same law, wildly
     different speed; tests run both and compare.
 
-    A one-row engine exposes the common per-trial engine surface (``run``
-    / ``run_batch`` / ``run_until`` / ``predicate_holds`` / ``apply_fault``
-    / ``metrics`` / ``config`` / ``n``); with more rows those methods
+    A one-row engine is a per-trial engine: it defines ``run_batch`` /
+    ``predicate_holds`` / ``apply_fault`` / ``config`` and inherits ``run``
+    / ``run_until`` and the phase clock from the shared engine driver
+    (``draw``: run lengths and compositions, ``match``: pairing,
+    ``apply``: aggregate deltas and collision interactions, ``retire``:
+    silence and predicate checks).  With more rows the per-trial methods
     raise, because a batch has rows, not a single trajectory.  Every
     engine also has the row workloads :meth:`run_rows_until` and
     :meth:`measure_rows_availability`, each with an optional per-row
@@ -473,7 +439,6 @@ class CountsSimulation:
         self._codes = np.arange(size, dtype=np.int64)
         self._generator = np_stream(seed, 0)
         self._runs = CollisionRunSampler(self.n, self._generator)
-        self._timings: Optional[dict[str, float]] = None
         self._driven = False
         self._row_events: list[list[FaultEvent]] = []
         # The lockstep sampler pairs runs by type counts (an S² chain)
@@ -491,7 +456,7 @@ class CountsSimulation:
             self._effectful = None
 
     # ------------------------------------------------------------------
-    # Views and instrumentation
+    # Views
     # ------------------------------------------------------------------
 
     @property
@@ -510,25 +475,6 @@ class CountsSimulation:
             raise RuntimeError("no row workload has been driven yet")
         return self._row_events[row]
 
-    def instrument_steps(self) -> dict[str, float]:
-        """Switch on per-phase wall-clock accounting (common engine surface).
-
-        Returns the live accumulator over :data:`repro.obs.STEP_PHASES`:
-        ``draw`` (run lengths + composition), ``match`` (pairing),
-        ``apply`` (aggregate delta + collision interactions), ``retire``
-        (silence + predicate checks).  The samplers only read the
-        monotonic clock between their sections, so instrumented and plain
-        runs are bit-identical.
-        """
-        if self._timings is None:
-            self._timings = {phase: 0.0 for phase in STEP_PHASES}
-        return self._timings
-
-    @property
-    def step_timings(self) -> Optional[dict[str, float]]:
-        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
-        return self._timings
-
     # ------------------------------------------------------------------
     # The per-trial surface (one-row engines)
     # ------------------------------------------------------------------
@@ -541,41 +487,12 @@ class CountsSimulation:
             )
         return self._matrix[0]
 
-    def run(self, interactions: int) -> None:
-        """Run a fixed number of interactions."""
-        self.run_batch(interactions)
-
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the per-row sampler."""
         if count < 0:
             raise ValueError(f"interaction count must be non-negative, got {count}")
         self._run_row(self._one_row(), count)
         self.metrics.interactions += count
-
-    def run_until(
-        self,
-        predicate: ConfigPredicate,
-        max_interactions: int,
-        check_interval: int = 1,
-    ) -> SimulationResult:
-        """Run until the predicate holds or the budget is exhausted.
-
-        Identical check discipline to the other engines: the predicate is
-        evaluated before the first step and then every ``check_interval``
-        interactions, through :meth:`predicate_holds`.
-        """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if self.predicate_holds(predicate):
-            return self._result(converged=True)
-        remaining = max_interactions
-        while remaining > 0:
-            burst = min(check_interval, remaining)
-            self.run_batch(burst)
-            remaining -= burst
-            if self.predicate_holds(predicate):
-                return self._result(converged=True)
-        return self._result(converged=False)
 
     def predicate_holds(self, predicate: ConfigPredicate) -> bool:
         """Evaluate a predicate in this backend's cheapest form.
@@ -609,15 +526,6 @@ class CountsSimulation:
         """
         return counts_are_silent(self.table, self._one_row())
 
-    def _result(self, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            metrics=self.metrics,
-            config=self.config,
-        )
-
     # ------------------------------------------------------------------
     # Row workloads
     # ------------------------------------------------------------------
@@ -645,24 +553,24 @@ class CountsSimulation:
         """
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
-        states = self._start_drive(faults)
+        row_faults = self._start_drive(faults)
         outcomes: list[Optional[RowOutcome]] = [None] * self.trials
         timings = self._timings
         live = list(range(self.trials))
         position = 0
         checked = perf_counter() if timings is not None else 0.0
         live = self._retire_converged(live, outcomes, predicate, position)
-        live = self._retire_silent(live, outcomes, states, max_interactions)
+        live = self._retire_silent(live, outcomes, row_faults, max_interactions)
         if timings is not None:
             timings["retire"] += perf_counter() - checked
         while live and position < max_interactions:
             target = min(position + check_interval, max_interactions)
-            self._advance_rows(live, position, target, states)
+            self._advance_rows(live, position, target, row_faults)
             position = target
             checked = perf_counter() if timings is not None else 0.0
             live = self._retire_converged(live, outcomes, predicate, position)
             if position < max_interactions:
-                live = self._retire_silent(live, outcomes, states, max_interactions)
+                live = self._retire_silent(live, outcomes, row_faults, max_interactions)
             if timings is not None:
                 timings["retire"] += perf_counter() - checked
         for row in live:
@@ -687,34 +595,32 @@ class CountsSimulation:
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
-        states = self._start_drive(faults)
+        row_faults = self._start_drive(faults)
         accounting = [AvailabilityAccounting() for _ in range(self.trials)]
         frozen: set[int] = set()
         position = 0
         while position < total_interactions:
             target = min(position + checkpoint_every, total_interactions)
             active = [row for row in range(self.trials) if row not in frozen]
-            self._advance_rows(active, position, target, states)
+            self._advance_rows(active, position, target, row_faults)
             position = target
             for row in range(self.trials):
-                state = states[row]
-                if state is not None:
-                    accounting[row].note_events(state.events)
+                accounting[row].note_events(self._row_events[row])
                 accounting[row].checkpoint(
                     position, self._row_predicate(correct, self._matrix[row])
                 )
-                if row not in frozen and state is None and self._row_silent(row):
+                if row not in frozen and row_faults[row] is None and self._row_silent(row):
                     frozen.add(row)
         return [
             accounting[row].report(
                 total_interactions=total_interactions,
-                fault_bursts=len(states[row].events) if states[row] else 0,
+                fault_bursts=len(self._row_events[row]),
             )
             for row in range(self.trials)
         ]
 
-    def _start_drive(self, faults) -> list[Optional[_RowFaultState]]:
-        """Claim the engine's one row workload; materialize per-row faults."""
+    def _start_drive(self, faults) -> list[Optional[FaultEngine]]:
+        """Claim the engine's one row workload; build each row's fault engine."""
         if faults is None:
             specs: list[Optional[FaultSpec]] = [None] * self.trials
         else:
@@ -734,12 +640,12 @@ class CountsSimulation:
                 "this engine has already been driven; build a fresh engine per workload"
             )
         self._driven = True
-        states = [
-            _RowFaultState(spec, self.protocol, self.n) if spec is not None else None
+        row_faults = [
+            spec.make_engine(self.protocol, n=self.n) if spec is not None else None
             for spec in specs
         ]
-        self._row_events = [state.events if state else [] for state in states]
-        return states
+        self._row_events = [faults.events if faults else [] for faults in row_faults]
+        return row_faults
 
     # ------------------------------------------------------------------
     # Retirement and per-row checks
@@ -802,12 +708,12 @@ class CountsSimulation:
         changes[:, diagonal, diagonal] &= sub > 1
         return ~changes.any(axis=(1, 2))
 
-    def _retire_silent(self, live, outcomes, states, max_interactions):
+    def _retire_silent(self, live, outcomes, row_faults, max_interactions):
         # A silent row with no fault stream is frozen forever: its
         # predicate stays False at every future check, so run_until would
         # idle to the budget and report exactly this.  Rows with faults
         # stay live — a burst can corrupt them awake.
-        candidates = [row for row in live if states[row] is None]
+        candidates = [row for row in live if row_faults[row] is None]
         if not candidates:
             return list(live)
         silent = dict(zip(candidates, self._silent_rows(candidates)))
@@ -825,26 +731,22 @@ class CountsSimulation:
     # Row advances: burst slicing and the sampler choice
     # ------------------------------------------------------------------
 
-    def _advance_rows(self, rows, position, target, states) -> None:
+    def _advance_rows(self, rows, position, target, row_faults) -> None:
         """Advance every row in ``rows`` from ``position`` to ``target``,
         firing each row's scheduled bursts at their interaction boundaries
-        (the row-wise twin of :meth:`FaultEngine._advance_to`)."""
+        (the row-wise form of :meth:`FaultEngine._advance_to`)."""
         pos = {row: position for row in rows}
         while True:
             stepping: list[int] = []
             amounts: list[int] = []
             for row in rows:
-                state = states[row]
-                if state is not None:
-                    # Fire every burst due at (or before) this row's
-                    # current boundary — several can ceil to one position.
-                    while math.ceil(state.next_burst) <= pos[row]:
-                        self._fire_burst(row, state, pos[row])
+                stop = target
+                faults = row_faults[row]
+                if faults is not None:
+                    apply = functools.partial(self._apply_row_fault, row)
+                    stop = min(stop, faults._fire_due(apply, pos[row]))
                 if pos[row] >= target:
                     continue
-                stop = target
-                if state is not None:
-                    stop = min(stop, math.ceil(state.next_burst))
                 stepping.append(row)
                 amounts.append(stop - pos[row])
                 pos[row] = stop
@@ -865,12 +767,8 @@ class CountsSimulation:
             and stepping * ROW_RUN_COST >= self.num_states - 1
         )
 
-    def _fire_burst(self, row, state, position) -> None:
-        state.model.apply_counts(
-            self.protocol, self._matrix[row], state.burst_size, state.corrupt
-        )
-        state.events.append(FaultEvent(position, []))
-        state.next_burst += state.schedule.exponential(state.mean_gap)
+    def _apply_row_fault(self, row: int, model, burst_size: int, generator) -> None:
+        model.apply_counts(self.protocol, self._matrix[row], burst_size, generator)
 
     # ------------------------------------------------------------------
     # The per-row sampler

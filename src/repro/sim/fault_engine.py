@@ -1,21 +1,19 @@
 """Backend-generic fault injection — named fault models, one burst law.
 
 The paper's opening premise is that state corruption is the rule, not the
-exception; self-stabilization is the answer.  The original fault machinery
-(:mod:`repro.sim.faults`) turns that into a measurable workload, but only
-on the object backend: it corrupts state *objects* through a
-per-interaction observer, which the vectorized engines deliberately do not
-have.  This module is the backend-generic replacement — the subsystem that
-lets every ``protocol × fault model × fault rate × n`` cell run on every
-execution engine, up to the ``n = 10⁶`` populations only the counts
-backend reaches (experiment E21).
+exception; self-stabilization is the answer.  This module turns that into a
+measurable workload on every execution engine — the subsystem that lets
+every ``protocol × fault model × fault rate × n`` cell run on every
+backend, from ``ElectLeader_r`` on the object engine (experiment E15) up to
+the ``n = 10⁶`` populations only the counts backend reaches (E21).
 
 **Fault models.**  A :class:`FaultModel` is one named corruption law with
 three *law-matched* appliers, one per configuration representation:
 
 * ``apply_config`` — per-agent corruption of a state-object list (the
-  object engine; for protocols without a finite encoding this wraps the
-  classic :data:`repro.sim.faults.AgentCorruption` scramblers);
+  object engine; for ``ElectLeader_r``, which has no finite encoding,
+  ``scramble_burst`` wraps the adversary suite's
+  :func:`~repro.adversary.initializers.single_agent_scrambler`);
 * ``apply_codes``  — vectorized index corruption of an ``(n,)`` state-code
   array (the array engine);
 * ``apply_counts`` — ``O(S)`` state-mass moves on an ``(S,)`` count vector
@@ -57,18 +55,21 @@ the burst, which is exact (the Markov property: restarting a run from the
 current counts is the counts process's own law).
 
 Drivers: :meth:`FaultEngine.run_until` stabilizes under continuous
-injection (the classic recovery workload) and
-:meth:`FaultEngine.measure_availability` samples a correctness predicate
-at checkpoints (the E15/E21 availability workload), both written against
-the common engine surface (``run_batch`` / ``predicate_holds`` /
-``apply_fault`` / ``metrics``) so any registered backend works unchanged.
+injection (the classic recovery workload, on the engines' own check loop)
+and :meth:`FaultEngine.measure_availability` samples a correctness
+predicate at checkpoints (the E15/E21 availability workload), both written
+against the common engine surface (``run_batch`` / ``predicate_holds`` /
+``apply_fault``) so any registered backend works unchanged.  The counts
+engine's row workloads hold one :class:`FaultEngine` per faulted row and
+fire its bursts through the same firing step.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 from weakref import WeakKeyDictionary
 
 from repro.core.elect_leader import ElectLeader
@@ -95,11 +96,10 @@ class FaultSpec:
 
     The portable form of a :class:`FaultEngine` construction: batch
     drivers (:mod:`repro.sim.batch_backend`) and sweep cells carry one
-    ``FaultSpec`` per trial row and materialize engines — or the
-    equivalent per-row stream state — from it.  ``seed`` is the engine
-    seed; the schedule and corruption streams derive from it with the
-    same tags a :class:`FaultEngine` uses, so a ``FaultSpec`` replayed
-    through any driver produces the bit-identical burst schedule.
+    ``FaultSpec`` per trial row and build each row's engine from it with
+    :meth:`make_engine`.  ``seed`` is the engine seed, so a ``FaultSpec``
+    replayed through any driver produces the bit-identical burst
+    schedule.
     """
 
     model: str
@@ -257,10 +257,10 @@ class ScrambleBurst(FaultModel):
     The generic transient fault: any code decodes to a well-formed state
     (the encoding is a bijection), so this is the model's "arbitrary
     memory corruption" restricted to a burst.  For protocols *without* a
-    finite encoding — ``ElectLeader_r`` — the object applier wraps the
-    classic :func:`repro.adversary.initializers.single_agent_scrambler`
-    (an :data:`~repro.sim.faults.AgentCorruption`), so the legacy E15
-    corruption law keeps running through the new engine.
+    finite encoding — ``ElectLeader_r`` — the object applier wraps
+    :func:`repro.adversary.initializers.single_agent_scrambler`, which
+    replaces each victim's whole memory with independent garbage (the
+    corruption law of E15).
     """
 
     name = "scramble_burst"
@@ -273,7 +273,7 @@ class ScrambleBurst(FaultModel):
             return None  # the object-layout scrambler speaks this protocol
         return (
             "it has no finite state encoding and no object-layout scrambler; "
-            "only ElectLeader-shaped protocols take the AgentCorruption path"
+            "only ElectLeader-shaped protocols take the object-layout path"
         )
 
     def _replacement_codes(self, protocol, old_codes, generator):
@@ -510,22 +510,29 @@ class FaultEngine:
 
     # ------------------------------------------------------------------
 
+    def _fire_due(self, apply_fault: Callable[..., None], position: int) -> int:
+        """Fire every burst due at or before interaction ``position`` —
+        several can ceil to one boundary — through ``apply_fault(model,
+        burst_size, generator)``; return the boundary of the next burst.
+
+        The one firing step: :meth:`_advance_to` passes an engine's
+        ``apply_fault``, the counts engine's row driver a row's applier.
+        """
+        while (due := math.ceil(self._next_burst)) <= position:
+            apply_fault(self.model, self.burst_size, self._corrupt)
+            self.events.append(FaultEvent(position))
+            self._next_burst += self._schedule.exponential(self.mean_gap)
+        return due
+
     def _advance_to(self, sim, position: int, target: int) -> int:
         """Run ``sim`` from ``position`` to ``target`` interactions,
         firing every burst scheduled on the way (at the first interaction
         boundary at or after its continuous arrival time)."""
-        while True:
-            fire_at = math.ceil(self._next_burst)
-            if fire_at > target:
-                break
-            if fire_at > position:
-                sim.run_batch(fire_at - position)
-                position = fire_at
-            sim.apply_fault(self.model, self.burst_size, self._corrupt)
-            self.events.append(FaultEvent(position, []))
-            self._next_burst += self._schedule.exponential(self.mean_gap)
-        if target > position:
-            sim.run_batch(target - position)
+        while position < target:
+            stop = min(self._fire_due(sim.apply_fault, position), target)
+            sim.run_batch(stop - position)
+            position = stop
+        self._fire_due(sim.apply_fault, target)
         return target
 
     @property
@@ -546,24 +553,15 @@ class FaultEngine:
     ) -> SimulationResult:
         """Run ``sim`` under continuous injection until the predicate holds.
 
-        The backend-generic counterpart of every engine's ``run_until``:
-        same check discipline (before the first step, then every
-        ``check_interval`` interactions, via ``sim.predicate_holds`` so
-        counts-aware predicates stay ``O(S)``), with bursts injected at
-        their scheduled interaction boundaries in between.
+        The engines' own ``run_until`` check loop (before the first step,
+        then every ``check_interval`` interactions, via
+        ``sim.predicate_holds`` so counts-aware predicates stay ``O(S)``),
+        with each advance cut at the scheduled burst boundaries.
         """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if sim.predicate_holds(predicate):
-            return self._result(sim, converged=True)
-        position = 0
-        while position < max_interactions:
-            position = self._advance_to(
-                sim, position, min(position + check_interval, max_interactions)
-            )
-            if sim.predicate_holds(predicate):
-                return self._result(sim, converged=True)
-        return self._result(sim, converged=False)
+        return sim._run_checked(
+            predicate, max_interactions, check_interval,
+            functools.partial(self._advance_to, sim),
+        )
 
     def measure_availability(
         self,
@@ -575,11 +573,11 @@ class FaultEngine:
     ) -> AvailabilityReport:
         """Run the availability workload: inject, checkpoint, report.
 
-        Backend-generic twin of :func:`repro.sim.faults
-        .measure_availability`: runs the full budget under injection,
-        samples ``correct`` every ``checkpoint_every`` interactions, and
-        reports the available fraction plus one repair-time sample per
-        burst (measured to the first correct checkpoint after it).
+        Runs the full budget under injection, samples ``correct`` every
+        ``checkpoint_every`` interactions, and reports the available
+        fraction plus one repair-time sample per burst (measured to the
+        first correct checkpoint after it).  Needs only ``run_batch``,
+        ``apply_fault`` and ``predicate_holds`` of ``sim``.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
@@ -593,18 +591,6 @@ class FaultEngine:
             accounting.checkpoint(position, sim.predicate_holds(correct))
         return accounting.report(
             total_interactions=total_interactions, fault_bursts=len(self.events)
-        )
-
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _result(sim, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=sim.metrics.interactions,
-            parallel_time=sim.metrics.parallel_time,
-            metrics=sim.metrics,
-            config=sim.config,
         )
 
 

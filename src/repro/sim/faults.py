@@ -1,17 +1,15 @@
-"""Transient-fault injection and availability measurement.
+"""Availability bookkeeping for the fault workloads.
 
 The paper's motivation (Section 1): "the agents' memory and, therefore,
 their states can be corrupted through all kinds of outside influences" —
 self-stabilization is the answer to faults being the rule rather than the
-exception.  This module turns that story into a measurable workload:
-
-* :class:`FaultInjector` corrupts a random subset of agents at
-  exponentially-distributed intervals (rate ``faults_per_parallel_time``
-  per unit of parallel time), using a caller-supplied corruption function
-  — typically one of the adversary suite's single-agent scramblers;
-* :func:`measure_availability` runs a protocol under continuous injection
-  and reports the fraction of checkpoints at which the output was correct
-  (a unique leader), plus mean-time-to-repair statistics.
+exception.  :class:`repro.sim.fault_engine.FaultEngine` turns that story
+into a measurable workload: it injects corruption bursts at exponentially
+distributed intervals and samples a correctness predicate at checkpoints.
+This module holds the records those drivers share: :class:`FaultEvent`
+(one fired burst), :class:`AvailabilityAccounting` (the checkpoint
+bookkeeping) and :class:`AvailabilityReport` (the fraction of checkpoints
+at which the output was correct, plus the repair-time samples).
 
 Experiment E15 sweeps the fault rate: availability should degrade
 gracefully and recover to ~1 when the mean fault interval exceeds the
@@ -23,14 +21,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
-
-from repro.core.protocol import PopulationProtocol
-from repro.scheduler.rng import RNG
-from repro.sim.simulation import Simulation
-
-#: Corrupts one agent's state in place (or returns a replacement state).
-AgentCorruption = Callable[[Any, RNG], Any]
+from typing import Sequence
 
 
 @dataclass
@@ -38,61 +29,15 @@ class FaultEvent:
     """One injected fault burst."""
 
     interaction: int
-    agents: list[int]
-
-
-class FaultInjector:
-    """Injects corruption bursts into a running simulation.
-
-    Burst times follow an exponential inter-arrival law with mean
-    ``n / rate`` interactions (i.e. ``rate`` bursts per unit of parallel
-    time); each burst corrupts ``burst_size`` uniformly chosen agents.
-    """
-
-    def __init__(
-        self,
-        corruption: AgentCorruption,
-        rate: float,
-        burst_size: int,
-        rng: RNG,
-    ):
-        if rate <= 0:
-            raise ValueError("fault rate must be positive")
-        if burst_size < 1:
-            raise ValueError("burst size must be at least one agent")
-        self.corruption = corruption
-        self.rate = rate
-        self.burst_size = burst_size
-        self._rng = rng
-        self.events: list[FaultEvent] = []
-        self._next_burst: float | None = None
-
-    def _schedule(self, sim: Simulation) -> None:
-        mean_gap = sim.n / self.rate
-        self._next_burst = sim.metrics.interactions + self._rng.expovariate(1.0 / mean_gap)
-
-    def observe(self, sim: Simulation, i: int, j: int) -> None:
-        """Install as a simulation observer."""
-        if self._next_burst is None:
-            self._schedule(sim)
-        assert self._next_burst is not None
-        if sim.metrics.interactions < self._next_burst:
-            return
-        victims = self._rng.sample(range(sim.n), min(self.burst_size, sim.n))
-        for victim in victims:
-            replacement = self.corruption(sim.config[victim], self._rng)
-            if replacement is not None:
-                sim.config[victim] = replacement
-        self.events.append(FaultEvent(sim.metrics.interactions, victims))
-        self._schedule(sim)
 
 
 class AvailabilityAccounting:
     """Shared checkpoint bookkeeping of the availability workloads.
 
-    Both availability drivers — :func:`measure_availability` here (object
-    engine, observer-based injection) and :meth:`repro.sim.fault_engine
-    .FaultEngine.measure_availability` (backend-generic) — sample a
+    Both availability drivers — :meth:`repro.sim.fault_engine.FaultEngine
+    .measure_availability` (one trial on any engine) and
+    :meth:`repro.sim.counts_backend.CountsSimulation
+    .measure_rows_availability` (every row of a counts matrix) — sample a
     correctness predicate at checkpoints and owe **one repair sample per
     burst**, measured to the first correct checkpoint after it.  That
     accounting was subtle enough to have been fixed once already (earlier
@@ -167,40 +112,3 @@ class AvailabilityReport:
             "fault_bursts": self.fault_bursts,
             "median_repair": self.median_repair_interactions,
         }
-
-
-def measure_availability(
-    protocol: PopulationProtocol,
-    correct: Callable[[Sequence[Any]], bool],
-    injector: FaultInjector,
-    *,
-    n: int,
-    seed: int,
-    total_interactions: int,
-    checkpoint_every: int,
-    warmup_interactions: int = 0,
-    config: list[Any] | None = None,
-) -> AvailabilityReport:
-    """Run under fault injection; sample correctness at checkpoints.
-
-    ``correct`` is the instantaneous output predicate (cheap; evaluated at
-    every checkpoint).  Repair times are measured from each fault burst to
-    the first correct checkpoint after it.
-    """
-    sim = Simulation(protocol, config=config, n=None if config else n, seed=seed)
-    if warmup_interactions:
-        sim.run(warmup_interactions)
-    sim.observers.append(injector.observe)
-
-    accounting = AvailabilityAccounting()
-    remaining = total_interactions
-    while remaining > 0:
-        burst = min(checkpoint_every, remaining)
-        sim.run(burst)
-        remaining -= burst
-        # Account for any faults injected during the burst.
-        accounting.note_events(injector.events)
-        accounting.checkpoint(sim.metrics.interactions, correct(sim.config))
-    return accounting.report(
-        total_interactions=total_interactions, fault_bursts=len(injector.events)
-    )

@@ -10,6 +10,11 @@ message system, so per-interaction evaluation would dominate runtime).
 Determinism: a simulation is fully determined by ``(protocol, initial
 configuration, seed)`` — the seed drives both the scheduler and the
 transition-function sampling, through two independent derived streams.
+
+Every engine — this one, the array and the counts engines — inherits
+``run``, ``run_until`` and the phase clock from the one engine driver
+defined here, and defines only its constructor, ``run_batch``,
+``predicate_holds``, ``apply_fault`` and ``config``.
 """
 
 from __future__ import annotations
@@ -54,14 +59,100 @@ class SimulationResult:
         return self.converged
 
 
-class Simulation:
+class _Engine:
+    """The driver every engine shares: ``run``, ``run_until`` and the phase clock.
+
+    An engine subclass defines only what differs between representations
+    — its constructor (which sets ``metrics`` and ``n``), ``run_batch``,
+    ``predicate_holds``, ``apply_fault`` and the ``config`` view — and
+    reads ``self._timings`` in its hot loops, touching the clock only
+    when it is not ``None``.
+    """
+
+    _timings: Optional[dict[str, float]] = None
+
+    def run(self, interactions: int) -> None:
+        """Run a fixed number of interactions."""
+        self.run_batch(interactions)
+
+    def run_until(
+        self,
+        predicate: ConfigPredicate,
+        max_interactions: int,
+        check_interval: int = 1,
+    ) -> SimulationResult:
+        """Run until ``predicate(config)`` holds or the budget is exhausted.
+
+        The predicate is evaluated before the first step (an adversarial
+        start may already satisfy it) and then every ``check_interval``
+        interactions, through :meth:`predicate_holds` — so each engine
+        answers it in its cheapest native form.
+        """
+        return self._run_checked(
+            predicate, max_interactions, check_interval,
+            lambda position, target: self.run_batch(target - position),
+        )
+
+    def _run_checked(
+        self,
+        predicate: ConfigPredicate,
+        max_interactions: int,
+        check_interval: int,
+        advance: Callable[[int, int], Any],
+    ) -> SimulationResult:
+        """The check loop behind every ``run_until``: ``advance(position,
+        target)`` moves the engine between checks (a fault engine cuts it
+        at burst boundaries)."""
+        if check_interval < 1:
+            raise ValueError("check_interval must be positive")
+        position = 0
+        while not self.predicate_holds(predicate):
+            if position >= max_interactions:
+                return self._result(converged=False)
+            target = min(position + check_interval, max_interactions)
+            advance(position, target)
+            position = target
+        return self._result(converged=True)
+
+    def instrument_steps(self) -> dict[str, float]:
+        """Switch on per-phase wall-clock accounting (common engine surface).
+
+        Returns the live accumulator mapping :data:`repro.obs.STEP_PHASES`
+        to seconds: ``draw`` (pair or run-length and composition draws),
+        ``match`` (pairing, where an engine has a separate phase for it),
+        ``apply`` (transitions), ``retire`` (silence and predicate
+        checks).  Instrumentation only reads the monotonic clock; the RNG
+        streams are consumed identically, so results never change.
+        """
+        if self._timings is None:
+            self._timings = {phase: 0.0 for phase in STEP_PHASES}
+        return self._timings
+
+    @property
+    def step_timings(self) -> Optional[dict[str, float]]:
+        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
+        return self._timings
+
+    def _result(self, converged: bool) -> SimulationResult:
+        return SimulationResult(
+            converged=converged,
+            interactions=self.metrics.interactions,
+            parallel_time=self.metrics.parallel_time,
+            metrics=self.metrics,
+            config=self.config,
+        )
+
+
+class Simulation(_Engine):
     """A single protocol execution under the uniform random scheduler.
 
     The configuration arguments are keyword-only: ``Simulation(p, cfg)``
     used to bind a stray int to ``config`` (and ``Simulation(p, cfg, 32,
     7)`` an ``n``-shaped int to ``seed``) silently; now both get the
     pointed :class:`TypeError` from :func:`~repro.sim.initial_state
-    .reject_positional`.
+    .reject_positional`.  The phase clock files scheduler pair draws
+    under ``draw``, transitions under ``apply`` and predicate checks under
+    ``retire``.
     """
 
     def __init__(
@@ -90,7 +181,6 @@ class Simulation:
         self.scheduler = RandomScheduler(self.n, self._scheduler_rng)
         self.metrics = Metrics(n=self.n)
         self.observers: list[Observer] = []
-        self._timings: Optional[dict[str, float]] = None
 
     # ------------------------------------------------------------------
 
@@ -102,10 +192,6 @@ class Simulation:
         for observer in self.observers:
             observer(self, i, j)
         return i, j
-
-    def run(self, interactions: int) -> None:
-        """Run a fixed number of interactions."""
-        self.run_batch(interactions)
 
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the batched fast path.
@@ -130,49 +216,20 @@ class Simulation:
         transition = self.protocol.transition
         rng = self.transition_rng
         timings = self._timings
+        pairs = self.scheduler.pairs(count)
         if timings is not None:
-            # Instrumented twin of the fast path: the pair draws are
-            # materialized first so draw and apply time separate cleanly.
-            # The scheduler and transition streams are independent, so
-            # batching the draws consumes both streams in the same order
-            # — instrumented runs stay bit-identical (tests pin this).
+            # Instrumented, the pairs are drawn up front so draw and apply
+            # time separate cleanly.  The scheduler and transition streams
+            # are independent, so each is consumed in the same order.
             start = perf_counter()
-            pairs = list(self.scheduler.pairs(count))
+            pairs = list(pairs)
             drawn = perf_counter()
             timings["draw"] += drawn - start
-            for i, j in pairs:
-                transition(config[i], config[j], rng)
-            timings["apply"] += perf_counter() - drawn
-            self.metrics.interactions += count
-            return
-        for i, j in self.scheduler.pairs(count):
+        for i, j in pairs:
             transition(config[i], config[j], rng)
+        if timings is not None:
+            timings["apply"] += perf_counter() - drawn
         self.metrics.interactions += count
-
-    def run_until(
-        self,
-        predicate: ConfigPredicate,
-        max_interactions: int,
-        check_interval: int = 1,
-    ) -> SimulationResult:
-        """Run until ``predicate(config)`` holds or the budget is exhausted.
-
-        The predicate is evaluated before the first step (an adversarial
-        start may already satisfy it) and then every ``check_interval``
-        interactions.
-        """
-        if check_interval < 1:
-            raise ValueError("check_interval must be positive")
-        if self.predicate_holds(predicate):
-            return self._result(converged=True)
-        remaining = max_interactions
-        while remaining > 0:
-            burst = min(check_interval, remaining)
-            self.run_batch(burst)
-            remaining -= burst
-            if self.predicate_holds(predicate):
-                return self._result(converged=True)
-        return self._result(converged=False)
 
     def predicate_holds(self, predicate: ConfigPredicate) -> bool:
         """Evaluate a convergence/correctness predicate on the current state.
@@ -189,25 +246,6 @@ class Simulation:
         timings["retire"] += perf_counter() - start
         return held
 
-    def instrument_steps(self) -> dict[str, float]:
-        """Switch on per-phase wall-clock accounting (common engine surface).
-
-        Returns the live accumulator mapping :data:`repro.obs.STEP_PHASES`
-        to seconds: ``draw`` (scheduler pair generation), ``apply``
-        (transition dispatch), ``retire`` (predicate checks); ``match``
-        stays zero — the object engine has no separate pairing phase.
-        Instrumentation only reads the monotonic clock; the RNG streams
-        are consumed identically, so results never change.
-        """
-        if self._timings is None:
-            self._timings = {phase: 0.0 for phase in STEP_PHASES}
-        return self._timings
-
-    @property
-    def step_timings(self) -> Optional[dict[str, float]]:
-        """The accumulator from :meth:`instrument_steps` (``None`` when off)."""
-        return self._timings
-
     def apply_fault(self, model, burst_size: int, generator) -> None:
         """Inject one fault burst (common engine surface).
 
@@ -216,15 +254,6 @@ class Simulation:
         list in place, drawing victims and replacements from ``generator``.
         """
         model.apply_config(self.protocol, self.config, burst_size, generator)
-
-    def _result(self, converged: bool) -> SimulationResult:
-        return SimulationResult(
-            converged=converged,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            metrics=self.metrics,
-            config=self.config,
-        )
 
 
 def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:

@@ -689,8 +689,8 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
         seed=spec.seed, backend=spec.backend,
     )
     # With a trace sink configured, collect the engine's step-phase
-    # breakdown for this trial.  The instrumented drive is a twin of the
-    # plain one issuing identical RNG calls in identical order, so the
+    # breakdown for this trial.  The instrumented drive only reads the
+    # clock around the plain drive's RNG calls, in identical order, so the
     # outcome stays bit-identical (a tier-1 test holds that equality).
     tracer = get_tracer()
     timings = sim.instrument_steps() if tracer.enabled else None

@@ -36,8 +36,10 @@ from repro.obs import (
     to_chrome_trace,
 )
 from repro.sim.backends import backend_names, make_simulation
+from repro.sim.counts_backend import goal_counts_predicate
+from repro.sim.fault_engine import make_fault_engine
 from repro.sim.initial_state import CountVector
-from repro.sim.sweep import CLEAN, GridSpec, run_sweep
+from repro.sim.sweep import CLEAN, PROTOCOLS, GridSpec, run_sweep
 from repro.substrates.epidemics import EpidemicProtocol
 
 
@@ -194,29 +196,42 @@ class TestMetrics:
         assert list(STEP_PHASES) == ["draw", "match", "apply", "retire"]
 
 
+def engine_case(backend: str, protocol, predicate, init=None):
+    """``(protocol, predicate, build)`` for the per-backend identity tests:
+    ``ElectLeader`` on the object engine, the given finite-state protocol
+    on the vectorized ones."""
+    n = 64
+    if backend == "object":
+        protocol = ElectLeader(ProtocolParams(n=n, r=2))
+        predicate = protocol.is_safe_configuration
+        init = None
+    return protocol, predicate, lambda: make_simulation(
+        protocol, init=init, n=None if init is not None else n, seed=3, backend=backend
+    )
+
+
+def native_state(sim):
+    """The engine's whole state in its native form: the object
+    configuration, the array ``codes`` or the counts matrix."""
+    for name in ("counts", "codes"):
+        if hasattr(sim, name):
+            return getattr(sim, name).tolist()
+    return list(sim.config)
+
+
 class TestBitIdentity:
-    """Tracing (and the instrumented twin loops behind it) never changes
-    results — the observability invariant, per backend."""
+    """Tracing (and the phase clocks behind it) never changes results —
+    the observability invariant, per backend."""
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_instrumented_run_matches_plain(self, backend, monkeypatch):
         monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
-        protocol = EpidemicProtocol()
-        n = 64
-        if protocol.num_states() is None and backend != "object":
-            pytest.skip("vectorized backends need a finite-state protocol")
-        if backend == "object":
-            protocol = ElectLeader(ProtocolParams(n=n, r=2))
-            predicate = protocol.is_safe_configuration
-            build = lambda: make_simulation(protocol, n=n, seed=3, backend=backend)
-        else:
-            from repro.sim.counts_backend import goal_counts_predicate
-
-            predicate = goal_counts_predicate(protocol)
-            build = lambda: make_simulation(
-                protocol, init=CountVector([n - 1, 1]), seed=3, backend=backend
-            )
-        plain = build().run_until(predicate, max_interactions=50_000, check_interval=64)
+        epidemic = EpidemicProtocol()
+        _, predicate, build = engine_case(
+            backend, epidemic, goal_counts_predicate(epidemic), CountVector([63, 1])
+        )
+        plain_sim = build()
+        plain = plain_sim.run_until(predicate, max_interactions=50_000, check_interval=64)
         instrumented_sim = build()
         timings = instrumented_sim.instrument_steps()
         traced = instrumented_sim.run_until(
@@ -224,8 +239,45 @@ class TestBitIdentity:
         )
         assert traced.interactions == plain.interactions
         assert traced.converged == plain.converged
+        assert native_state(instrumented_sim) == native_state(plain_sim)
         assert set(timings) == set(STEP_PHASES)
         assert sum(timings.values()) > 0.0
+
+    @pytest.mark.parametrize("backend", sorted(backend_names()))
+    def test_instrumented_fault_drivers_match_plain(self, backend, monkeypatch):
+        # Bursts land between run_batch calls, so the fault drivers are
+        # where an instrumented loop that reorders its draws would show;
+        # Cai-Izumi-Wada keeps moving under bursts (an epidemic absorbs).
+        monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
+        protocol, predicate, build = engine_case(
+            backend, *PROTOCOLS["cai_izumi_wada"].build(64, 2)
+        )
+
+        def drive(driver: str, instrumented: bool):
+            sim = build()
+            if instrumented:
+                sim.instrument_steps()
+            engine = make_fault_engine(
+                "scramble_burst", protocol, n=sim.n, rate=1.0, burst_size=2, seed=5
+            )
+            if driver == "run_until":
+                result = engine.run_until(
+                    sim, predicate, max_interactions=20_000, check_interval=500
+                )
+                outcome = (result.converged, result.interactions)
+            else:
+                report = engine.measure_availability(
+                    sim, predicate, total_interactions=20_000, checkpoint_every=500
+                )
+                outcome = (report.available_checkpoints, report.repair_times)
+            return outcome, engine.events, native_state(sim), sim.step_timings
+
+        for driver in ("run_until", "measure_availability"):
+            plain = drive(driver, instrumented=False)
+            traced = drive(driver, instrumented=True)
+            assert traced[:3] == plain[:3], driver
+            assert plain[1], f"{driver}: no burst fired"
+            assert sum(traced[3].values()) > 0.0
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
     def test_traced_sweep_checkpoint_is_byte_identical(

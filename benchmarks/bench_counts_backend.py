@@ -15,8 +15,8 @@ with the array backend, run by CI's ``bench-perf`` job:
   checks convergence on the count vector, the array engine pays ``O(n)``
   conflict bookkeeping per block.  The array/counts wall-time ratio is a
   column of the table and of ``perf-summary.json``, not a gate: it
-  measured about 2× at ``n = 10⁶`` and 0.8–1× at the ``n = 10⁵`` smoke
-  size (numpy 2.4).  Raw engine throughput (``run_batch`` only, no
+  measured 2.1–2.2× at ``n = 10⁶`` and about 1.1× at the ``n = 10⁵``
+  smoke size (numpy 2.4).  Raw engine throughput (``run_batch`` only, no
   convergence checks) is reported alongside.
 
 * **E20b (verdict agreement)** — both engines reach the verdict, at

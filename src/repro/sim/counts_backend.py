@@ -33,10 +33,10 @@ recovers exactness through *collision-free runs*:
   ``S × S`` transition table (:func:`apply_pair_counts`, reusing
   :mod:`repro.sim.array_backend`'s table builder);
 * the ``(L+1)``-th interaction *collides* — it involves at least one
-  already-used agent, whose current state distribution is the multiset of
-  run outputs.  It is applied individually from the used/unused split
-  (category weights ``U(U-1) : U·A : A·U``), then the run machinery
-  restarts.
+  already-used agent, whose current state is one of the run's outputs.
+  Its ordered pair is uniform over the ``U(U-1) + 2·U·A`` pairs with a
+  used member (``U = 2L`` used agents, ``A = n - U`` unused), so it is
+  applied individually, then the run machinery restarts.
 
 Agents in equal states are exchangeable, so the counts process is an
 exact lumping of the agent-level chain; truncating a run at a batch
@@ -51,9 +51,11 @@ samplers, chosen by :data:`ROW_RUN_COST` from ``S`` and the number of
 rows stepping:
 
 * the *per-row* sampler runs one row at a time, one C-level
-  ``multivariate_hypergeometric`` per run — cheap per row, whatever
-  ``S``.  One-row engines always use it, so a single trial is the same
-  stream whichever registry name built it;
+  ``multivariate_hypergeometric`` over the occupied codes per run, and
+  takes the collision from the run's own outputs — a run costs
+  ``O(occupied codes + run length)``, however wide ``S`` is.  One-row
+  engines always use it, so a single trial is the same stream whichever
+  registry name built it;
 * the *lockstep* sampler serves every stepping row with a fixed number of
   numpy calls per run: one run-length block draw, a conditional
   hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
@@ -141,11 +143,17 @@ MAX_SILENCE_STATES = 64
 #: cost of one per-row run in units of one lockstep chain call (a
 #: vectorized ``hypergeometric``, of which a lockstep run makes ``S - 1``).
 #: Measured by timing both samplers on R rows of the Cai-Izumi-Wada table
-#: over S ranks, 10³ agents per row (numpy 2.4.6, Python 3.11, one Intel
-#: Xeon thread): the two break even at R ≈ 0.6–2 × (S - 1) for
-#: S = 17…334.  Below S ≈ 10 the lockstep step's fixed cost (about ten
-#: per-row runs) dominates instead; the rule leaves it out, so two-state
-#: protocols keep the lockstep sampler at every R.
+#: over S ranks, 10³ agents per row spread uniformly over the ranks and
+#: 10³ interactions per row (numpy 2.4.6, Python 3.11, one Intel Xeon
+#: thread): the lockstep sampler wins from R ≈ 1.6–2.6 × (S - 1) for
+#: S = 17…65, and for S = 129…334 it stays 4–40 % slower from
+#: R = 2(S - 1) to 6(S - 1), so the two are near even there.  The rule
+#: thus leans towards the lockstep sampler for R between S - 1 and about
+#: 2(S - 1); a constant below 1 would remove that lean but would also send
+#: a lone two-state row to the per-row sampler.  Below S ≈ 10 the lockstep
+#: step's fixed cost (about ten per-row runs) dominates instead; the rule
+#: leaves it out, so two-state protocols keep the lockstep sampler at
+#: every R.
 ROW_RUN_COST = 1
 
 
@@ -802,29 +810,42 @@ class CountsSimulation(_Engine):
     def _run_batched(self, counts, count: int) -> None:
         """``count`` interactions as collision-free runs + collision steps.
 
-        Each loop iteration is one (possibly budget-truncated) run: draw
-        its length from the birthday law, draw the ``2k`` distinct
-        agents' states by multivariate hypergeometric, pair them with a
-        shuffle, apply the aggregate delta, then — if the budget allows —
-        apply the colliding ``(L+1)``-th interaction individually.
-        Truncating a run at the advance boundary and restarting fresh next
-        call is exact (see the module docstring).
+        Each loop iteration is one (possibly budget-truncated) run of
+        ``k`` interactions: draw its length from the birthday law, draw
+        the ``2k`` distinct agents' states by one multivariate
+        hypergeometric over the occupied codes (a code with no agents can
+        only draw zero), pair them with a shuffle and take them out of
+        ``counts``, which then holds exactly the unused agents.  If the
+        budget allows, the colliding ``(k+1)``-th interaction follows,
+        and one ``bincount`` adds the run's ``outputs`` back.  Truncating
+        a run at the advance boundary and restarting fresh next call is
+        exact (see the module docstring).
 
-        The body is the engine's hot loop — ``Θ(√n)`` interactions per
+        The collision is one draw over the ``U(U-1) + 2·U·A`` ordered
+        pairs with a used member (``U = 2k``, ``A = n - U``), which picks
+        the category and both agents at once: a used agent is an index
+        into ``outputs``, an unused one a rank into ``counts`` over the
+        occupied codes.  It is applied in place to both.
+
+        This is the engine's hot loop — ``Θ(√n)`` interactions per
         iteration means tens of thousands of iterations per ``n·log n``
-        workload — so the draw/apply kernels are inlined against hoisted
-        locals and ndarray *methods* (``.repeat``/``.take``), skipping
-        the ``numpy.*`` wrapper dispatch that would otherwise rival the
-        kernels themselves.  The clock is read only when instrumented.
+        workload.  Every draw and every Python-level step is
+        ``O(occupied codes + run length)``; the only ``S``-length passes
+        are C scans (finding the occupied codes, the final ``bincount``).
+        The kernels are inlined against hoisted locals and ndarray
+        *methods* (``.repeat``/``.take``), skipping the ``numpy.*``
+        wrapper dispatch that would otherwise rival the kernels
+        themselves.  The clock is read only when instrumented.
         """
         np = self._np
         rng = self._generator
-        codes = self._codes
         size = self.num_states
+        n = self.n
         u_flat, v_flat = self.table.flat
         bincount = np.bincount
         concatenate = np.concatenate
         draw_sample = rng.multivariate_hypergeometric
+        draw_pair = rng.integers
         shuffle = rng.shuffle
         next_run_length = self._runs.next_run_length
         timings = self._timings
@@ -834,65 +855,56 @@ class CountsSimulation(_Engine):
                 start = perf_counter()
             length = next_run_length()
             k = min(length, remaining)
-            collide = remaining > k and k == length
-            sample = draw_sample(counts, 2 * k)
+            # The occupied codes; nonzero on a bool array is numpy's fast path.
+            support = counts.astype(bool).nonzero()[0]
+            sample = draw_sample(counts[support], 2 * k)
             if timings is not None:
                 drawn_at = perf_counter()
                 timings["draw"] += drawn_at - start
-            drawn = codes.repeat(sample)
+            drawn = support.repeat(sample)
             shuffle(drawn)
-            if collide:
-                avail = counts - sample  # pre-run states of unused agents
             if timings is not None:
                 matched_at = perf_counter()
                 timings["match"] += matched_at - drawn_at
+            counts[support] -= sample
             index = drawn[0::2] * size
             index += drawn[1::2]
             outputs = concatenate((u_flat.take(index), v_flat.take(index)))
-            counts += bincount(outputs, minlength=size)
-            counts -= bincount(drawn, minlength=size)
             remaining -= k
-            if collide:
-                self._collision_interaction(counts, avail)
+            if remaining and k == length:
+                used = 2 * k
+                unused = n - used
+                x = int(draw_pair(0, used * (used - 1 + 2 * unused)))
+                if x < used * (used - 1):  # (used, used)
+                    i, j = divmod(x, used - 1)
+                    j += j >= i
+                    pair = int(outputs[i]) * size + int(outputs[j])
+                    outputs[i] = u_flat[pair]
+                    outputs[j] = v_flat[pair]
+                else:  # (used, unused) or (unused, used)
+                    unused_first, x = divmod(x - used * (used - 1), used * unused)
+                    i, rank = divmod(x, unused)
+                    code = int(support[counts[support].cumsum().searchsorted(rank, "right")])
+                    counts[code] -= 1
+                    if unused_first:
+                        pair = code * size + int(outputs[i])
+                        counts[u_flat[pair]] += 1
+                        outputs[i] = v_flat[pair]
+                    else:
+                        pair = int(outputs[i]) * size + code
+                        outputs[i] = u_flat[pair]
+                        counts[v_flat[pair]] += 1
                 remaining -= 1
+            counts += bincount(outputs, minlength=size)
             if timings is not None:
                 timings["apply"] += perf_counter() - matched_at
 
-    def _collision_interaction(self, counts, avail) -> None:
-        """One interaction conditioned on touching an already-used agent.
-
-        ``avail`` holds the states of the agents the current run has not
-        touched; ``counts - avail`` is the (post-interaction) state
-        multiset of the used agents.  The colliding ordered pair is
-        uniform over pairs with at least one used member: categories
-        (used, used), (used, unused), (unused, used) with weights
-        ``U(U-1)``, ``U·A``, ``A·U`` — which sum to
-        ``n(n-1) - A(A-1)``, the number of qualifying pairs.
-        """
-        used = counts - avail
-        used_total = int(used.sum())
-        avail_total = self.n - used_total
-        w_uu = used_total * (used_total - 1)
-        w_ua = used_total * avail_total
-        x = self._generator.random() * (w_uu + 2 * w_ua)
-        if x < w_uu:
-            a = self._draw_state(used, used_total)
-            used[a] -= 1
-            b = self._draw_state(used, used_total - 1)
-            used[a] += 1
-        elif x < w_uu + w_ua:
-            a = self._draw_state(used, used_total)
-            b = self._draw_state(avail, avail_total)
-        else:
-            a = self._draw_state(avail, avail_total)
-            b = self._draw_state(used, used_total)
-        self._apply_one(counts, a, b)
-
     def _draw_state(self, pool, total: int) -> int:
-        """The state of one agent drawn uniformly from a count-vector pool."""
+        """The state of one agent drawn uniformly from a count-vector pool
+        (the pair oracle's draw)."""
         x = int(self._generator.integers(0, total))
-        # ndarray methods, not numpy.* wrappers: this runs twice per
-        # collision interaction, i.e. once per Θ(√n) simulated steps.
+        # ndarray methods, not numpy.* wrappers: the oracle makes two
+        # draws per interaction.
         return int(pool.cumsum().searchsorted(x, side="right"))
 
     def _apply_one(self, counts, a: int, b: int) -> None:
@@ -1076,9 +1088,10 @@ class CountsSimulation(_Engine):
         """One colliding interaction per row, vectorized across rows.
 
         ``avail`` holds each row's unused agents' states; ``counts -
-        avail`` (post-run) is the used agents' output multiset.  Category
-        weights and pool draws mirror :meth:`_collision_interaction`
-        row-wise.
+        avail`` (post-run) is the used agents' output multiset.  The
+        category weights ``U(U-1) : U·A : A·U`` are the per-row sampler's
+        (:meth:`_run_batched`); here each category's agents are drawn as
+        states from count-vector pools, one pool draw per agent.
         """
         np = self._np
         rng = self._generator

@@ -21,7 +21,8 @@ Contracts gated here:
   loudly, and an engine drives exactly one workload;
 * the ``T > 1`` law on both samplers: rows agree with independent
   one-row pair-at-a-time oracles by two-sample KS tests, on a cell the
-  lockstep sampler serves and one the per-row sampler serves;
+  lockstep sampler serves and one the per-row sampler serves, and one-row
+  engines agree with them on a wide, sparsely occupied state space;
 * the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
   matrix it does not read.
 """
@@ -39,6 +40,7 @@ from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import BaselineParams, ProtocolParams
+from repro.core.propagate_reset import ResetEpidemicProtocol
 from repro.scheduler.rng import derive_seed
 from repro.sim.array_backend import transition_table_for
 from repro.sim.backends import make_simulation
@@ -369,8 +371,9 @@ NEVER = counts_aware(lambda config: False, lambda counts: False)
 
 
 class TestRowLaw:
-    """Rows of a ``T > 1`` engine follow the law of independent one-row
-    pair-at-a-time oracles (``batching="pair"``), on both samplers."""
+    """Rows follow the law of independent one-row pair-at-a-time oracles
+    (``batching="pair"``): ``T > 1`` rows on both samplers, and one-row
+    engines where most of a wide state space is empty."""
 
     def _oracle(self, protocol, init, budget, trials, statistic, fault=None):
         values = []
@@ -425,6 +428,30 @@ class TestRowLaw:
             batched.extend(mass(counts) for counts in engine.counts)
         oracle = self._oracle(protocol, init, budget, 2 * engines, mass, fault)
         assert _ks_statistic(batched, oracle) <= _ks_threshold(2 * engines, 2 * engines)
+
+    def test_one_row_wide_sparse_state_matches_the_pair_oracle(self):
+        # The Appendix-C reset epidemic at n=300 (S=313) from one
+        # triggered agent: at most a few dozen codes are ever occupied,
+        # so the per-row sampler draws over a small support of a wide
+        # state space.  Statistic: the code-weighted state mass after two
+        # parallel time units, mid-infection.
+        protocol = ResetEpidemicProtocol(ProtocolParams(n=300))
+        assert protocol.num_states() == 313
+        counts = np.zeros(313, dtype=np.int64)
+        counts[0] = 299
+        counts[protocol.encode_state(protocol.triggered_state())] += 1
+        init, budget, trials = CountVector(counts), 600, 200
+
+        def mass(counts):
+            return int(counts @ np.arange(313))
+
+        batched = []
+        for trial in range(trials):
+            engine = CountsSimulation(protocol, init=init, seed=derive_seed(6, trial))
+            engine.run_rows_until(NEVER, max_interactions=budget, check_interval=budget)
+            batched.append(mass(engine.counts[0]))
+        oracle = self._oracle(protocol, init, budget, trials, mass)
+        assert _ks_statistic(batched, oracle) <= _ks_threshold(trials, trials)
 
 
 class TestWideStateMemory:

@@ -15,6 +15,10 @@ the abstraction ladder (counts instead of per-agent codes):
   batched runs; the batched sampler and the pair-at-a-time oracle agree
   on verdicts, and degenerate populations (``n = 2``, every interaction
   a collision) agree exactly across all engines;
+* **exact small-``n`` law** — the per-row sampler's counts after two or
+  three interactions at ``n = 4–6`` match the law enumerated over every
+  ordered agent-pair sequence (chi-square), collision categories and
+  initiator/responder roles included;
 * **three-way distribution equivalence** — object, array and counts
   backends reach the same convergence verdicts with overlapping
   bootstrap CIs for median stabilization interactions;
@@ -23,6 +27,10 @@ the abstraction ladder (counts instead of per-agent codes):
 """
 
 from __future__ import annotations
+
+import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -67,7 +75,10 @@ from repro.sim.counts_backend import (  # noqa: E402
 )
 from repro.sim.initial_state import CodeArray, CountVector, ObjectConfig  # noqa: E402
 from repro.sim.trials import run_trials  # noqa: E402
-from repro.substrates.epidemics import EpidemicProtocol  # noqa: E402
+from repro.substrates.epidemics import (  # noqa: E402
+    EpidemicProtocol,
+    OneWayEpidemicProtocol,
+)
 
 N = 12
 
@@ -440,6 +451,109 @@ class TestModesAgree:
                 )
                 outcomes.append(result.converged)
             assert outcomes[0] == outcomes[1] is True
+
+
+# ---------------------------------------------------------------------------
+# The per-row sampler against the enumerated agent-level law
+# ---------------------------------------------------------------------------
+
+#: Chi-square false-alarm rate of each exact-law test below (the tests use
+#: fixed seeds, so a pass is reproducible; this is the rate at which a
+#: correct sampler would fail under a fresh seed).
+CHI2_ALPHA = 1e-3
+#: Independent short runs per law test.
+LAW_DRAWS = 10_000
+
+
+def _agent_level_law(protocol, start, steps):
+    """The exact law of the state multiset after ``steps`` interactions.
+
+    ``start`` holds one state code per agent.  Under the uniform scheduler
+    every sequence of ``steps`` ordered pairs of distinct agents is
+    equally likely, so the law is a tally over all of them, each applied
+    agent by agent through the transition table.
+    """
+    table = transition_table_for(protocol)
+    pairs = list(itertools.permutations(range(len(start)), 2))
+    tally = Counter()
+    for sequence in itertools.product(pairs, repeat=steps):
+        agents = list(start)
+        for a, b in sequence:
+            agents[a], agents[b] = table.lookup(agents[a], agents[b])
+        tally[tuple(sorted(agents))] += 1
+    total = len(pairs) ** steps
+    return {outcome: hits / total for outcome, hits in tally.items()}
+
+
+def _chi2_survival(statistic: float, df: int) -> float:
+    """``P(χ²_df ≥ statistic)`` for integer ``df``: the upper regularized
+    gamma ``Q(df/2, x/2)`` by its unit-step recurrence from ``Q(1/2)`` or
+    ``Q(1)``."""
+    y = statistic / 2
+    if y <= 0:
+        return 1.0
+    s, q = (0.5, math.erfc(math.sqrt(y))) if df % 2 else (1.0, math.exp(-y))
+    while s < df / 2:
+        q += math.exp(s * math.log(y) - y - math.lgamma(s + 1))
+        s += 1
+    return q
+
+
+def _chi2_pvalue(observed: Counter, law: dict, draws: int) -> float:
+    """Pearson goodness of fit of ``observed`` against ``law``; the rarest
+    outcomes share bins until each bin expects at least five hits."""
+    bins = []
+    seen = expected = 0.0
+    for outcome in sorted(law, key=law.get):
+        seen += observed[outcome]
+        expected += law[outcome] * draws
+        if expected >= 5:
+            bins.append((seen, expected))
+            seen = expected = 0.0
+    statistic = sum((hits - mean) ** 2 / mean for hits, mean in bins)
+    return _chi2_survival(statistic, len(bins) - 1)
+
+
+def _small_law_cases():
+    reset = ResetEpidemicProtocol(ProtocolParams(n=5))
+    triggered = reset.encode_state(reset.triggered_state())
+    # A second resetter (count 1, delay 2): within three interactions
+    # resetters meet each other and awake agents, and counts reach the
+    # dormant 0.
+    late = 1 + (reset.params.delay_timer_max + 1) + 2
+    return [
+        pytest.param(OneWayEpidemicProtocol(), [1, 0, 0, 0], 3, id="one-way-n4"),
+        pytest.param(OneWayEpidemicProtocol(), [1, 1, 0, 0, 0, 0], 2, id="one-way-n6"),
+        pytest.param(reset, [triggered, late, 0, 0, 0], 3, id="reset-n5"),
+    ]
+
+
+class TestExactSmallLaw:
+    """A one-row engine's per-row sampler matches the agent-level law.
+
+    Two or three interactions among four to six agents end in a colliding
+    interaction most of the time, so each collision category — and which
+    of its agents initiates — carries mass the chi-square test sees.  The
+    one-way epidemic tells initiator from responder; the reset epidemic
+    (S = 41, at most five codes occupied) has many states and a sparse
+    support.
+    """
+
+    @pytest.mark.parametrize("protocol, start, steps", _small_law_cases())
+    def test_per_row_sampler_matches_the_enumerated_law(self, protocol, start, steps):
+        law = _agent_level_law(protocol, start, steps)
+        size = protocol.num_states()
+        initial = np.bincount(start, minlength=size)
+        engine = CountsSimulation(protocol, init=CountVector(initial), seed=1)
+        row = engine.counts[0]
+        codes = np.arange(size)
+        observed = Counter()
+        for _ in range(LAW_DRAWS):
+            row[:] = initial
+            engine._run_row(row, steps)
+            observed[tuple(codes.repeat(row).tolist())] += 1
+        assert set(observed) <= set(law), "sampled an outcome no agent sequence reaches"
+        assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
 
 
 # ---------------------------------------------------------------------------

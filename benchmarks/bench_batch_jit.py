@@ -26,20 +26,21 @@ the ``bench-perf``/nightly jobs (full budget):
   per-row sampler, so the outcome is asserted bit-identical to
   ``backend="counts"``.
 
-Both tests print the per-step wall-clock breakdown (draw / match /
-apply / retire) from :meth:`BatchCountsEngine.instrument_steps`, so a
-kernel regression is attributable to a phase, not just gated.  Results
-merge into ``benchmarks/results/perf-summary.json`` beside E22.
+Both tests print the per-step wall-clock breakdown from
+:meth:`BatchCountsEngine.instrument_steps`; the fused kernel is timed
+whole under ``apply``, so the table splits kernel time from ``retire``
+(silence and predicate checks).  Results merge into
+``benchmarks/results/perf-summary.json`` beside E22.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 
 import pytest
 from conftest import FAST, run_once, update_perf_summary
 
+from repro.analysis.stats import ks_statistic, ks_threshold
 from repro.obs import perf_counter, step_breakdown_rows
 from repro.scheduler.rng import RNG, make_rng
 from repro.sim.backends import make_simulation
@@ -76,28 +77,6 @@ def _bootstrap_ci(values: list[float], rng: RNG) -> tuple[float, float]:
         for _ in range(BOOTSTRAP)
     )
     return medians[int(0.025 * BOOTSTRAP)], medians[int(0.975 * BOOTSTRAP) - 1]
-
-
-def _ks_statistic(xs: list[float], ys: list[float]) -> float:
-    """Two-sample Kolmogorov–Smirnov statistic (max empirical-CDF gap)."""
-    xs = sorted(xs)
-    ys = sorted(ys)
-    points = sorted(set(xs) | set(ys))
-    gap = 0.0
-    i = j = 0
-    for value in points:
-        while i < len(xs) and xs[i] <= value:
-            i += 1
-        while j < len(ys) and ys[j] <= value:
-            j += 1
-        gap = max(gap, abs(i / len(xs) - j / len(ys)))
-    return gap
-
-
-def _ks_threshold(n_x: int, n_y: int) -> float:
-    """Rejection threshold at ``KS_ALPHA`` (asymptotic two-sample form)."""
-    c = math.sqrt(-math.log(KS_ALPHA / 2.0) / 2.0)
-    return c * math.sqrt((n_x + n_y) / (n_x * n_y))
 
 
 def _run_cell(backend: str, *, trials: int, n: int, seed: int = 7):
@@ -171,8 +150,8 @@ def test_e24_jit_law_equivalence(benchmark, record_table, monkeypatch):
     batch_lo, batch_hi = _bootstrap_ci(batch_summary.interactions, rng)
     jit_lo, jit_hi = _bootstrap_ci(jit_summary.interactions, rng)
     ci_overlap = batch_lo <= jit_hi and jit_lo <= batch_hi
-    ks = _ks_statistic(batch_summary.interactions, jit_summary.interactions)
-    ks_limit = _ks_threshold(trials, trials)
+    ks = ks_statistic(batch_summary.interactions, jit_summary.interactions)
+    ks_limit = ks_threshold(trials, trials, KS_ALPHA)
 
     # E24c: a one-row batch is the counts engine, bit for bit.
     protocol = EpidemicProtocol()

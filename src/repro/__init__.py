@@ -21,70 +21,23 @@ Quickstart::
         check_interval=2_000,
     )
     assert result.converged
+
+This package exports only the quickstart names; :mod:`repro.api` is the
+supported programmatic surface.
 """
 
 from repro.core.elect_leader import ElectLeader
-from repro.core.params import BaselineParams, ProtocolParams
-from repro.core.partition import RankPartition
-from repro.core.protocol import PopulationProtocol, RankingProtocol
-from repro.core.roles import Role
-from repro.fabric import (
-    FabricError,
-    merge_checkpoints,
-    run_pool,
-    shard_grid,
-)
-from repro.scheduler.rng import make_rng, spawn_rngs
-from repro.sim.parallel import (
-    TrialOutcome,
-    TrialSpec,
-    run_trial_specs,
-    run_trial_specs_streaming,
-    stream_ordered,
-)
-from repro.sim.simulation import Simulation, SimulationResult, run_until
-from repro.sim.sweep import (
-    GridSpec,
-    ScenarioOutcome,
-    ScenarioSpec,
-    SweepError,
-    SweepResult,
-    run_sweep,
-)
-from repro.sim.trials import TrialSummary, format_table, run_trials
+from repro.core.params import ProtocolParams
+from repro.sim.simulation import Simulation
+from repro.sim.trials import format_table, run_trials
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ElectLeader",
     "ProtocolParams",
-    "BaselineParams",
-    "RankPartition",
-    "PopulationProtocol",
-    "RankingProtocol",
-    "Role",
     "Simulation",
-    "SimulationResult",
-    "run_until",
     "run_trials",
-    "TrialSummary",
-    "TrialSpec",
-    "TrialOutcome",
-    "run_trial_specs",
-    "run_trial_specs_streaming",
-    "stream_ordered",
-    "GridSpec",
-    "ScenarioSpec",
-    "ScenarioOutcome",
-    "SweepError",
-    "SweepResult",
-    "run_sweep",
-    "FabricError",
-    "shard_grid",
-    "merge_checkpoints",
-    "run_pool",
     "format_table",
-    "make_rng",
-    "spawn_rngs",
     "__version__",
 ]

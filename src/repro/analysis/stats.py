@@ -14,7 +14,10 @@ experiment harness uses:
   restart-style arguments behind the paper's w.h.p. amplifications
   (failed phases simply retry);
 * :func:`success_rate_ci` — Wilson interval for Bernoulli success rates
-  (the "did it stabilize within budget" column).
+  (the "did it stabilize within budget" column);
+* :func:`ks_statistic` / :func:`ks_threshold` — the two-sample
+  Kolmogorov–Smirnov test behind the law-equivalence checks between
+  engines.
 """
 
 from __future__ import annotations
@@ -72,6 +75,39 @@ def bootstrap_ci(
         high=replicates[high_index],
         confidence=confidence,
     )
+
+
+def ks_statistic(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Two-sample Kolmogorov–Smirnov statistic, exact with ties.
+
+    The largest gap between the two empirical CDFs.  Both CDFs step past
+    each distinct value together, so discrete samples (interaction
+    counts, state masses) that tie across the samples are measured
+    exactly.
+    """
+    if len(xs) == 0 or len(ys) == 0:
+        raise ValueError("need at least one sample on each side")
+    xs, ys = sorted(xs), sorted(ys)
+    nx, ny = len(xs), len(ys)
+    ix = iy = 0
+    stat = 0.0
+    while ix < nx and iy < ny:
+        value = min(xs[ix], ys[iy])
+        while ix < nx and xs[ix] == value:
+            ix += 1
+        while iy < ny and ys[iy] == value:
+            iy += 1
+        stat = max(stat, abs(ix / nx - iy / ny))
+    return stat
+
+
+def ks_threshold(nx: int, ny: int, alpha: float) -> float:
+    """The asymptotic two-sample KS critical value at false-alarm rate ``alpha``.
+
+    :func:`ks_statistic` above this value rejects "same law" for samples
+    of sizes ``nx`` and ``ny``.
+    """
+    return math.sqrt(-math.log(alpha / 2.0) / 2.0) * math.sqrt((nx + ny) / (nx * ny))
 
 
 def tail_probability(samples: Sequence[float], threshold: float) -> float:

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # Predicted interaction counts (up to constants)
@@ -98,6 +96,8 @@ def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Least-squares power-law fit; requires ≥ 2 positive points."""
     if len(xs) != len(ys) or len(xs) < 2:
         raise ValueError("need at least two (x, y) pairs")
+    import numpy as np  # deferred: the repro CLI must not require numpy
+
     log_x = np.log(np.asarray(xs, dtype=float))
     log_y = np.log(np.asarray(ys, dtype=float))
     slope, intercept = np.polyfit(log_x, log_y, 1)

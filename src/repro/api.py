@@ -12,7 +12,7 @@ no submodule object is bound as an attribute, so internal modules are not
 reachable through it (``repro.api.sweep`` is an :class:`AttributeError`,
 not a back door).  A test enforces this with an AST walk.
 
-The surface groups into four layers:
+The surface groups into five layers:
 
 * **protocols & parameters** — :class:`ElectLeader`,
   :class:`ProtocolParams`, the baselines' :class:`BaselineParams`, and
@@ -30,9 +30,12 @@ The surface groups into four layers:
   lease-based :func:`run_pool` worker pool;
 * **observability** — :func:`configure_tracing` / :func:`get_tracer`
   span tracing (a no-op unless a sink is configured; never touches an
-  RNG stream), the :func:`get_metrics` registry, the blessed
-  :func:`perf_counter` clock, and the :func:`load_trace` /
-  :func:`summarize_trace` / :func:`to_chrome_trace` trace readers.
+  RNG stream), the blessed :func:`perf_counter` clock, and the
+  :func:`load_trace` / :func:`summarize_trace` / :func:`to_chrome_trace`
+  trace readers.
+
+This is the one curated surface: the top-level :mod:`repro` package
+keeps only the quickstart names, and :mod:`repro.sim` exports nothing.
 """
 
 from repro.core.elect_leader import ElectLeader
@@ -45,7 +48,6 @@ from repro.fabric.providers import (
     BudgetCaps,
     LocalWorkerProvider,
     ProviderSpec,
-    SSHWorkerProvider,
     WorkerHandle,
     WorkerProvider,
     get_provider,
@@ -54,10 +56,8 @@ from repro.fabric.providers import (
 )
 from repro.fabric.sharding import format_shard, parse_shard, shard_grid
 from repro.obs import (
-    MetricsRegistry,
     TraceError,
     configure_tracing,
-    get_metrics,
     get_tracer,
     load_trace,
     perf_counter,
@@ -156,7 +156,6 @@ __all__ = [
     "MergeReport",
     "PoolResult",
     "ProviderSpec",
-    "SSHWorkerProvider",
     "WorkerHandle",
     "WorkerProvider",
     "format_shard",
@@ -168,10 +167,8 @@ __all__ = [
     "run_pool",
     "shard_grid",
     # observability
-    "MetricsRegistry",
     "TraceError",
     "configure_tracing",
-    "get_metrics",
     "get_tracer",
     "load_trace",
     "perf_counter",

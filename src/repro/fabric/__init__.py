@@ -6,8 +6,8 @@ Three layers over the sweep engine's deterministic checkpoint format:
   trial stream into disjoint, covering shards whose checkpoints
   concatenate back to the byte-identical unsharded file;
 * **providers** (:mod:`repro.fabric.providers`): a registry of worker
-  substrates (``local`` subprocesses, an ``ssh`` stub) behind the
-  spawn/poll/kill lifecycle surface, with hard budget caps;
+  substrates (``local`` subprocesses) behind the spawn/poll/kill
+  lifecycle surface, with hard budget caps;
 * **pool** (:mod:`repro.fabric.pool`): the lease-based coordinator —
   shards are leased to workers, heartbeats are checkpoint growth,
   timed-out leases are reclaimed with capped exponential-backoff
@@ -24,7 +24,6 @@ from repro.fabric.providers import (
     BudgetCaps,
     LocalWorkerProvider,
     ProviderSpec,
-    SSHWorkerProvider,
     WorkerHandle,
     WorkerProvider,
     get_provider,
@@ -40,7 +39,6 @@ __all__ = [
     "MergeReport",
     "PoolResult",
     "ProviderSpec",
-    "SSHWorkerProvider",
     "WorkerHandle",
     "WorkerProvider",
     "format_shard",

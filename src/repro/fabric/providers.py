@@ -4,15 +4,10 @@ Mirrors the execution-backend idiom (:mod:`repro.sim.backends`): a
 :class:`WorkerProvider` is the small lifecycle surface the pool
 coordinator needs — ``spawn`` / ``poll`` / ``kill`` — and providers are
 looked up by name through :func:`get_provider`, so adding a new substrate
-(a container runner, a cloud API) is one registration, not a coordinator
-change.  Two providers ship:
-
-* ``local`` — subprocesses on this machine (:class:`LocalWorkerProvider`),
-  the default and the one CI exercises, including the kill-and-re-lease
-  story;
-* ``ssh`` — a stub (:class:`SSHWorkerProvider`) that documents the remote
-  shape (it builds the ``ssh host python -m repro ...`` argv) but refuses
-  to spawn until a real transport lands.
+(a remote transport, a container runner, a cloud API) is one
+registration, not a coordinator change.  One provider ships: ``local``,
+subprocesses on this machine (:class:`LocalWorkerProvider`), including
+the kill-and-re-lease story CI exercises.
 
 Budgets are first-class: :class:`BudgetCaps` carries the hard stops the
 coordinator enforces — max wall-clock seconds and max trials — so a
@@ -22,7 +17,6 @@ killed instead of billed.
 
 from __future__ import annotations
 
-import shlex
 import subprocess
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -155,52 +149,6 @@ class LocalWorkerProvider(WorkerProvider):
             handle.log_handle = None
 
 
-class SSHWorkerProvider(WorkerProvider):
-    """Remote workers over SSH — a registered stub.
-
-    Documents the remote shape (:meth:`remote_argv` is the command a real
-    transport would run) and fails loudly at :meth:`spawn` rather than
-    pretending a fleet exists.  Registering the stub keeps the provider
-    surface honest: the coordinator, CLI and docs already speak its name,
-    so landing the transport is a provider change only.
-    """
-
-    name = "ssh"
-
-    def __init__(self, host: str = "", python: str = "python3"):
-        self.host = host
-        self.python = python
-
-    def remote_argv(self, argv: Sequence[str]) -> list[str]:
-        """The ``ssh`` command line a real transport would execute."""
-        if not self.host:
-            raise FabricError("the 'ssh' provider needs a host= option")
-        # The worker argv's interpreter is the *local* python; a remote
-        # host runs its own.
-        command = [self.python, *argv[1:]]
-        return ["ssh", self.host, shlex.join(command)]
-
-    def spawn(
-        self,
-        worker_id: str,
-        argv: Sequence[str],
-        *,
-        log_path: Optional[Path] = None,
-    ) -> WorkerHandle:
-        raise FabricError(
-            "the 'ssh' provider is a stub: it documents the remote worker "
-            f"shape ({shlex.join(self.remote_argv(argv)) if self.host else 'ssh HOST ...'}) "
-            "but has no transport yet; use provider='local' or register a "
-            "complete provider via repro.fabric.register_provider"
-        )
-
-    def poll(self, handle: WorkerHandle) -> Optional[int]:  # pragma: no cover - stub
-        raise FabricError("the 'ssh' provider is a stub and spawns no workers")
-
-    def kill(self, handle: WorkerHandle) -> None:  # pragma: no cover - stub
-        raise FabricError("the 'ssh' provider is a stub and spawns no workers")
-
-
 @dataclass(frozen=True)
 class ProviderSpec:
     """One registered provider: a name, a factory, and a --help line."""
@@ -244,12 +192,5 @@ register_provider(
         name="local",
         factory=LocalWorkerProvider,
         description="subprocess workers on this machine",
-    )
-)
-register_provider(
-    ProviderSpec(
-        name="ssh",
-        factory=SSHWorkerProvider,
-        description="remote workers over SSH (stub: documents the shape, no transport)",
     )
 )

@@ -1,4 +1,6 @@
-"""The shipped lint rules, L001–L007.
+"""The shipped lint rules: L001–L004, L006 and L007.
+
+Rule IDs are never renumbered, so the retired L005 leaves a gap.
 
 Each rule encodes one repository invariant the type system cannot see:
 
@@ -18,8 +20,6 @@ Each rule encodes one repository invariant the type system cannot see:
   free of global mutation, I/O and randomness; the generic table
   builder's poisoned-RNG rejection runs at lint time for every
   registered finite-state protocol.
-* **L005 deprecated-kwargs** — no internal use of the removed
-  ``config=``/``codes=``/``counts=`` keyword shim.
 * **L006 counts-dtype** — count-vector arithmetic stays ``int64`` in the
   counts/batch hot paths (no narrowing casts or ``int32`` accumulators).
 * **L007 obs-discipline** — wall-clock reads (``time.time`` /
@@ -547,51 +547,6 @@ L004 = LintRule(
 
 
 # ---------------------------------------------------------------------------
-# L005 — deprecated-kwargs
-# ---------------------------------------------------------------------------
-
-#: Entry points that once accepted the removed keyword shim.
-_SHIMMED_CALLABLES = {"make_simulation", "run_trials", "run_until", "TrialSpec"}
-
-#: The removed keywords (PR 6's one-release shim, now gone).
-_REMOVED_KEYWORDS = {
-    "config", "codes", "counts",
-    "config_factory", "codes_factory", "counts_factory",
-}
-
-
-def _check_deprecated_kwargs(source: SourceFile) -> Iterable[Finding]:
-    for node in ast.walk(source.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = _terminal_name(node.func)
-        if target not in _SHIMMED_CALLABLES:
-            continue
-        for keyword in node.keywords:
-            if keyword.arg in _REMOVED_KEYWORDS:
-                yield L005.finding(
-                    source.relpath, keyword.value.lineno,
-                    f"{target}(..., {keyword.arg}=) uses the removed "
-                    "legacy keyword shim",
-                )
-
-
-L005 = LintRule(
-    rule_id="L005",
-    name="deprecated-kwargs",
-    summary=(
-        "no use of the removed config=/codes=/counts= (and *_factory=) "
-        "keyword shim on make_simulation / run_trials / run_until / TrialSpec"
-    ),
-    hint=(
-        "pass init= with an InitialState (ObjectConfig / CodeArray / "
-        "CountVector / SampledStart; see repro.sim.initial_state)"
-    ),
-    check_file=_check_deprecated_kwargs,
-)
-
-
-# ---------------------------------------------------------------------------
 # L006 — counts-dtype
 # ---------------------------------------------------------------------------
 
@@ -711,5 +666,5 @@ L007 = LintRule(
 )
 
 
-for _rule in (L001, L002, L003, L004, L005, L006, L007):
+for _rule in (L001, L002, L003, L004, L006, L007):
     register_rule(_rule)

@@ -1,14 +1,14 @@
-"""repro.obs — the tracing + metrics substrate (see README "Observability").
+"""repro.obs — the tracing substrate (see README "Observability").
 
-One package owns every wall-clock read and every metric emission in the
+One package owns every wall-clock read and every trace emission in the
 repository (enforced statically by lint rule L007):
 
 * :mod:`repro.obs.tracing` — nested spans on monotonic clocks, the
   ``REPRO_TRACE`` JSONL sink, the shared no-op tracer when disabled,
   and :class:`SpanBuffer` for shipping worker spans across the process
   boundary;
-* :mod:`repro.obs.metrics` — labeled counters/gauges/histograms plus
-  the shared ``instrument_steps`` breakdown formatter;
+* :mod:`repro.obs.metrics` — the shared ``instrument_steps`` breakdown
+  formatter;
 * :mod:`repro.obs.trace_io` — trace loading, the ``repro trace``
   summary, and Chrome trace-event export.
 
@@ -16,15 +16,7 @@ Tracing never touches an RNG stream: traced and untraced runs are
 bit-identical on every backend.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Stopwatch,
-    get_metrics,
-    step_breakdown_rows,
-)
+from repro.obs.metrics import step_breakdown_rows
 from repro.obs.trace_io import (
     TraceError,
     load_trace,
@@ -57,13 +49,7 @@ __all__ = [
     "configure_tracing",
     "get_tracer",
     "perf_counter",
-    # metrics
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Stopwatch",
-    "get_metrics",
+    # step breakdowns
     "step_breakdown_rows",
     # trace IO
     "TraceError",

@@ -1,184 +1,12 @@
-"""Labeled metrics registry: counters, gauges, histograms, stopwatches.
-
-Benchmarks and engines publish numbers through this registry instead of
-hand-rolling ``t0 = time.perf_counter()`` pairs (L007 rejects the raw
-clock outside ``repro.obs``).  The instruments are deliberately small —
-a benchmark's ``update_perf_summary`` payload is a :meth:`snapshot`
-away, and the shared :func:`step_breakdown_rows` formatter is what the
-E22/E24 per-phase tables render through instead of duplicating the
-percentage arithmetic.
-"""
+"""The per-phase table every ``instrument_steps`` breakdown renders through."""
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional
+from typing import Mapping
 
-from repro.obs.tracing import STEP_PHASES, perf_counter
+from repro.obs.tracing import STEP_PHASES
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Stopwatch",
-    "get_metrics",
-    "step_breakdown_rows",
-]
-
-
-def _labels_key(labels: Mapping[str, Any]) -> tuple:
-    return tuple(sorted(labels.items()))
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Mapping[str, Any]) -> None:
-        self.name = name
-        self.labels = dict(labels)
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease ({amount})")
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: Mapping[str, Any]) -> None:
-        self.name = name
-        self.labels = dict(labels)
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-
-class Histogram:
-    """A streaming summary: count / sum / min / max of observations."""
-
-    __slots__ = ("name", "labels", "count", "total", "min", "max")
-
-    def __init__(self, name: str, labels: Mapping[str, Any]) -> None:
-        self.name = name
-        self.labels = dict(labels)
-        self.count = 0
-        self.total = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class Stopwatch:
-    """Context manager reading the blessed clock once on each side.
-
-    ``with registry.stopwatch("phase") as sw: ...`` then ``sw.seconds``;
-    the elapsed time is also observed into the named histogram.
-    """
-
-    __slots__ = ("_histogram", "_start", "seconds")
-
-    def __init__(self, histogram: Optional[Histogram]) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-        self.seconds = 0.0
-
-    def __enter__(self) -> "Stopwatch":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.seconds = perf_counter() - self._start
-        if self._histogram is not None:
-            self._histogram.observe(self.seconds)
-
-
-class MetricsRegistry:
-    """Instruments keyed by ``(name, sorted labels)``."""
-
-    def __init__(self) -> None:
-        self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
-        self._histograms: dict[tuple, Histogram] = {}
-
-    def counter(self, name: str, **labels: Any) -> Counter:
-        key = (name, _labels_key(labels))
-        if key not in self._counters:
-            self._counters[key] = Counter(name, labels)
-        return self._counters[key]
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        key = (name, _labels_key(labels))
-        if key not in self._gauges:
-            self._gauges[key] = Gauge(name, labels)
-        return self._gauges[key]
-
-    def histogram(self, name: str, **labels: Any) -> Histogram:
-        key = (name, _labels_key(labels))
-        if key not in self._histograms:
-            self._histograms[key] = Histogram(name, labels)
-        return self._histograms[key]
-
-    def stopwatch(self, name: Optional[str] = None, **labels: Any) -> Stopwatch:
-        return Stopwatch(self.histogram(name, **labels) if name else None)
-
-    def snapshot(self) -> dict:
-        """A plain-dict dump, ready for a perf-summary payload."""
-
-        def _dump(instruments: Iterable) -> list[dict]:
-            rows = []
-            for metric in instruments:
-                row: dict[str, Any] = {"name": metric.name}
-                if metric.labels:
-                    row["labels"] = dict(metric.labels)
-                if isinstance(metric, Histogram):
-                    row.update(
-                        count=metric.count,
-                        sum=metric.total,
-                        min=metric.min,
-                        max=metric.max,
-                        mean=metric.mean,
-                    )
-                else:
-                    row["value"] = metric.value
-                rows.append(row)
-            return rows
-
-        return {
-            "counters": _dump(self._counters.values()),
-            "gauges": _dump(self._gauges.values()),
-            "histograms": _dump(self._histograms.values()),
-        }
-
-    def reset(self) -> None:
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
-
-_registry = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide registry (one per process; workers ship spans,
-    not metrics, across the boundary)."""
-    return _registry
+__all__ = ["step_breakdown_rows"]
 
 
 def step_breakdown_rows(timings: Mapping[str, float]) -> list[dict]:

@@ -93,7 +93,6 @@ from repro.sim.initial_state import (
     InitialState,
     Replicated,
     reject_positional,
-    reject_removed_kwargs,
     require_init,
 )
 
@@ -238,7 +237,6 @@ def make_simulation(
     n: Optional[int] = None,
     seed: int = 0,
     backend: Optional[str] = None,
-    **removed: Any,
 ) -> Any:
     """Build a simulation on the requested execution backend.
 
@@ -248,14 +246,11 @@ def make_simulation(
     non-``None`` name is treated as already resolved and looked up
     directly.
 
-    Everything after ``protocol`` is keyword-only, with pointed
-    :class:`TypeError`\\ s for both misuse shapes: positional config
+    Everything after ``protocol`` is keyword-only; positional config
     values (``make_simulation(p, init)`` would otherwise bind to nothing
-    meaningful) and the removed ``config=``/``codes=``/``counts=``
-    keyword triple (whose message names the ``init=`` replacement).
+    meaningful) get a pointed :class:`TypeError`.
     """
     reject_positional("make_simulation", misused, ("init", "n", "seed", "backend"))
-    reject_removed_kwargs("make_simulation", removed)
     init = require_init(init)
     entry = get_backend(backend if backend is not None else resolve_backend(None))
     return entry.factory(protocol, init=init, n=n, seed=seed)

@@ -1,15 +1,6 @@
 """The ``InitialState`` union — one currency for initial configurations.
 
-Before this module, every backend factory (and ``make_simulation``,
-``TrialSpec``, ``run_trials``) carried three mutually-exclusive kwargs —
-``config=`` (state objects), ``codes=`` (encoded state codes) and
-``counts=`` (an ``S``-length count vector) — plumbed in parallel through
-every dispatch layer.  Each new engine quadruplicated the plumbing, and
-callers holding an adversarial start had to know which representation the
-backend preferred (the ``Backend.counts_native`` flag existed only to
-answer that question).
-
-An :class:`InitialState` collapses all of that into one value.  Each
+An :class:`InitialState` describes a start once, for every engine.  Each
 member *is* one representation, and every member can materialize itself
 into any representation on demand:
 
@@ -26,11 +17,9 @@ into any representation on demand:
   drawn lazily, in whichever representation the consumer asks for, from
   the law-matched initializer twins
   (:data:`repro.adversary.initializers.CODE_ADVERSARIES` /
-  :data:`~repro.adversary.initializers.COUNTS_ADVERSARIES`).  This is
-  what replaced the ``counts_native`` special-casing: the adversary
-  produces an ``InitialState``, and the backend materializes its native
-  form — the counts engines get the ``O(S)`` twin, everyone else the
-  state-code form, without anyone naming a backend;
+  :data:`~repro.adversary.initializers.COUNTS_ADVERSARIES`): the counts
+  engines get the ``O(S)`` twin, everyone else the state-code form,
+  without anyone naming a backend;
 * :class:`Replicated` — a whole *trial batch*: ``trials`` rows, each an
   ``InitialState`` (one shared spec, or one per row).  Only batch engines
   (:mod:`repro.sim.batch_backend`) accept it; per-trial factories reject
@@ -43,12 +32,8 @@ numpy-optional object runtime.  Materialization is pure: a
 call, so the same value yields the same start on every backend and in
 every process.
 
-The old ``config=``/``codes=``/``counts=`` keyword triple rode a
-one-release deprecation shim after the ``init=`` redesign and has now
-been **removed**: :func:`require_init` validates the ``init=`` argument
-and :func:`reject_removed_kwargs` turns any straggling legacy keyword
-into a :class:`TypeError` that names the replacement, so old call sites
-fail with a pointer instead of a generic signature error.
+Entry points take ``init=`` alone, and :func:`require_init` validates
+it; any other keyword gets Python's own :class:`TypeError`.
 """
 
 from __future__ import annotations
@@ -322,19 +307,6 @@ class Replicated(InitialState):
         self._reject()
 
 
-#: Legacy keyword → the InitialState member that replaced it.  The shim
-#: that *translated* these shipped for exactly one release (PR 6); what
-#: remains is the clear rejection below.
-_REMOVED_KWARGS: dict[str, str] = {
-    "config": "ObjectConfig",
-    "codes": "CodeArray",
-    "counts": "CountVector",
-    "config_factory": "a per-trial init= factory returning ObjectConfig",
-    "codes_factory": "a per-trial init= factory returning CodeArray",
-    "counts_factory": "a per-trial init= factory returning CountVector",
-}
-
-
 def require_init(init: Optional[InitialState]) -> Optional[InitialState]:
     """Validate an ``init=`` argument (``None`` = clean ``n``-agent start)."""
     if init is not None and not isinstance(init, InitialState):
@@ -368,26 +340,6 @@ def reject_positional(
     )
 
 
-def reject_removed_kwargs(where: str, kwargs: dict[str, Any]) -> None:
-    """Raise a pointed :class:`TypeError` for the removed keyword shim.
-
-    ``kwargs`` is a ``**``-collected dict of unexpected keywords; legacy
-    names get a message that names the ``init=`` replacement, anything
-    else the ordinary unexpected-keyword error.
-    """
-    if not kwargs:
-        return
-    name = next(iter(kwargs))
-    replacement = _REMOVED_KWARGS.get(name)
-    if replacement is not None:
-        raise TypeError(
-            f"{where}() no longer accepts {name}= (the one-release "
-            f"deprecation shim has been removed); pass init= with "
-            f"{replacement} instead (repro.sim.initial_state)"
-        )
-    raise TypeError(f"{where}() got an unexpected keyword argument {name!r}")
-
-
 __all__ = [
     "Clean",
     "CodeArray",
@@ -397,6 +349,5 @@ __all__ = [
     "Replicated",
     "SampledStart",
     "reject_positional",
-    "reject_removed_kwargs",
     "require_init",
 ]

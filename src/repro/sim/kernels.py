@@ -16,10 +16,8 @@ so every row owns a *counter-based* stream: a splitmix64 finalizer over
 ``(key, counter)``, with per-row keys derived through
 :func:`repro.scheduler.rng.derive_seed` (the only sanctioned seed
 arithmetic) and the counter stored per row.  Draws are a pure function
-of ``(key, counter)``, which buys two properties the tests pin: the
-fused kernel and the phase-split instrumented kernel consume identical
-per-row streams (bit-identical matrices), and no generator object is
-ever constructed here (lint rule L001 holds over this module).
+of ``(key, counter)``, and no generator object is ever constructed
+here (lint rule L001 holds over this module).
 
 **Law.**  Every draw matches the numpy batch engine's law — run lengths
 by inverse transform on the same survival curve, compositions by the
@@ -366,7 +364,7 @@ def _k_silent_rows(matrix, rows, effectful, out):
 
 
 # ---------------------------------------------------------------------------
-# The fused per-row stepper and its phase-split (instrumented) twin
+# The fused per-row stepper
 # ---------------------------------------------------------------------------
 
 
@@ -375,11 +373,7 @@ def _k_run_rows(counts, rows, amounts, neg_survival, u_out, v_out, keys, counter
 
     The whole budget slice of every row runs inside this one kernel —
     run-length draw, composition chain, matching chain, apply, collision
-    — a scalar loop per row on that row's counter-based stream.  Because
-    streams are per-row pure functions of ``(key, counter)``, the draw
-    sequence is identical to the phase-split twin below (the lockstep
-    order across rows does not matter), which is what lets the
-    instrumented path stay bit-exact.
+    — a scalar loop per row on that row's counter-based stream.
     """
     size = counts.shape[1]
     sample = np.empty(size, dtype=np.int64)
@@ -412,52 +406,6 @@ def _k_run_rows(counts, rows, amounts, neg_survival, u_out, v_out, keys, counter
         counters[row] = ctr
 
 
-def _k_phase_lengths(rows, remaining, keys, counters, neg_survival, out_k, out_collide):
-    """Phase 1 of the split stepper: per-row run length, budget clip,
-    collision flag (``remaining`` exceeded by a full run)."""
-    for r in range(rows.shape[0]):
-        row = rows[r]
-        length, ctr = _k_run_length(keys[row], counters[row], neg_survival)
-        counters[row] = ctr
-        rem = remaining[r]
-        k = length if length < rem else rem
-        out_k[r] = k
-        out_collide[r] = (rem > k) and (k == length)
-
-
-def _k_phase_sample(pools, rows, nsamples, keys, counters, out):
-    """Phase 2/3: per-row multivariate hypergeometric over ``pools``."""
-    for r in range(pools.shape[0]):
-        row = rows[r]
-        counters[row] = _k_sample_chain(
-            keys[row], counters[row], pools[r], nsamples[r], out[r]
-        )
-
-
-def _k_phase_match(initiators, responders, rows, keys, counters, matched):
-    """Phase 4: per-row Fisher-MVH matching chain."""
-    for r in range(initiators.shape[0]):
-        row = rows[r]
-        counters[row] = _k_match_chain(
-            keys[row], counters[row], initiators[r], responders[r], matched[r]
-        )
-
-
-def _k_phase_apply(counts, rows, matched, u_out, v_out):
-    """Phase 5: apply every row's pair-type counts."""
-    for r in range(rows.shape[0]):
-        _k_apply_matched(counts[rows[r]], matched[r], u_out, v_out)
-
-
-def _k_phase_collision(counts, rows, avail, keys, counters, n, u_out, v_out):
-    """Phase 6: the colliding interaction for rows whose run completed."""
-    for r in range(rows.shape[0]):
-        row = rows[r]
-        counters[row] = _k_collision(
-            counts[row], avail[r], keys[row], counters[row], n, u_out, v_out
-        )
-
-
 if _numba is not None:  # compile in dependency order (globals resolve at compile)
     _k_next = _numba.njit(_k_next)
     _k_randint = _numba.njit(_k_randint)
@@ -470,11 +418,6 @@ if _numba is not None:  # compile in dependency order (globals resolve at compil
     _k_collision = _numba.njit(_k_collision)
     _k_silent_rows = _numba.njit(_k_silent_rows)
     _k_run_rows = _numba.njit(_k_run_rows)
-    _k_phase_lengths = _numba.njit(_k_phase_lengths)
-    _k_phase_sample = _numba.njit(_k_phase_sample)
-    _k_phase_match = _numba.njit(_k_phase_match)
-    _k_phase_apply = _numba.njit(_k_phase_apply)
-    _k_phase_collision = _numba.njit(_k_phase_collision)
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +436,8 @@ class JitBatchCountsEngine(BatchCountsEngine):
     module's streams — same law as ``backend='batch'``, not the same bits
     (see the module docstring).
 
-    Under :meth:`instrument_steps` the engine switches to the
-    phase-split kernels, which consume identical per-row streams — the
-    breakdown costs wall-clock, never bit-identity.
+    Under :meth:`instrument_steps` the fused kernel call is timed whole,
+    under ``apply``; the draws are the same as without the clock.
     """
 
     def __init__(
@@ -523,63 +465,15 @@ class JitBatchCountsEngine(BatchCountsEngine):
         np_mod = self._np
         idx = np_mod.asarray(rows, dtype=np_mod.int64)
         amt = np_mod.asarray(amounts, dtype=np_mod.int64)
-        with overflow_guard():
-            if self._timings is None:
-                _k_run_rows(
-                    self._matrix, idx, amt, self._neg_survival,
-                    self._u_out, self._v_out, self._keys, self._counters, self.n,
-                )
-            else:
-                self._step_rows_phased(idx, amt)
-
-    def _step_rows_phased(self, idx, remaining) -> None:
-        """The phase-split stepper: same streams, same bits, timed.
-
-        Lockstep across rows like the numpy engine's loop, but each
-        phase is one kernel call; per-row ``(key, counter)`` streams
-        make the draw sequence identical to the fused kernel's.
-        """
-        np_mod = self._np
-        perf = perf_counter
-        size = self.num_states
-        counts = self._matrix
         timings = self._timings
-        while idx.size:
-            live = int(idx.size)
-            start = perf()
-            k = np_mod.empty(live, dtype=np_mod.int64)
-            collide = np_mod.zeros(live, dtype=np_mod.bool_)
-            _k_phase_lengths(
-                idx, remaining, self._keys, self._counters, self._neg_survival,
-                k, collide,
+        start = perf_counter() if timings is not None else 0.0
+        with overflow_guard():
+            _k_run_rows(
+                self._matrix, idx, amt, self._neg_survival,
+                self._u_out, self._v_out, self._keys, self._counters, self.n,
             )
-            sub = counts[idx]
-            sample = np_mod.empty((live, size), dtype=np_mod.int64)
-            _k_phase_sample(sub, idx, 2 * k, self._keys, self._counters, sample)
-            drawn = perf()
-            timings["draw"] += drawn - start
-            initiators = np_mod.empty((live, size), dtype=np_mod.int64)
-            _k_phase_sample(sample, idx, k, self._keys, self._counters, initiators)
-            matched = np_mod.empty((live, size, size), dtype=np_mod.int64)
-            _k_phase_match(
-                initiators, sample - initiators, idx, self._keys, self._counters,
-                matched,
-            )
-            paired = perf()
-            timings["match"] += paired - drawn
-            _k_phase_apply(counts, idx, matched, self._u_out, self._v_out)
-            remaining = remaining - k
-            if collide.any():
-                _k_phase_collision(
-                    counts, idx[collide], sub[collide] - sample[collide],
-                    self._keys, self._counters, self.n, self._u_out, self._v_out,
-                )
-                remaining[collide] -= 1
-            timings["apply"] += perf() - paired
-            keep = remaining > 0
-            if not keep.all():
-                idx = idx[keep]
-                remaining = remaining[keep]
+        if timings is not None:
+            timings["apply"] += perf_counter() - start
 
     def _silent_rows(self, rows):
         if self._effectful is None:

@@ -1,15 +1,12 @@
-"""Interaction accounting and event logging for simulations.
+"""Interaction accounting for simulations.
 
 The paper measures protocols in *interactions* and in *(parallel) time* =
-interactions / n.  :class:`Metrics` tracks both, plus protocol-level events
-(hard resets, soft resets, ⊤ detections) that instrumented simulations
-record via :meth:`Metrics.record_event`.
+interactions / n.  :class:`Metrics` tracks both.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -18,28 +15,8 @@ class Metrics:
 
     n: int
     interactions: int = 0
-    events: Counter = field(default_factory=Counter)
-    #: interaction index of the first occurrence of each event kind
-    first_occurrence: dict[str, int] = field(default_factory=dict)
 
     @property
     def parallel_time(self) -> float:
         """Interactions divided by n — the paper's notion of time."""
         return self.interactions / self.n
-
-    def record_event(self, kind: str, count: int = 1) -> None:
-        """Record ``count`` occurrences of an event kind at the current step."""
-        if count <= 0:
-            return
-        if kind not in self.first_occurrence:
-            self.first_occurrence[kind] = self.interactions
-        self.events[kind] += count
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "n": self.n,
-            "interactions": self.interactions,
-            "parallel_time": self.parallel_time,
-            "events": dict(self.events),
-            "first_occurrence": dict(self.first_occurrence),
-        }

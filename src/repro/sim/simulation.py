@@ -26,14 +26,8 @@ from repro.core.protocol import PopulationProtocol
 from repro.obs import STEP_PHASES, perf_counter
 from repro.scheduler.rng import RNG, derive_seed, make_rng
 from repro.scheduler.scheduler import RandomScheduler
-
-# Legacy aliases: the canonical constants live in the backend registry
-# (cycle-free import — backends only needs core.protocol at module level).
-from repro.sim.backends import (  # noqa: F401
-    BACKEND_ARRAY,
-    BACKEND_ENV,
-    BACKEND_OBJECT,
-)
+from repro.sim import backends
+from repro.sim.initial_state import reject_positional
 from repro.sim.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -163,8 +157,6 @@ class Simulation(_Engine):
         n: Optional[int] = None,
         seed: int = 0,
     ):
-        from repro.sim.initial_state import reject_positional
-
         reject_positional("Simulation", misused, ("config", "n", "seed"))
         if config is None:
             if n is None:
@@ -256,40 +248,6 @@ class Simulation(_Engine):
         model.apply_config(self.protocol, self.config, burst_size, generator)
 
 
-def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:
-    """Normalize a backend request (see :func:`repro.sim.backends.resolve_backend`)."""
-    from repro.sim import backends
-
-    return backends.resolve_backend(backend, *misused)
-
-
-def make_simulation(
-    protocol: PopulationProtocol,
-    *misused: Any,
-    init: Optional["InitialState"] = None,
-    n: Optional[int] = None,
-    seed: int = 0,
-    backend: Optional[str] = None,
-    **removed: Any,
-) -> Any:
-    """Build a simulation on the requested execution backend.
-
-    Thin delegate of :func:`repro.sim.backends.make_simulation`: the
-    engine is looked up in the backend registry and its factory builds
-    the simulation from the :class:`~repro.sim.initial_state
-    .InitialState` ``init`` (or a clean ``n``-agent start).  Every engine
-    exposes the canonical surface
-    (:data:`repro.sim.backends.ENGINE_SURFACE`).  The removed
-    ``config=``/``codes=``/``counts=`` triple raises a pointed
-    :class:`TypeError`.
-    """
-    from repro.sim import backends
-
-    return backends.make_simulation(
-        protocol, *misused, init=init, n=n, seed=seed, backend=backend, **removed
-    )
-
-
 def run_until(
     protocol: PopulationProtocol,
     predicate: ConfigPredicate,
@@ -300,24 +258,11 @@ def run_until(
     max_interactions: int,
     check_interval: int = 1,
     backend: Optional[str] = None,
-    **removed: Any,
 ) -> SimulationResult:
-    """One-shot convenience wrapper around :func:`make_simulation`."""
-    from repro.sim.initial_state import reject_positional
-
+    """One-shot convenience wrapper around
+    :func:`repro.sim.backends.make_simulation`."""
     reject_positional(
         "run_until", misused, ("init", "n", "seed", "max_interactions")
     )
-    sim = make_simulation(
-        protocol, init=init, n=n, seed=seed, backend=backend, **removed
-    )
+    sim = backends.make_simulation(protocol, init=init, n=n, seed=seed, backend=backend)
     return sim.run_until(predicate, max_interactions, check_interval)
-
-
-def __getattr__(name: str):
-    # Legacy alias: the static BACKENDS tuple became the live registry.
-    if name == "BACKENDS":
-        from repro.sim import backends
-
-        return backends.backend_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

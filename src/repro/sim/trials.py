@@ -23,11 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import derive_seed
 from repro.sim.backends import get_backend, resolve_backend
-from repro.sim.initial_state import (
-    InitialState,
-    reject_positional,
-    reject_removed_kwargs,
-)
+from repro.sim.initial_state import InitialState, reject_positional
 from repro.sim.parallel import TrialSpec, run_trial_specs
 from repro.sim.simulation import ConfigPredicate
 
@@ -102,7 +98,6 @@ def run_trials(
     label: str = "",
     workers: Optional[int] = 1,
     backend: Optional[str] = None,
-    **removed: object,
 ) -> TrialSummary:
     """Run ``trials`` independent seeded executions and aggregate.
 
@@ -122,9 +117,7 @@ def run_trials(
     Optional[InitialState]`` (adversarial starts use
     :class:`~repro.sim.initial_state.SampledStart`, which ships as an
     ``O(1)`` handle and materializes in whichever representation the
-    backend asks for).  The removed ``config_factory=``/
-    ``codes_factory=``/``counts_factory=`` kwargs raise a pointed
-    :class:`TypeError`.
+    backend asks for).
 
     ``backend`` names a registered execution engine
     (:mod:`repro.sim.backends`; ``None`` resolves ``$REPRO_BENCH_BACKEND``,
@@ -139,7 +132,6 @@ def run_trials(
     the batch engine's lockstep matrix *is* its parallelism.
     """
     reject_positional("run_trials", misused, ("n", "trials", "max_interactions"))
-    reject_removed_kwargs("run_trials", removed)
     engine = resolve_backend(backend)
 
     def init_for(index: int) -> Optional[InitialState]:

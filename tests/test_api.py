@@ -53,11 +53,20 @@ class TestSurface:
             with pytest.raises(AttributeError):
                 getattr(api, name)
 
-    def test_top_level_package_re_exports_fabric_entry_points(self):
+    def test_packages_keep_only_the_quickstart_names(self):
         import repro
+        import repro.sim
 
-        for name in ("FabricError", "shard_grid", "merge_checkpoints", "run_pool"):
+        quickstart = ["ElectLeader", "ProtocolParams", "Simulation", "run_trials", "format_table"]
+        assert repro.__all__ == quickstart + ["__version__"]
+        for name in quickstart:
             assert getattr(repro, name) is getattr(api, name)
+        exported = [
+            name
+            for name, value in vars(repro.sim).items()
+            if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        ]
+        assert exported == [], f"repro.sim re-exports {exported}; use repro.api"
 
 
 def make_protocol():

@@ -49,8 +49,9 @@ from repro.sim.array_backend import (  # noqa: E402
     replay_array,
     transition_table_for,
 )
+from repro.sim.backends import make_simulation, resolve_backend  # noqa: E402
 from repro.sim.replay import replay  # noqa: E402
-from repro.sim.simulation import make_simulation, resolve_backend, run_until  # noqa: E402
+from repro.sim.simulation import run_until  # noqa: E402
 from repro.sim.sweep import GridSpec, SweepError, run_sweep  # noqa: E402
 from repro.sim.trials import run_trials  # noqa: E402
 from repro.substrates.epidemics import (  # noqa: E402

@@ -46,7 +46,6 @@ from repro.sim.backends import (
 )
 from repro.sim.initial_state import CodeArray, CountVector
 from repro.sim.simulation import Simulation
-from repro.sim.trials import run_trials
 
 
 class TestRegistry:
@@ -241,33 +240,14 @@ class TestMakeSimulation:
 
 
 class TestLegacyKwargsRemoved:
-    """``config=``/``codes=``/``counts=`` are gone; each points at ``init=``."""
-
-    def test_removed_kwargs_point_at_init(self):
-        protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match=r"init= with CodeArray"):
-            make_simulation(protocol, codes=[0] * 8, backend="object")
-        with pytest.raises(TypeError, match=r"init= with CountVector"):
-            make_simulation(protocol, counts=[5, 3], backend="object")
-        with pytest.raises(TypeError, match=r"init= with ObjectConfig"):
-            make_simulation(protocol, config=protocol.clean_configuration(8))
-
-    def test_removed_factory_kwargs_point_at_init(self):
-        protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match=r"init="):
-            run_trials(
-                protocol,
-                protocol.is_goal_configuration,
-                n=8,
-                trials=1,
-                max_interactions=10,
-                codes_factory=lambda index: [0] * 8,
-            )
+    """``config=``/``codes=``/``counts=`` are gone: like any unknown
+    keyword, each gets Python's own :class:`TypeError`."""
 
     def test_unknown_kwargs_are_plain_unexpected(self):
         protocol = PairwiseElimination(8)
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            make_simulation(protocol, bogus=1)
+        for keyword in ("bogus", "config", "codes", "counts"):
+            with pytest.raises(TypeError, match=f"unexpected keyword argument '{keyword}'"):
+                make_simulation(protocol, **{keyword: [0] * 8})
 
 
 class TestNoHardcodedDispatch:

@@ -29,13 +29,13 @@ Contracts gated here:
 
 from __future__ import annotations
 
-import math
 import tracemalloc
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.analysis.stats import ks_statistic, ks_threshold
 from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.core.elect_leader import ElectLeader
@@ -353,19 +353,6 @@ class TestStepInstrumentation:
 KS_ALPHA = 1e-3
 
 
-def _ks_statistic(xs, ys) -> float:
-    """Two-sample KS statistic, exact with ties (CDFs at every sample)."""
-    xs, ys = np.sort(xs), np.sort(ys)
-    grid = np.concatenate((xs, ys))
-    cdf_x = np.searchsorted(xs, grid, side="right") / xs.size
-    cdf_y = np.searchsorted(ys, grid, side="right") / ys.size
-    return float(np.abs(cdf_x - cdf_y).max())
-
-
-def _ks_threshold(nx: int, ny: int) -> float:
-    return math.sqrt(-math.log(KS_ALPHA / 2) / 2) * math.sqrt((nx + ny) / (nx * ny))
-
-
 #: Never holds: rows run their whole budget and retire at it.
 NEVER = counts_aware(lambda config: False, lambda counts: False)
 
@@ -398,7 +385,7 @@ class TestRowLaw:
         engine.run_rows_until(NEVER, max_interactions=budget, check_interval=budget)
         batched = engine.counts[:, 1]
         oracle = self._oracle(protocol, init, budget, rows, lambda counts: counts[1])
-        assert _ks_statistic(batched, oracle) <= _ks_threshold(rows, rows)
+        assert ks_statistic(batched, oracle) <= ks_threshold(rows, rows, KS_ALPHA)
 
     def test_per_row_rows_under_faults_match_the_pair_oracle(self):
         # loosely_stabilizing at n=16 (S=136) with scramble bursts, two
@@ -427,7 +414,7 @@ class TestRowLaw:
             )
             batched.extend(mass(counts) for counts in engine.counts)
         oracle = self._oracle(protocol, init, budget, 2 * engines, mass, fault)
-        assert _ks_statistic(batched, oracle) <= _ks_threshold(2 * engines, 2 * engines)
+        assert ks_statistic(batched, oracle) <= ks_threshold(2 * engines, 2 * engines, KS_ALPHA)
 
     def test_one_row_wide_sparse_state_matches_the_pair_oracle(self):
         # The Appendix-C reset epidemic at n=300 (S=313) from one
@@ -451,7 +438,7 @@ class TestRowLaw:
             engine.run_rows_until(NEVER, max_interactions=budget, check_interval=budget)
             batched.append(mass(engine.counts[0]))
         oracle = self._oracle(protocol, init, budget, trials, mass)
-        assert _ks_statistic(batched, oracle) <= _ks_threshold(trials, trials)
+        assert ks_statistic(batched, oracle) <= ks_threshold(trials, trials, KS_ALPHA)
 
 
 class TestWideStateMemory:

@@ -2,9 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
 
 
 class TestParser:
@@ -123,6 +139,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "state_bits" in out
         assert "r=" not in out  # labels are numeric rows, not prefixed
+
+
+class TestWithoutNumpy:
+    """numpy is an optional extra (``dependencies = []``): the CLI and the
+    object engine must run without it."""
+
+    def test_run_command_with_numpy_blocked(self):
+        done = run_python(
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from repro.cli import main\n"
+            "raise SystemExit(main(['run', '-n', '12', '-r', '3', '--seed', '1',"
+            " '--batch', '500']))\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert "stabilized after" in done.stdout
+
+    def test_package_and_object_engine_import_no_numpy(self):
+        pytest.importorskip("numpy")
+        done = run_python(
+            "import sys\n"
+            "import repro, repro.sim.simulation\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestSweepCommand:

@@ -2,7 +2,7 @@
 
 Three contracts, in order of importance:
 
-* **every rule fires** — each rule L001-L007 flags its fixture in
+* **every rule fires** — each registered rule flags its fixture in
   ``tests/lint_fixtures/`` (and a fixture flags *only* its own rule, so
   the fixtures double as precision probes);
 * **the shipped tree is clean** — ``repro lint`` over the real
@@ -43,7 +43,6 @@ FIXTURE_BY_RULE = {
     "L002": "engine_violation.py",
     "L003": "backend_conditional_violation.py",
     "L004": "transition_violation.py",
-    "L005": "deprecated_kwargs_violation.py",
     "L006": "counts_violation.py",
     "L007": "obs_violation.py",
 }
@@ -150,15 +149,15 @@ class TestWaivers:
 
 class TestReporting:
     def test_json_is_versioned_and_machine_readable(self):
-        fixture = FIXTURES / FIXTURE_BY_RULE["L005"]
+        fixture = FIXTURES / FIXTURE_BY_RULE["L003"]
         report = run_lint([str(fixture)], base=REPO_ROOT)
         payload = json.loads(render_json(report))
         assert payload["version"] == 1
         assert payload["clean"] is False
         assert set(payload["rules"]) == set(rule_ids())
         (finding,) = payload["findings"]
-        assert finding["rule"] == "L005"
-        assert finding["path"].endswith("deprecated_kwargs_violation.py")
+        assert finding["rule"] == "L003"
+        assert finding["path"].endswith("backend_conditional_violation.py")
 
     def test_text_report_names_rule_and_location(self):
         fixture = FIXTURES / FIXTURE_BY_RULE["L006"]

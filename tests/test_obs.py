@@ -1,4 +1,4 @@
-"""Tests for ``repro.obs`` — tracing, metrics, and the ``repro trace`` CLI.
+"""Tests for ``repro.obs`` — tracing, step breakdowns, and the ``repro trace`` CLI.
 
 The load-bearing contract is the zero-overhead / zero-perturbation law:
 
@@ -24,7 +24,6 @@ from repro.obs import (
     NULL_TRACER,
     STEP_PHASES,
     TRACE_ENV,
-    MetricsRegistry,
     SpanBuffer,
     TraceError,
     Tracer,
@@ -149,46 +148,6 @@ class TestTracer:
 
 
 class TestMetrics:
-    def test_counter_monotonic(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("trials", backend="counts")
-        counter.inc()
-        counter.inc(2)
-        assert counter.value == 3
-        with pytest.raises(ValueError, match="cannot decrease"):
-            counter.inc(-1)
-        # same (name, labels) key -> same instrument
-        assert registry.counter("trials", backend="counts") is counter
-
-    def test_gauge_and_histogram(self):
-        registry = MetricsRegistry()
-        registry.gauge("workers").set(4)
-        histogram = registry.histogram("latency")
-        for value in (0.5, 1.5, 1.0):
-            histogram.observe(value)
-        assert histogram.count == 3
-        assert histogram.min == 0.5 and histogram.max == 1.5
-        assert histogram.mean == pytest.approx(1.0)
-
-    def test_stopwatch_observes_into_histogram(self):
-        registry = MetricsRegistry()
-        with registry.stopwatch("phase", name_label="draw") as watch:
-            pass
-        assert watch.seconds >= 0.0
-        assert registry.histogram("phase", name_label="draw").count == 1
-
-    def test_snapshot_and_reset(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.gauge("b", k=1).set(2)
-        registry.histogram("c").observe(1.0)
-        snapshot = registry.snapshot()
-        assert {row["name"] for row in snapshot["counters"]} == {"a"}
-        assert snapshot["gauges"] == [{"name": "b", "labels": {"k": 1}, "value": 2.0}]
-        assert snapshot["histograms"][0]["count"] == 1
-        registry.reset()
-        assert registry.snapshot() == {"counters": [], "gauges": [], "histograms": []}
-
     def test_step_breakdown_rows_canonical_order_and_shares(self):
         rows = step_breakdown_rows({"apply": 3.0, "draw": 1.0, "extra": 0.0})
         assert [row["phase"] for row in rows] == ["draw", "apply", "extra"]

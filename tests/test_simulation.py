@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.nonss_leader import PairwiseElimination
-from repro.sim.metrics import Metrics
 from repro.sim.simulation import Simulation, run_until
 
 
@@ -96,26 +95,3 @@ class TestSimulation:
             max_interactions=100_000,
         )
         assert result.converged
-
-
-class TestMetrics:
-    def test_event_counting(self):
-        metrics = Metrics(n=10)
-        metrics.interactions = 42
-        metrics.record_event("hard_reset")
-        metrics.record_event("hard_reset", 2)
-        assert metrics.events["hard_reset"] == 3
-        assert metrics.first_occurrence["hard_reset"] == 42
-
-    def test_zero_count_ignored(self):
-        metrics = Metrics(n=10)
-        metrics.record_event("x", 0)
-        assert "x" not in metrics.events
-        assert "x" not in metrics.first_occurrence
-
-    def test_as_dict(self):
-        metrics = Metrics(n=4)
-        metrics.interactions = 8
-        payload = metrics.as_dict()
-        assert payload["parallel_time"] == 2.0
-        assert payload["n"] == 4

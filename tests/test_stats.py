@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import statistics
 
 import pytest
@@ -9,6 +10,8 @@ import pytest
 from repro.analysis.stats import (
     bootstrap_ci,
     geometric_tail_fit,
+    ks_statistic,
+    ks_threshold,
     success_rate_ci,
     tail_probability,
 )
@@ -43,6 +46,30 @@ class TestBootstrap:
         a = bootstrap_ci(samples, rng=make_rng(7))
         b = bootstrap_ci(samples, rng=make_rng(7))
         assert (a.low, a.high) == (b.low, b.high)
+
+
+class TestKolmogorovSmirnov:
+    def test_identical_samples_give_zero(self):
+        assert ks_statistic([3, 1, 2, 2], [2, 3, 1, 2]) == 0.0
+
+    def test_disjoint_samples_give_one(self):
+        assert ks_statistic([1, 2, 3], [10, 11]) == 1.0
+        assert ks_statistic([10, 11], [1, 2, 3]) == 1.0
+
+    def test_ties_step_both_cdfs_together(self):
+        # CDF gaps at 1, 2, 3, 4: |1/4 - 0|, |3/4 - 2/3|, |1 - 2/3|, 0.
+        # Stepping through the tied 2s one sample at a time would read a
+        # larger gap (up to 3/4) partway through them.
+        assert ks_statistic([1, 2, 2, 3], [2, 2, 4]) == pytest.approx(1 / 3)
+
+    def test_threshold_is_the_asymptotic_critical_value(self):
+        # c(0.05) = sqrt(-ln(0.025) / 2) = 1.3581 for equal sizes n.
+        assert ks_threshold(50, 50, 0.05) == pytest.approx(1.3581 * math.sqrt(2 / 50), rel=1e-4)
+        assert ks_threshold(50, 50, 1e-3) > ks_threshold(50, 50, 0.05)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            ks_statistic([], [1.0])
 
 
 class TestTailProbability:

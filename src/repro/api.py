@@ -2,10 +2,10 @@
 
 ``import repro.api as repro`` (or ``from repro.api import ...``) is the
 supported way to drive the reproduction programmatically.  Everything
-re-exported here is covered by the keyword-only calling conventions and
-pointed-``TypeError`` guarantees documented in the README; anything *not*
-listed in ``__all__`` — including the implementation modules themselves —
-is internal and may move between releases.
+re-exported here follows the keyword-only calling conventions documented
+in the README (a stray positional is Python's own ``TypeError``);
+anything *not* listed in ``__all__`` — including the implementation
+modules themselves — is internal and may move between releases.
 
 The module deliberately contains only ``from X import name`` statements:
 no submodule object is bound as an attribute, so internal modules are not
@@ -21,13 +21,16 @@ The surface groups into five layers:
   / :func:`run_until` on a registered backend, started from any
   :class:`InitialState` (clean, explicit, counted, or sampled
   adversarial);
-* **trial batches & sweeps** — :func:`run_trials` aggregation,
-  :class:`GridSpec` expansion via :func:`expand_grid` into
-  :class:`ScenarioSpec` trials, :func:`run_scenario` /
-  :func:`run_sweep` execution with JSONL checkpoints;
+* **trial batches & sweeps** — :func:`run_trials` aggregation into a
+  :class:`TrialSummary`, :class:`GridSpec` expansion via
+  :func:`expand_grid` into :class:`ScenarioSpec` trials,
+  :func:`run_scenario` / :func:`run_sweep` execution with JSONL
+  checkpoints, and :func:`stream_ordered`, the ordered process fan-out
+  under both;
 * **distributed fabric** — deterministic :func:`shard_grid` sharding,
   :func:`merge_checkpoints` validation + concatenation, and the
-  lease-based :func:`run_pool` worker pool;
+  lease-based :func:`run_pool` worker pool over a
+  :class:`WorkerProvider` (:class:`LocalWorkerProvider` by default);
 * **observability** — :func:`configure_tracing` / :func:`get_tracer`
   span tracing (a no-op unless a sink is configured; never touches an
   RNG stream), the blessed :func:`perf_counter` clock, and the
@@ -47,12 +50,8 @@ from repro.fabric.pool import PoolResult, run_pool
 from repro.fabric.providers import (
     BudgetCaps,
     LocalWorkerProvider,
-    ProviderSpec,
     WorkerHandle,
     WorkerProvider,
-    get_provider,
-    provider_names,
-    register_provider,
 )
 from repro.fabric.sharding import format_shard, parse_shard, shard_grid
 from repro.obs import (
@@ -79,13 +78,7 @@ from repro.sim.initial_state import (
     SampledStart,
 )
 from repro.sim.kernels import JitBackendError, jit_available
-from repro.sim.parallel import (
-    TrialOutcome,
-    TrialSpec,
-    run_trial_specs,
-    run_trial_specs_streaming,
-    stream_ordered,
-)
+from repro.sim.parallel import stream_ordered
 from repro.sim.simulation import Simulation, SimulationResult, run_until
 from repro.sim.sweep import (
     GridSpec,
@@ -128,12 +121,8 @@ __all__ = [
     "resolve_backend",
     "run_until",
     # trial batches
-    "TrialOutcome",
-    "TrialSpec",
     "TrialSummary",
     "format_table",
-    "run_trial_specs",
-    "run_trial_specs_streaming",
     "run_trials",
     "stream_ordered",
     # sweeps
@@ -155,15 +144,11 @@ __all__ = [
     "LocalWorkerProvider",
     "MergeReport",
     "PoolResult",
-    "ProviderSpec",
     "WorkerHandle",
     "WorkerProvider",
     "format_shard",
-    "get_provider",
     "merge_checkpoints",
     "parse_shard",
-    "provider_names",
-    "register_provider",
     "run_pool",
     "shard_grid",
     # observability

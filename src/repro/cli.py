@@ -13,8 +13,8 @@ The subcommands mirror the library's main entry points:
 * ``merge``     — validate a complete, disjoint shard set and merge it
   into the byte-identical unsharded checkpoint;
 * ``pool``      — run a sharded sweep on a lease-based worker pool
-  (``repro.fabric``): workers are spawned through a provider, heartbeat
-  via checkpoint growth, and timed-out leases are reclaimed with capped
+  (``repro.fabric``): workers are local subprocesses, heartbeat via
+  checkpoint growth, and timed-out leases are reclaimed with capped
   retries;
 * ``statespace`` — print the analytic bit-complexity comparison table;
 * ``lint``       — statically check the repository's contracts;
@@ -57,7 +57,6 @@ from repro.fabric import (
     FabricError,
     merge_checkpoints,
     parse_shard,
-    provider_names,
     run_pool,
 )
 from repro.obs import TraceError, configure_tracing
@@ -353,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     pool = sub.add_parser(
         "pool",
         help="run a sharded sweep on a lease-based worker pool",
-        description="Shard the grid, lease each shard to a worker spawned "
-        "through --provider, heartbeat via checkpoint growth, reclaim "
+        description="Shard the grid, lease each shard to a worker "
+        "subprocess, heartbeat via checkpoint growth, reclaim "
         "timed-out leases with capped exponential-backoff retries, and "
         "finish with the merge-validated unsharded checkpoint at --out "
         "plus a JSON run report beside it.",
@@ -373,10 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-timeout", type=float, default=60.0, metavar="S",
         help="seconds without checkpoint growth before a lease is "
         "reclaimed and its worker killed (default: 60)",
-    )
-    pool.add_argument(
-        "--provider", choices=provider_names(), default="local",
-        help="worker substrate from the provider registry (default: local)",
     )
     pool.add_argument(
         "--max-retries", type=int, default=3, metavar="N",
@@ -425,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="statically check the repository's reproduction contracts",
         description="Run the AST/importlib contract checker (repro.lint) "
         "over the source tree: RNG discipline, backend-contract "
-        "conformance, registry-only dispatch, transition purity, removed "
-        "keyword shims and counts dtype width.  Exits 0 when clean, 1 "
-        "when any rule fires.",
+        "conformance, registry-only dispatch, transition purity, counts "
+        "dtype width and obs discipline.  Exits 0 when clean, 1 when any "
+        "rule fires.",
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",
@@ -629,7 +624,6 @@ def cmd_pool(args: argparse.Namespace) -> int:
         workers=args.workers,
         shards=args.shards,
         lease_timeout=args.lease_timeout,
-        provider=args.provider,
         max_retries=args.max_retries,
         backoff=args.backoff,
         budget=budget,

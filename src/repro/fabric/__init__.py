@@ -5,9 +5,9 @@ Three layers over the sweep engine's deterministic checkpoint format:
 * **sharding** (:mod:`repro.fabric.sharding`): hash-partition a grid's
   trial stream into disjoint, covering shards whose checkpoints
   concatenate back to the byte-identical unsharded file;
-* **providers** (:mod:`repro.fabric.providers`): a registry of worker
-  substrates (``local`` subprocesses) behind the spawn/poll/kill
-  lifecycle surface, with hard budget caps;
+* **providers** (:mod:`repro.fabric.providers`): the spawn/poll/kill
+  lifecycle surface of a worker substrate (local subprocesses by
+  default), with hard budget caps;
 * **pool** (:mod:`repro.fabric.pool`): the lease-based coordinator —
   shards are leased to workers, heartbeats are checkpoint growth,
   timed-out leases are reclaimed with capped exponential-backoff
@@ -23,12 +23,8 @@ from repro.fabric.pool import PoolResult, run_pool, worker_argv
 from repro.fabric.providers import (
     BudgetCaps,
     LocalWorkerProvider,
-    ProviderSpec,
     WorkerHandle,
     WorkerProvider,
-    get_provider,
-    provider_names,
-    register_provider,
 )
 from repro.fabric.sharding import format_shard, parse_shard, shard_grid
 
@@ -38,15 +34,11 @@ __all__ = [
     "LocalWorkerProvider",
     "MergeReport",
     "PoolResult",
-    "ProviderSpec",
     "WorkerHandle",
     "WorkerProvider",
     "format_shard",
-    "get_provider",
     "merge_checkpoints",
     "parse_shard",
-    "provider_names",
-    "register_provider",
     "run_pool",
     "shard_grid",
     "worker_argv",

@@ -36,13 +36,9 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from repro.fabric.errors import FabricError
-from repro.obs import get_tracer
 from repro.fabric.merge import merge_checkpoints
-from repro.fabric.providers import (
-    BudgetCaps,
-    WorkerProvider,
-    get_provider,
-)
+from repro.fabric.providers import BudgetCaps, LocalWorkerProvider, WorkerProvider
+from repro.obs import get_tracer
 from repro.sim.backends import get_backend
 from repro.sim.sweep import (
     GridSpec,
@@ -107,7 +103,7 @@ def run_pool(
     workers: int = 2,
     shards: Optional[int] = None,
     lease_timeout: float = 60.0,
-    provider: Union[str, WorkerProvider] = "local",
+    provider: Optional[WorkerProvider] = None,
     max_retries: int = 3,
     backoff: float = 0.5,
     budget: Optional[BudgetCaps] = None,
@@ -118,10 +114,11 @@ def run_pool(
     """Run ``grid`` as ``shards`` leased shards on up to ``workers`` workers.
 
     ``shards`` defaults to ``workers`` (one lease per worker slot).
-    ``provider`` is a registry name or a ready :class:`WorkerProvider`
-    instance (tests inject chaos providers that way).  ``backoff`` is the
-    base of the exponential re-lease delay: attempt ``a`` of a shard
-    waits ``backoff * 2**(a-1)`` seconds after its predecessor failed.
+    ``provider`` is the :class:`WorkerProvider` that spawns workers
+    (default: a :class:`LocalWorkerProvider`; tests inject chaos
+    providers this way).  ``backoff`` is the base of the exponential
+    re-lease delay: attempt ``a`` of a shard waits ``backoff * 2**(a-1)``
+    seconds after its predecessor failed.
     Raises :class:`FabricError` — after killing the fleet and writing the
     run report — when a shard exhausts ``max_retries`` re-leases or a
     :class:`~repro.fabric.providers.BudgetCaps` limit trips.
@@ -138,9 +135,7 @@ def run_pool(
     if backoff < 0:
         raise FabricError(f"backoff must be >= 0 seconds, got {backoff}")
     budget = budget if budget is not None else BudgetCaps()
-    pool_provider = (
-        provider if isinstance(provider, WorkerProvider) else get_provider(provider)
-    )
+    pool_provider = provider if provider is not None else LocalWorkerProvider()
     # Lease-lifecycle events stream live into the trace sink (when one is
     # configured) in addition to the post-mortem ``events`` lists in the
     # run report.  A disabled tracer makes every call below a no-op.

@@ -1,13 +1,12 @@
-"""Worker providers — *where* fabric workers run, behind a registry.
+"""Worker providers — *where* fabric workers run.
 
-Mirrors the execution-backend idiom (:mod:`repro.sim.backends`): a
-:class:`WorkerProvider` is the small lifecycle surface the pool
-coordinator needs — ``spawn`` / ``poll`` / ``kill`` — and providers are
-looked up by name through :func:`get_provider`, so adding a new substrate
-(a remote transport, a container runner, a cloud API) is one
-registration, not a coordinator change.  One provider ships: ``local``,
-subprocesses on this machine (:class:`LocalWorkerProvider`), including
-the kill-and-re-lease story CI exercises.
+A :class:`WorkerProvider` is the small lifecycle surface the pool
+coordinator needs — ``spawn`` / ``poll`` / ``kill`` — so a new substrate
+(a remote transport, a container runner, a cloud API) is one subclass
+passed as ``run_pool(provider=...)``, not a coordinator change.  One
+provider ships and is the default: :class:`LocalWorkerProvider`,
+subprocesses on this machine, including the kill-and-re-lease story CI
+exercises (its chaos tests pass fault-injecting subclasses the same way).
 
 Budgets are first-class: :class:`BudgetCaps` carries the hard stops the
 coordinator enforces — max wall-clock seconds and max trials — so a
@@ -21,7 +20,7 @@ import subprocess
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Any, Callable, Optional, Sequence
+from typing import IO, Any, Optional, Sequence
 
 from repro.fabric.errors import FabricError
 
@@ -73,7 +72,7 @@ class WorkerProvider(ABC):
     stop (the lease layer owns retries and graceful degradation).
     """
 
-    #: Registry name (set per subclass).
+    #: The name the pool's run report records (set per subclass).
     name: str = "abstract"
 
     @abstractmethod
@@ -147,50 +146,3 @@ class LocalWorkerProvider(WorkerProvider):
         if handle.log_handle is not None:
             handle.log_handle.close()
             handle.log_handle = None
-
-
-@dataclass(frozen=True)
-class ProviderSpec:
-    """One registered provider: a name, a factory, and a --help line."""
-
-    name: str
-    factory: Callable[..., WorkerProvider]
-    description: str = ""
-
-
-#: Name -> ProviderSpec, in registration order (default provider first).
-_REGISTRY: dict[str, ProviderSpec] = {}
-
-
-def register_provider(spec: ProviderSpec, *, replace: bool = False) -> ProviderSpec:
-    """Add a provider to the registry (the one-file-change extension point)."""
-    if not spec.name or not spec.name.isidentifier():
-        raise FabricError(f"provider name must be a simple identifier, got {spec.name!r}")
-    if spec.name in _REGISTRY and not replace:
-        raise FabricError(f"provider '{spec.name}' is already registered")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def provider_names() -> tuple[str, ...]:
-    """All registered provider names, default provider first."""
-    return tuple(_REGISTRY)
-
-
-def get_provider(name: str, **options: Any) -> WorkerProvider:
-    """Instantiate a registered provider by name (pure registry lookup)."""
-    try:
-        spec = _REGISTRY[name]
-    except KeyError:
-        known = ", ".join(provider_names())
-        raise FabricError(f"unknown provider '{name}' (known: {known})") from None
-    return spec.factory(**options)
-
-
-register_provider(
-    ProviderSpec(
-        name="local",
-        factory=LocalWorkerProvider,
-        description="subprocess workers on this machine",
-    )
-)

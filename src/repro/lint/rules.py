@@ -438,7 +438,7 @@ L003 = LintRule(
     ),
     hint=(
         "look the engine up with repro.sim.backends.get_backend and use its "
-        "metadata (native_form, supports, trial_runner) instead of comparing "
+        "metadata (native_form, supports, batch_cells) instead of comparing "
         "names"
     ),
     check_file=_check_backend_conditionals,

@@ -36,9 +36,8 @@ Every dispatch site in the repository — :func:`make_simulation`,
 backend in an ``if``/``elif`` chain.  Adding an engine is therefore one
 new module that calls :func:`register_backend` (plus its registration
 line below), and every entry point picks it up — the jitted leg below
-is exactly that: a factory, a ``trial_runner`` that reuses
-:func:`~repro.sim.batch_backend.run_trial_batch` with a different
-engine class, and ``batch_cells=True``; zero name conditionals anywhere.
+is exactly that: a factory and ``batch_cells=True``; zero name
+conditionals anywhere.
 
 **The registry contract.**  A :class:`Backend` bundles:
 
@@ -64,13 +63,12 @@ engine class, and ``batch_cells=True``; zero name conditionals anywhere.
   still raise at construction time for resource-level problems it cannot
   see (e.g. a transition table that only blows the size cap at the
   sweep's largest ``n``);
-* ``trial_runner`` — optional batch capability: a callable executing a
-  whole list of :class:`~repro.sim.parallel.TrialSpec` work items as one
-  native batch (``run_trials`` routes through it instead of the
-  per-trial process pool);
-* ``batch_cells`` — ``True`` when the engine runs whole sweep cells as
-  one batch through the batch-driver surface (``run_rows_until`` /
-  ``measure_rows_availability``; see :mod:`repro.sim.batch_backend`);
+* ``batch_cells`` — the one batch hook: ``True`` when the factory,
+  given a :class:`~repro.sim.initial_state.Replicated` start, builds an
+  engine that runs all its rows through the batch-driver surface
+  (``run_rows_until`` / ``measure_rows_availability``).  ``run_trials``
+  then runs a whole call, and ``run_sweep`` a whole cell (sharded by
+  cell), as one engine instead of one work item per trial;
 * ``description`` — one line for ``--help`` and error messages.
 
 **Resolution happens once.**  :func:`resolve_backend` applies the
@@ -86,15 +84,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional
 
 from repro.core.protocol import PopulationProtocol
-from repro.sim.initial_state import (
-    InitialState,
-    Replicated,
-    reject_positional,
-    require_init,
-)
+from repro.sim.initial_state import InitialState, Replicated, require_init
 
 #: Environment variable naming the default backend (see resolve_backend).
 BACKEND_ENV = "REPRO_BENCH_BACKEND"
@@ -151,9 +144,7 @@ class Backend:
     description: str = ""
     #: The representation the engine consumes natively (registry metadata).
     native_form: str = NATIVE_CONFIG
-    #: Optional: run a whole list of TrialSpecs as one native batch.
-    trial_runner: Optional[Callable[[Sequence[Any]], list]] = None
-    #: True when the engine runs whole sweep cells through the batch surface.
+    #: True when the engine runs whole batches through the batch surface.
     batch_cells: bool = False
 
     def require(self, protocol: PopulationProtocol) -> None:
@@ -209,17 +200,14 @@ def get_backend(name: str) -> Backend:
         raise ValueError(f"unknown backend '{name}' (known: {known})") from None
 
 
-def resolve_backend(backend: Optional[str] = None, *misused: Any) -> str:
+def resolve_backend(backend: Optional[str] = None) -> str:
     """Normalize a backend request: ``None`` → ``$REPRO_BENCH_BACKEND`` → default.
 
     The environment variable gives benchmarks and the CLI a process-wide
     default without threading a flag through every call site; an explicit
     ``backend=`` argument always wins.  Call this once at the entry point
     and pass the resolved name down (:func:`get_backend` from there on).
-    Takes exactly the one argument — extra positionals get the pointed
-    keyword-only TypeError, not a silent rebind.
     """
-    reject_positional("resolve_backend", misused, ("backend",))
     if backend is None:
         backend = os.environ.get(BACKEND_ENV, "") or DEFAULT_BACKEND
     return get_backend(backend).name
@@ -232,7 +220,7 @@ def supports_backend(protocol: PopulationProtocol, backend: str) -> Optional[str
 
 def make_simulation(
     protocol: PopulationProtocol,
-    *misused: Any,
+    *,
     init: Optional[InitialState] = None,
     n: Optional[int] = None,
     seed: int = 0,
@@ -244,13 +232,8 @@ def make_simulation(
     :class:`~repro.sim.initial_state.InitialState` — or ``n`` for a clean
     start.  ``backend=None`` resolves the environment default; a
     non-``None`` name is treated as already resolved and looked up
-    directly.
-
-    Everything after ``protocol`` is keyword-only; positional config
-    values (``make_simulation(p, init)`` would otherwise bind to nothing
-    meaningful) get a pointed :class:`TypeError`.
+    directly.  Everything after ``protocol`` is keyword-only.
     """
-    reject_positional("make_simulation", misused, ("init", "n", "seed", "backend"))
     init = require_init(init)
     entry = get_backend(backend if backend is not None else resolve_backend(None))
     return entry.factory(protocol, init=init, n=n, seed=seed)
@@ -339,12 +322,6 @@ def _batch_factory(
     return BatchCountsEngine(protocol, init=init, n=n, seed=seed)
 
 
-def _batch_trial_runner(specs: Sequence[Any]) -> list:
-    from repro.sim.batch_backend import run_trial_batch
-
-    return run_trial_batch(specs)
-
-
 def _batch_jit_factory(
     protocol: PopulationProtocol,
     *,
@@ -355,13 +332,6 @@ def _batch_jit_factory(
     from repro.sim.kernels import JitBatchCountsEngine
 
     return JitBatchCountsEngine(protocol, init=init, n=n, seed=seed)
-
-
-def _batch_jit_trial_runner(specs: Sequence[Any]) -> list:
-    from repro.sim.batch_backend import run_trial_batch
-    from repro.sim.kernels import JitBatchCountsEngine
-
-    return run_trial_batch(specs, engine_factory=JitBatchCountsEngine)
 
 
 register_backend(
@@ -401,7 +371,6 @@ register_backend(
             "per engine, per-row or lockstep sampling (finite-state protocols)"
         ),
         native_form=NATIVE_COUNTS,
-        trial_runner=_batch_trial_runner,
         batch_cells=True,
     )
 )
@@ -415,7 +384,6 @@ register_backend(
             "(optional [jit] extra; law-exact vs 'batch', not bit-exact)"
         ),
         native_form=NATIVE_COUNTS,
-        trial_runner=_batch_jit_trial_runner,
         batch_cells=True,
     )
 )

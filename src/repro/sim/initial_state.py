@@ -317,29 +317,6 @@ def require_init(init: Optional[InitialState]) -> Optional[InitialState]:
     return init
 
 
-def reject_positional(
-    where: str, misused: Sequence[Any], keywords: Sequence[str]
-) -> None:
-    """Raise a pointed :class:`TypeError` for positionally-passed config args.
-
-    The entry points' configuration arguments are keyword-only —
-    ``run_trials(protocol, predicate, 64, 5)`` would otherwise silently
-    bind ``n``-shaped ints to whatever parameter happens to come first.
-    ``misused`` is the ``*``-collected tuple of stray positionals;
-    ``keywords`` names the keyword-only parameters in declaration order,
-    so the message shows exactly the spelling the caller meant.
-    """
-    if not misused:
-        return
-    shown = ", ".join(f"{name}=..." for name in list(keywords)[: len(misused)])
-    count = len(misused)
-    raise TypeError(
-        f"{where}() takes its configuration arguments keyword-only; got "
-        f"{count} positional value{'s' if count != 1 else ''} — "
-        f"pass {shown} by name"
-    )
-
-
 __all__ = [
     "Clean",
     "CodeArray",
@@ -348,6 +325,5 @@ __all__ = [
     "ObjectConfig",
     "Replicated",
     "SampledStart",
-    "reject_positional",
     "require_init",
 ]

@@ -3,7 +3,7 @@
 The paper's guarantees are w.h.p. statements, so every experiment in this
 repository reduces to many independent seeded trials; those trials are
 embarrassingly parallel.  This module is the execution substrate under
-:func:`repro.sim.trials.run_trials`:
+:func:`repro.sim.trials.run_trials` and :func:`repro.sim.sweep.run_sweep`:
 
 * a :class:`TrialSpec` is a picklable, fully-determined work item — the
   protocol, the convergence predicate, an optional explicit start
@@ -12,24 +12,16 @@ embarrassingly parallel.  This module is the execution substrate under
   depends on which process runs the trial);
 * :func:`run_trial` executes one spec and ships back a light-weight
   :class:`TrialOutcome` (no configurations cross the process boundary);
-* :func:`run_trial_specs` executes a batch on a ``ProcessPoolExecutor``,
-  chunking specs to amortize pickling, and returns outcomes **in spec
-  order** regardless of completion order — ``seed → results`` is therefore
-  bit-identical to the sequential runner for any worker count;
-* :func:`stream_ordered` is the streaming substrate under long sweeps:
-  it submits work items individually (``submit``/``wait`` instead of the
-  blocking ``pool.map``) and *yields* each result as soon as it can be
+* :func:`stream_ordered` is the one process-pool fan-out: it submits work
+  items individually and *yields* each result as soon as it can be
   emitted in item order — a reorder buffer holds early completions, so
-  consumers (JSONL checkpoint writers, progress lines, aggregators) see
-  exactly the sequential stream for any worker count;
-* :func:`run_trial_specs_streaming` is :func:`stream_ordered` applied to
-  :func:`run_trial`.
+  consumers (aggregators, JSONL checkpoint writers, progress lines) see
+  exactly the sequential stream for any worker count.
 
-Closures and lambdas do not pickle; when a spec is unpicklable (common in
-tests that pass ``lambda config: False``) the batch silently degrades to
-in-process execution, which is always semantically equivalent.  The
-streaming path degrades per item: an unpicklable item runs in the parent
-at submission time, picklable neighbours still fan out.
+Closures and lambdas do not pickle; an unpicklable item (common in tests
+that pass ``lambda config: False``) runs in the parent at submission
+time, which is always semantically equivalent, while picklable
+neighbours still fan out.
 """
 
 from __future__ import annotations
@@ -40,12 +32,12 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
 
 from repro.core.protocol import PopulationProtocol
 from repro.obs import SpanBuffer, get_tracer
 from repro.sim.backends import DEFAULT_BACKEND
-from repro.sim.initial_state import InitialState, reject_positional, require_init
+from repro.sim.initial_state import InitialState, require_init
 from repro.sim.simulation import ConfigPredicate, run_until
 
 
@@ -118,55 +110,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     return workers
 
 
-def _picklable(specs: Sequence[TrialSpec]) -> bool:
-    # Specs differ per trial (init-factory-built configurations), so
-    # every one must cross the process boundary — probe them all, one at
-    # a time so the throwaway blobs never accumulate.
-    try:
-        for spec in specs:
-            pickle.dumps(spec)
-    except Exception:
-        return False
-    return True
-
-
-def run_trial_specs(
-    specs: Iterable[TrialSpec],
-    *misused: Any,
-    workers: Optional[int] = 1,
-) -> list[TrialOutcome]:
-    """Execute specs on ``workers`` processes; outcomes come back in spec order.
-
-    ``workers`` is keyword-only: ``run_trial_specs(specs, 4)`` used to
-    read as "four specs" as easily as "four workers", so the count must
-    now be named.  ``workers=1`` (the default) runs in-process with zero
-    pool overhead, consuming ``specs`` lazily — a generator of specs is
-    built, run, and discarded one trial at a time, so peak memory stays
-    O(one config).  ``workers=None`` or ``0`` uses one worker per CPU.
-    Unpicklable specs (lambda predicates, closure-built protocols)
-    degrade to in-process execution with a warning rather than failing.
-    """
-    reject_positional("run_trial_specs", misused, ("workers",))
-    if resolve_workers(workers) <= 1:
-        return [run_trial(spec) for spec in specs]
-    spec_list = list(specs)
-    worker_count = min(resolve_workers(workers), len(spec_list))
-    if worker_count <= 1 or len(spec_list) <= 1:
-        return [run_trial(spec) for spec in spec_list]
-    if not _picklable(spec_list):
-        warnings.warn(
-            "trial specs are not picklable (lambda/closure predicate or protocol?); "
-            "falling back to sequential execution",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return [run_trial(spec) for spec in spec_list]
-    # Chunk so each IPC round-trip carries several trials' worth of work.
-    chunksize = max(1, len(spec_list) // (worker_count * 4))
-    with ProcessPoolExecutor(max_workers=worker_count) as pool:
-        return list(pool.map(run_trial, spec_list, chunksize=chunksize))
-
-
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
@@ -195,25 +138,24 @@ def _run_span_buffered(fn: Callable[[_Item], _Result], span_name: str, item: _It
 def stream_ordered(
     items: Iterable[_Item],
     fn: Callable[[_Item], _Result],
-    *misused: Any,
+    *,
     workers: Optional[int] = 1,
     window: Optional[int] = None,
     span: Optional[str] = None,
 ) -> Iterator[_Result]:
     """Apply ``fn`` to ``items`` on a process pool, yielding results in item order.
 
-    The streaming counterpart of :func:`run_trial_specs`: items are
-    submitted individually and each result is yielded as soon as every
-    earlier item has been yielded — completions that arrive early wait in
-    a reorder buffer, so the yielded stream is identical to
+    Items are submitted individually and each result is yielded as soon
+    as every earlier item has been yielded — completions that arrive
+    early wait in a reorder buffer, so the yielded stream is identical to
     ``map(fn, items)`` for any worker count.  Consumers can therefore
     checkpoint or aggregate incrementally without giving up determinism.
 
     ``workers`` and ``window`` are keyword-only (a bare
-    ``stream_ordered(items, fn, 8)`` is ambiguous between the two);
-    stray positionals raise at *call* time, not first-``next`` time —
-    validation lives in this plain function, which then hands off to the
-    inner generator.
+    ``stream_ordered(items, fn, 8)`` is ambiguous between the two).  Bad
+    arguments raise at *call* time, not first-``next`` time — validation
+    lives in this plain function, which then hands off to the inner
+    generator.
 
     ``items`` is consumed lazily: at most ``window`` items (default
     ``4 × workers``) are in flight or buffered at once, so arbitrarily
@@ -232,7 +174,6 @@ def stream_ordered(
     like the result stream.  With tracing disabled (the default) ``span``
     costs one attribute check and changes nothing.
     """
-    reject_positional("stream_ordered", misused, ("workers", "window", "span"))
     worker_count = resolve_workers(workers)
     if window is not None and window < 1:
         raise ValueError(f"window must be positive, got {window}")
@@ -285,9 +226,9 @@ def _stream_ordered(
                 except StopIteration:
                     exhausted = True
                     break
-                # The probe costs one extra serialization per item — same
-                # trade as _picklable() above, and the high-volume callers
-                # (sweep ScenarioSpecs) submit a few dozen bytes per item.
+                # The probe costs one extra serialization per item; the
+                # high-volume callers (sweep ScenarioSpecs) submit a few
+                # dozen bytes per item.
                 try:
                     pickle.dumps(item)
                 except Exception:
@@ -321,22 +262,3 @@ def _stream_ordered(
         # worker processes running queued items.
         pool.shutdown(wait=True, cancel_futures=True)
 
-
-def run_trial_specs_streaming(
-    specs: Iterable[TrialSpec],
-    *misused: Any,
-    workers: Optional[int] = 1,
-    window: Optional[int] = None,
-) -> Iterator[TrialOutcome]:
-    """Execute specs on ``workers`` processes, yielding outcomes in spec order.
-
-    Unlike :func:`run_trial_specs` this never blocks on the whole batch:
-    each outcome is yielded as soon as it and all its predecessors have
-    completed, so long sweeps can checkpoint incrementally.  The yielded
-    sequence is identical to the blocking runner for any worker count.
-    ``workers`` and ``window`` are keyword-only, as everywhere on this
-    surface.  Each trial runs under a ``"trial"`` span when tracing is
-    enabled (worker pid + trial index labels, merged in spec order).
-    """
-    reject_positional("run_trial_specs_streaming", misused, ("workers", "window"))
-    return stream_ordered(specs, run_trial, workers=workers, window=window, span="trial")

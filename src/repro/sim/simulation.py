@@ -27,7 +27,6 @@ from repro.obs import STEP_PHASES, perf_counter
 from repro.scheduler.rng import RNG, derive_seed, make_rng
 from repro.scheduler.scheduler import RandomScheduler
 from repro.sim import backends
-from repro.sim.initial_state import reject_positional
 from repro.sim.metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -140,24 +139,20 @@ class _Engine:
 class Simulation(_Engine):
     """A single protocol execution under the uniform random scheduler.
 
-    The configuration arguments are keyword-only: ``Simulation(p, cfg)``
-    used to bind a stray int to ``config`` (and ``Simulation(p, cfg, 32,
-    7)`` an ``n``-shaped int to ``seed``) silently; now both get the
-    pointed :class:`TypeError` from :func:`~repro.sim.initial_state
-    .reject_positional`.  The phase clock files scheduler pair draws
-    under ``draw``, transitions under ``apply`` and predicate checks under
-    ``retire``.
+    The configuration arguments are keyword-only, so ``Simulation(p,
+    cfg)`` is Python's own :class:`TypeError` rather than a silent rebind.
+    The phase clock files scheduler pair draws under ``draw``,
+    transitions under ``apply`` and predicate checks under ``retire``.
     """
 
     def __init__(
         self,
         protocol: PopulationProtocol,
-        *misused: Any,
+        *,
         config: Optional[list[Any]] = None,
         n: Optional[int] = None,
         seed: int = 0,
     ):
-        reject_positional("Simulation", misused, ("config", "n", "seed"))
         if config is None:
             if n is None:
                 raise ValueError("provide either an initial config or a population size n")
@@ -251,7 +246,7 @@ class Simulation(_Engine):
 def run_until(
     protocol: PopulationProtocol,
     predicate: ConfigPredicate,
-    *misused: Any,
+    *,
     init: Optional["InitialState"] = None,
     n: Optional[int] = None,
     seed: int = 0,
@@ -261,8 +256,5 @@ def run_until(
 ) -> SimulationResult:
     """One-shot convenience wrapper around
     :func:`repro.sim.backends.make_simulation`."""
-    reject_positional(
-        "run_until", misused, ("init", "n", "seed", "max_interactions")
-    )
     sim = backends.make_simulation(protocol, init=init, n=n, seed=seed, backend=backend)
     return sim.run_until(predicate, max_interactions, check_interval)

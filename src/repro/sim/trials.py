@@ -7,10 +7,13 @@ the interaction budget.
 
 Trials are independent by construction (each gets a child seed via
 :func:`derive_seed` and, when a per-trial ``init`` factory is supplied,
-its own start configuration built in the parent), so execution is delegated to
-:mod:`repro.sim.parallel`: ``workers=1`` runs in-process exactly as the
-original sequential runner did, ``workers>1`` fans the same specs out over
-a process pool with bit-identical results.
+its own start configuration built in the parent), so execution takes one
+of two paths.  A batch engine (``Backend.batch_cells``) runs every trial
+as one row of a single engine built through the registry.  Any other
+engine runs one spec per trial through
+:func:`repro.sim.parallel.stream_ordered`: ``workers=1`` runs in-process
+and lazily, ``workers>1`` fans the same specs out over a process pool
+with bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import derive_seed
-from repro.sim.backends import get_backend, resolve_backend
-from repro.sim.initial_state import InitialState, reject_positional
-from repro.sim.parallel import TrialSpec, run_trial_specs
+from repro.sim.backends import get_backend, make_simulation, resolve_backend
+from repro.sim.initial_state import Clean, InitialState, Replicated
+from repro.sim.parallel import TrialSpec, resolve_workers, run_trial, stream_ordered
 from repro.sim.simulation import ConfigPredicate
 
 #: The ``init=`` argument of :func:`run_trials`: one shared
@@ -88,7 +91,7 @@ class TrialSummary:
 def run_trials(
     protocol: PopulationProtocol,
     predicate: ConfigPredicate,
-    *misused: object,
+    *,
     n: int,
     trials: int,
     max_interactions: int,
@@ -126,12 +129,12 @@ def run_trials(
     downstream — :func:`repro.sim.parallel.run_trial` in whichever
     process, :func:`repro.sim.backends.make_simulation` — does a pure
     registry lookup that never consults the environment, so workers
-    cannot disagree with their parent about which engine ran.  A backend
-    with a native ``trial_runner`` (the batch engine) takes the whole
-    spec list as one in-process batch; ``workers`` is irrelevant there —
-    the batch engine's lockstep matrix *is* its parallelism.
+    cannot disagree with their parent about which engine ran.  A batch
+    engine (``batch_cells``) runs the whole call as the rows of one
+    in-process engine seeded with ``derive_seed(seed, 0)``; ``workers``
+    is irrelevant there — the batch engine's row matrix *is* its
+    parallelism.
     """
-    reject_positional("run_trials", misused, ("n", "trials", "max_interactions"))
     engine = resolve_backend(backend)
 
     def init_for(index: int) -> Optional[InitialState]:
@@ -153,17 +156,26 @@ def run_trials(
             backend=engine,
         )
 
-    entry = get_backend(engine)
-    if entry.trial_runner is not None:
-        # Native batch execution: the whole spec list becomes one engine.
-        outcomes = entry.trial_runner([build_spec(index) for index in range(trials)])
+    if get_backend(engine).batch_cells and trials > 0:
+        # One engine whose rows are the trials (a Replicated start needs
+        # at least one row).
+        rows = [init_for(index) or Clean(n) for index in range(trials)]
+        simulation = make_simulation(
+            protocol,
+            init=Replicated(rows, trials),
+            seed=derive_seed(seed, 0),
+            backend=engine,
+        )
+        outcomes = simulation.run_rows_until(
+            predicate, max_interactions=max_interactions, check_interval=check_interval
+        )
     else:
-        # A generator keeps the sequential path at O(one config) peak
-        # memory: each spec is built, run, and discarded in turn.  The
-        # parallel path materializes the list (the pool needs every spec
-        # up front anyway).
-        outcomes = run_trial_specs(
-            (build_spec(index) for index in range(trials)), workers=workers
+        # Specs are built lazily, so the sequential path holds one start
+        # configuration at a time; one trial never starts a process pool.
+        outcomes = stream_ordered(
+            map(build_spec, range(trials)),
+            run_trial,
+            workers=min(resolve_workers(workers), max(trials, 1)),
         )
     interactions: list[float] = []
     times: list[float] = []

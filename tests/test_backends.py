@@ -110,14 +110,12 @@ class TestRegistry:
         assert get_backend("array").native_form == NATIVE_CODES
 
     def test_batch_entry_hooks(self):
-        # The batch engines are the only ones with whole-batch execution
-        # hooks: a trial_runner for run_trials and cell-grouped sweeps.
+        # The batch engines are the only ones with the whole-batch hook
+        # that run_trials and cell-grouped sweeps both read.
         for name in ("batch", "batch-jit"):
-            entry = get_backend(name)
-            assert entry.trial_runner is not None and entry.batch_cells
+            assert get_backend(name).batch_cells
         for name in ("object", "array", "counts"):
-            entry = get_backend(name)
-            assert entry.trial_runner is None and not entry.batch_cells
+            assert not get_backend(name).batch_cells
 
     def test_batch_jit_registered_as_sixth_backend(self):
         # A dashed name is a legal registry entry, and the jit leg routes

@@ -6,9 +6,9 @@ Contracts gated here:
   from an explicit start, and under fault injection — so the row workloads
   are anchored to the per-trial surface the equivalence suite already
   trusts;
-* ``run_trials(backend="batch")`` routes through the registry's
-  ``trial_runner`` hook and agrees with ``backend="counts"`` exactly at
-  one trial;
+* ``run_trials`` on a batch engine (``batch`` or ``batch-jit``) is
+  exactly one registry-built engine over a ``Replicated`` start, trial
+  by trial, and agrees with ``backend="counts"`` exactly at one trial;
 * structural batch semantics: rows converged at step 0 retire with zero
   interactions and consume no randomness (so a batch's stragglers are
   bit-identical with or without already-converged neighbours), silent
@@ -44,7 +44,7 @@ from repro.core.propagate_reset import ResetEpidemicProtocol
 from repro.scheduler.rng import derive_seed
 from repro.sim.array_backend import transition_table_for
 from repro.sim.backends import make_simulation
-from repro.sim.batch_backend import BatchCountsEngine, run_trial_batch
+from repro.sim.batch_backend import BatchCountsEngine
 from repro.sim.counts_backend import (
     CountsBackendError,
     CountsSimulation,
@@ -267,34 +267,44 @@ class TestValidation:
 
 
 class TestTrialRunnerHook:
-    def test_specs_must_share_the_workload(self):
-        from repro.sim.parallel import TrialSpec
+    """``run_trials`` on a ``batch_cells`` engine is one registry-built
+    engine whose rows are the trials."""
 
+    @pytest.mark.parametrize("backend", ["batch", "batch-jit"])
+    def test_run_trials_is_one_registry_built_batch(self, backend, pure_ok):
+        # Exact, not in law: these 24 rows take the lockstep sampler, where
+        # batch and batch-jit draw different streams, so run_trials building
+        # any engine but the named one fails here.
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
-        specs = [
-            TrialSpec(index=0, protocol=protocol, predicate=pred, seed=1,
-                      max_interactions=100, check_interval=1, n=8),
-            TrialSpec(index=1, protocol=protocol, predicate=pred, seed=2,
-                      max_interactions=200, check_interval=1, n=8),
-        ]
-        with pytest.raises(ValueError, match="share"):
-            run_trial_batch(specs)
+        rows = [seeded_counts(64)] * 24
+        summary = run_trials(
+            protocol, pred, n=64, trials=24, max_interactions=50_000,
+            seed=3, check_interval=16, init=rows[0], backend=backend,
+        )
+        engine = make_simulation(
+            protocol, init=Replicated(rows, 24), seed=derive_seed(3, 0),
+            backend=backend,
+        )
+        outcomes = engine.run_rows_until(
+            pred, max_interactions=50_000, check_interval=16
+        )
+        assert summary.converged == 24
+        assert summary.interactions == [o.interactions for o in outcomes]
+        assert summary.parallel_times == [o.parallel_time for o in outcomes]
 
     def test_clean_rows_fill_in_for_missing_inits(self):
-        from repro.sim.parallel import TrialSpec
-
         protocol = PairwiseElimination(8)
         pred = goal_counts_predicate(protocol)
-        specs = [
-            TrialSpec(index=i, protocol=protocol, predicate=pred,
-                      seed=derive_seed(0, i), max_interactions=10_000,
-                      check_interval=10, n=8)
-            for i in range(3)
-        ]
-        outcomes = run_trial_batch(specs)
-        assert [o.index for o in outcomes] == [0, 1, 2]
-        assert all(o.converged for o in outcomes)
+        runs = {
+            label: run_trials(
+                protocol, pred, n=8, trials=3, max_interactions=10_000,
+                seed=0, check_interval=10, init=init, backend="batch",
+            )
+            for label, init in (("none", lambda index: None), ("clean", Clean(8)))
+        }
+        assert runs["none"].converged == 3
+        assert runs["none"].interactions == runs["clean"].interactions
 
     def test_batch_backend_summary_matches_trials_statistically(self):
         # T > 1 shares one stream, so values differ from per-trial runs

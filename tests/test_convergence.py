@@ -1,81 +1,14 @@
-"""Tests for convergence predicates, silence detection and replay."""
+"""Tests for replaying a schedule to convergence and for ElectLeader's
+reset event counters."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.baselines.cai_izumi_wada import CaiIzumiWada, CIWState
 from repro.baselines.nonss_leader import PairwiseElimination
-from repro.core.params import BaselineParams
 from repro.scheduler.rng import make_rng
-from repro.sim.convergence import (
-    SilenceDetector,
-    all_of,
-    any_of,
-    correct_ranking,
-    run_to_silence,
-    unique_leader,
-)
 from repro.sim.replay import reachable_via, record_and_replay_matches, replay
 from repro.sim.simulation import Simulation
-
-
-class TestPredicates:
-    def test_unique_leader(self):
-        protocol = PairwiseElimination(4)
-        config = [protocol.initial_state() for _ in range(4)]
-        assert not unique_leader(protocol)(config)
-        for state in config[1:]:
-            state.leader = False
-        assert unique_leader(protocol)(config)
-
-    def test_correct_ranking(self):
-        protocol = CaiIzumiWada(BaselineParams(n=4))
-        good = [CIWState(r) for r in (2, 4, 1, 3)]
-        bad = [CIWState(r) for r in (1, 1, 2, 3)]
-        assert correct_ranking(protocol)(good)
-        assert not correct_ranking(protocol)(bad)
-
-    def test_all_of_and_any_of(self):
-        def always(config):
-            return True
-
-        def never(config):
-            return False
-
-        assert all_of(always, always)([])
-        assert not all_of(always, never)([])
-        assert any_of(never, always)([])
-        assert not any_of(never, never)([])
-
-
-class TestSilence:
-    def test_detector_tracks_changes(self):
-        protocol = CaiIzumiWada(BaselineParams(n=4))
-        config = [CIWState(1) for _ in range(4)]  # maximally colliding
-        sim = Simulation(protocol, config=config, seed=1)
-        detector = SilenceDetector()
-        sim.observers.append(detector.observe)
-        sim.run(5)
-        # Early on, collisions keep changing states: quiet window is short.
-        assert detector.quiet_interactions(sim) <= 5
-
-    def test_run_to_silence_on_ciw(self):
-        protocol = CaiIzumiWada(BaselineParams(n=8))
-        sim, silent = run_to_silence(
-            protocol, n=8, seed=2, window=2_000, max_interactions=2_000_000
-        )
-        assert silent
-        # Silence for CIW means the ranking is a permutation.
-        assert protocol.is_silent_configuration(sim.config)
-
-    def test_run_to_silence_budget(self):
-        protocol = CaiIzumiWada(BaselineParams(n=8))
-        config = [CIWState(1) for _ in range(8)]
-        sim, silent = run_to_silence(
-            protocol, config=config, seed=3, window=1_000, max_interactions=50
-        )
-        assert not silent
 
 
 class TestReplay:

@@ -1,8 +1,9 @@
-"""Tests for the lease-based worker pool and the provider registry.
+"""Tests for the lease-based worker pool and its worker providers.
 
 The pool's story is graceful degradation: workers are killed, stalled,
 and crashed here via chaos providers (the ``provider=`` parameter takes
-an instance precisely for this), and the run must still converge to a
+an instance precisely for this; it defaults to the local subprocess
+provider), and the run must still converge to a
 validated merged checkpoint — or fail loudly with a post-mortem report.
 """
 
@@ -19,11 +20,7 @@ from repro.fabric import (
     BudgetCaps,
     FabricError,
     LocalWorkerProvider,
-    ProviderSpec,
     WorkerHandle,
-    get_provider,
-    provider_names,
-    register_provider,
     run_pool,
     worker_argv,
 )
@@ -243,31 +240,6 @@ class TestWorkerArgv:
 
 
 class TestProviders:
-    def test_registry_lists_builtins(self):
-        names = provider_names()
-        assert names == ("local",)
-
-    def test_unknown_provider_is_pointed(self):
-        with pytest.raises(FabricError, match="unknown provider 'bogus'"):
-            get_provider("bogus")
-
-    def test_duplicate_registration_rejected(self):
-        from repro.fabric.providers import _REGISTRY
-
-        spec = ProviderSpec(name="chaos_temp", factory=LocalWorkerProvider)
-        register_provider(spec)
-        try:
-            with pytest.raises(FabricError, match="already registered"):
-                register_provider(spec)
-            # replace=True is the explicit override path.
-            assert register_provider(spec, replace=True) is spec
-        finally:
-            _REGISTRY.pop("chaos_temp", None)
-
-    def test_bad_provider_name_rejected(self):
-        with pytest.raises(FabricError, match="simple identifier"):
-            register_provider(ProviderSpec(name="not a name", factory=LocalWorkerProvider))
-
     def test_budget_caps_validate(self):
         assert BudgetCaps().to_dict() == {"max_seconds": None, "max_trials": None}
         with pytest.raises(FabricError):

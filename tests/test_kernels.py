@@ -6,7 +6,7 @@ Contracts gated here:
   raises :class:`~repro.sim.kernels.JitBackendError` with the
   ``[jit]``-extra install hint at construction; only the explicit
   ``REPRO_JIT_PURE_PYTHON=1`` opt-in runs the kernel source uncompiled
-  (the ``pure_ok`` fixture below, so this whole suite passes on the
+  (the shared ``pure_ok`` fixture, so this whole suite passes on the
   numba-free CI matrix — slowly — and compiled on the ``jit`` job);
 * **the counter-based stream** — per-row draws are a pure function of
   ``(key, counter)``, land in ``[0, 1)``, and distinct keys give
@@ -63,7 +63,6 @@ from repro.sim.kernels import (  # noqa: E402
     PURE_PYTHON_ENV,
     JitBackendError,
     JitBatchCountsEngine,
-    jit_available,
     overflow_guard,
     require_numba,
 )
@@ -76,13 +75,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 TRIALS = 48
 N = 256
 KS_ALPHA = 1e-3
-
-
-@pytest.fixture
-def pure_ok(monkeypatch):
-    """Allow the uncompiled escape hatch when numba is absent."""
-    if not jit_available():
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")
 
 
 def _key(*parts: int):

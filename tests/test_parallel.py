@@ -6,9 +6,10 @@ The two contracts under test:
   ``next_pairs`` draw under it) consumes the RNG streams exactly like
   ``k`` calls of ``step()``, so batched and stepwise runs of one seed are
   bit-identical;
-* worker count never changes results — ``run_trials`` aggregates the
-  same ``TrialSummary`` for any ``workers`` value, because every trial is
-  fully determined by its derived seed and outcomes merge in trial order.
+* worker count never changes results — ``stream_ordered`` yields
+  ``run_trial`` outcomes in spec order for any ``workers`` value, and
+  ``run_trials`` aggregates the same ``TrialSummary``, because every
+  trial is fully determined by its derived seed.
 """
 
 from __future__ import annotations
@@ -18,15 +19,9 @@ import pytest
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.scheduler.rng import derive_seed, make_rng
 from repro.scheduler.scheduler import RandomScheduler
+from repro.sim import parallel
 from repro.sim.initial_state import ObjectConfig
-from repro.sim.parallel import (
-    TrialSpec,
-    resolve_workers,
-    run_trial,
-    run_trial_specs,
-    run_trial_specs_streaming,
-    stream_ordered,
-)
+from repro.sim.parallel import TrialSpec, resolve_workers, run_trial, stream_ordered
 from repro.sim.simulation import Simulation
 from repro.sim.trials import run_trials
 
@@ -165,8 +160,8 @@ class TestTrialSpecs:
 
     def test_pool_returns_spec_order(self, protocol):
         specs = self._specs(protocol, 6)
-        sequential = run_trial_specs(specs, workers=1)
-        pooled = run_trial_specs(specs, workers=2)
+        sequential = [run_trial(spec) for spec in specs]
+        pooled = list(stream_ordered(specs, run_trial, workers=2))
         assert [o.index for o in pooled] == list(range(6))
         assert pooled == sequential
 
@@ -188,14 +183,14 @@ class TestStreaming:
 
     def test_streamed_equals_blocking_for_every_worker_count(self, protocol):
         specs = self._specs(protocol, 8)
-        blocking = run_trial_specs(specs, workers=1)
+        blocking = [run_trial(spec) for spec in specs]
         for workers in (1, 2, 4, None):
-            streamed = list(run_trial_specs_streaming(specs, workers=workers))
+            streamed = list(stream_ordered(specs, run_trial, workers=workers))
             assert streamed == blocking, f"workers={workers}"
 
     def test_yields_in_spec_order(self, protocol):
         specs = self._specs(protocol, 8)
-        streamed = run_trial_specs_streaming(specs, workers=4)
+        streamed = stream_ordered(specs, run_trial, workers=4)
         assert [outcome.index for outcome in streamed] == list(range(8))
 
     def test_consumes_specs_lazily(self, protocol):
@@ -210,7 +205,7 @@ class TestStreaming:
                 index += 1
 
         outcomes = list(itertools.islice(
-            run_trial_specs_streaming(endless(), workers=2, window=3), 5
+            stream_ordered(endless(), run_trial, workers=2, window=3), 5
         ))
         assert [outcome.index for outcome in outcomes] == list(range(5))
 
@@ -233,10 +228,10 @@ class TestStreaming:
             init=ObjectConfig([Unpicklable() for _ in range(10)]),
         )
         with pytest.warns(RuntimeWarning, match="not picklable"):
-            outcomes = list(run_trial_specs_streaming(poisoned, workers=2))
+            outcomes = list(stream_ordered(poisoned, run_trial, workers=2))
         assert [outcome.index for outcome in outcomes] == list(range(5))
         # The picklable neighbours still match the fully-picklable run.
-        reference = run_trial_specs(specs, workers=1)
+        reference = [run_trial(spec) for spec in specs]
         assert [outcomes[i] for i in (0, 1, 3, 4)] == [reference[i] for i in (0, 1, 3, 4)]
 
     def test_stream_ordered_rejects_bad_window(self):
@@ -250,7 +245,7 @@ class TestStreaming:
 
     def test_abandoned_stream_shuts_down_cleanly(self, protocol):
         specs = self._specs(protocol, 8)
-        stream = run_trial_specs_streaming(specs, workers=2)
+        stream = stream_ordered(specs, run_trial, workers=2)
         first = next(stream)
         assert first.index == 0
         stream.close()  # must not hang or leak worker processes
@@ -282,9 +277,9 @@ class TestRunTrialsWorkers:
             assert summary.parallel_times == baseline.parallel_times
 
     def test_unpicklable_later_config_falls_back(self, protocol):
-        # The pickle probe must cover every spec, not just the first:
-        # a per-trial init factory may return a poisoned configuration
-        # mid-sweep.
+        # The pickle probe covers every spec, not just the first: a
+        # per-trial init factory may return a poisoned configuration
+        # mid-sweep, and that one trial runs in the parent.
         class Unpicklable:
             leader = True
 
@@ -321,3 +316,19 @@ class TestRunTrialsWorkers:
                 workers=2,
             )
         assert summary.converged == 3
+
+    def test_one_trial_starts_no_process_pool(self, protocol, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-trial run must not start a process pool")
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        summary = run_trials(
+            protocol,
+            protocol.is_goal_configuration,
+            n=10,
+            trials=1,
+            max_interactions=100_000,
+            seed=9,
+            workers=4,
+        )
+        assert summary.trials == 1 and summary.converged == 1

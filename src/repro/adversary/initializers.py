@@ -121,13 +121,13 @@ def corrupted_messages(
         agent = config[rng.randrange(len(config))]
         assert agent.sv is not None and agent.sv.dc is not TOP
         dc = agent.sv.dc
-        governed = [rank for rank, ids in dc.msgs.items() if ids and rank != agent.rank]
-        if not governed:
+        held = [(rank, msg_id) for rank, msg_id, _ in dc.held_messages() if rank != agent.rank]
+        if not held:
             continue
-        rank = rng.choice(governed)
-        msg_id = rng.choice(list(dc.msgs[rank]))
+        rank = rng.choice(list(dict.fromkeys(rank for rank, _ in held)))
+        msg_id = rng.choice([msg_id for other, msg_id in held if other == rank])
         group_size = partition.group_size(partition.group_of(rank))
-        dc.msgs[rank][msg_id] = rng.randrange(1, params.signature_space(group_size) + 1)
+        dc.set_content(rank, msg_id, rng.randrange(1, params.signature_space(group_size) + 1))
     return config
 
 
@@ -146,7 +146,7 @@ def scrambled_observations(
         agent = config[rng.randrange(len(config))]
         assert agent.sv is not None and agent.sv.dc is not TOP
         dc = agent.sv.dc
-        held_own = set(dc.msgs.get(agent.rank, {}))
+        held_own = {msg_id for rank, msg_id, _ in dc.held_messages() if rank == agent.rank}
         free = [j for j in range(1, len(dc.observations) + 1) if j not in held_own]
         if not free:
             continue

@@ -21,6 +21,12 @@ governs ``Θ(r^2)`` circulating messages ``(rank, ID, content)``.
   two copies of one message, or sees a message it governs whose content
   contradicts its recorded observation (Protocols 3 and 12).
 
+Each agent stores its messages grouped by content (see
+:class:`~repro.core.state.DCState`): ``{rank: {content: ascending ids}}``.
+``BalanceLoad`` acts on (rank, content) classes and a pair of agents holds
+only a few contents per rank, so the helpers below merge, split and test
+whole id lists rather than walking message by message.
+
 The space-time trade-off (Section 3.3) runs this machinery independently
 inside each rank-group of size ``Θ(r)``; interactions across groups are
 no-ops.  Lemma E.1 gives the contract: *soundness* (no ⊤ ever, from
@@ -31,7 +37,9 @@ regardless of the message system's state).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence, Union
 
 from repro.core.params import ProtocolParams
@@ -85,15 +93,12 @@ def initial_dc_state(
         return DCState(
             signature=1,
             counter=1,
-            msgs={rank: {msg_id: 1 for msg_id in range(1, total + 1)}},
+            msgs={rank: {1: list(range(1, total + 1))}},
             observations=[1] * total,
         )
     position = partition.position_in_group(rank)
     block = message_block(position, group_size, total)
-    msgs = {
-        governed: {msg_id: 1 for msg_id in block}
-        for governed in partition.group_ranks(group)
-    }
+    msgs = {governed: {1: list(block)} for governed in partition.group_ranks(group)}
     return DCState(signature=1, counter=1, msgs=msgs, observations=[1] * total)
 
 
@@ -104,10 +109,14 @@ def initial_dc_state(
 
 def has_duplicate_message(u: DCState, v: DCState) -> bool:
     """True iff some message ``(i, j)`` is held by both agents (Prot. 3, l.3)."""
-    for rank, u_ids in u.msgs.items():
-        v_ids = v.msgs.get(rank)
-        if v_ids and not u_ids.keys().isdisjoint(v_ids.keys()):
-            return True
+    v_msgs = v.msgs
+    for rank, u_groups in u.msgs.items():
+        v_groups = v_msgs.get(rank)
+        if v_groups and u_groups:
+            u_ids = set().union(*u_groups.values())
+            for ids in v_groups.values():
+                if not u_ids.isdisjoint(ids):
+                    return True
     return False
 
 
@@ -120,10 +129,34 @@ def check_message_consistency(owner_rank: int, owner: DCState, other: DCState) -
         return False
     observations = owner.observations
     limit = len(observations)
-    for msg_id, content in carried.items():
-        if 1 <= msg_id <= limit and content != observations[msg_id - 1]:
-            return True
+    for content, ids in carried.items():
+        for msg_id in ids:  # ascending, so the first id past the limit ends the class
+            if msg_id > limit:
+                break
+            if msg_id >= 1 and observations[msg_id - 1] != content:
+                return True
     return False
+
+
+def _restamp(
+    msgs: dict[int, dict[int, list[int]]], rank: int, signature: int, observations: list[int]
+) -> None:
+    """Give every held message of ``rank`` the content ``signature`` (one
+    class) and record it in the governor's ``observations``."""
+    groups = msgs.get(rank)
+    if not groups:
+        return
+    if len(groups) == 1:
+        (ids,) = groups.values()
+    else:
+        ids = sorted(chain.from_iterable(groups.values()))
+    msgs[rank] = {signature: ids}
+    limit = len(observations)
+    for msg_id in ids:  # ascending
+        if msg_id > limit:
+            break
+        if msg_id >= 1:
+            observations[msg_id - 1] = signature
 
 
 def update_messages(
@@ -139,72 +172,62 @@ def update_messages(
     On every interaction the owner restamps the messages *it governs* that
     the partner carries with its current signature, recording the contents
     in its observations — this is the "modify and record" step that makes
-    duplicated ranks visible.
+    duplicated ranks visible.  A restamp merges the rank's content classes
+    into one.
     """
     owner.counter += 1
     if owner.counter >= params.signature_period(group_size):
         owner.signature = rng.randrange(1, params.signature_space(group_size) + 1)
         owner.counter = 1
-        own_held = owner.msgs.get(owner_rank)
-        if own_held:
-            signature = owner.signature
-            observations = owner.observations
-            limit = len(observations)
-            for msg_id in own_held:
-                own_held[msg_id] = signature
-                if 1 <= msg_id <= limit:
-                    observations[msg_id - 1] = signature
-
-    carried = other.msgs.get(owner_rank)
-    if carried:
-        signature = owner.signature
-        observations = owner.observations
-        limit = len(observations)
-        for msg_id in carried:
-            carried[msg_id] = signature
-            if 1 <= msg_id <= limit:
-                observations[msg_id - 1] = signature
+        _restamp(owner.msgs, owner_rank, owner.signature, owner.observations)
+    _restamp(other.msgs, owner_rank, owner.signature, owner.observations)
 
 
 def balance_load(u: DCState, v: DCState, governed_ranks: Sequence[int]) -> None:
     """Protocol 14: per-(rank, content) halving swap of held messages.
 
-    For every governing rank ``i`` and content ``k``, the union of IDs held
+    For every governing rank ``i`` and content ``k`` (ranks in
+    ``governed_ranks`` order, contents ascending), the union of IDs held
     by the two agents is split into halves by ID order; the agent currently
-    holding fewer messages overall receives the larger half.  Messages are
-    never created or destroyed, and afterwards the per-(rank, content)
-    holdings of the two agents differ by at most one.
+    holding fewer messages overall receives the larger half, ``u`` on a
+    tie.  Messages are never created or destroyed, and afterwards the
+    per-(rank, content) holdings of the two agents differ by at most one.
+    Messages of ranks outside ``governed_ranks`` are dropped.
+
+    Each class is one merge of two sorted lists and two slices.  The
+    running totals need no counting: ``u``'s minus ``v``'s starts at 0 and
+    the agent behind takes the larger half, so it is always 0 or 1 and
+    flips after every odd-sized class — one parity bit decides who takes
+    the larger half.
     """
-    u_new: dict[int, dict[int, int]] = {}
-    v_new: dict[int, dict[int, int]] = {}
-    u_total = 0
-    v_total = 0
+    u_msgs, v_msgs = u.msgs, v.msgs
+    u_new: dict[int, dict[int, list[int]]] = {}
+    v_new: dict[int, dict[int, list[int]]] = {}
+    u_ahead = False  # u's running total is one above v's
     for rank in governed_ranks:
-        u_ids = u.msgs.get(rank, {})
-        v_ids = v.msgs.get(rank, {})
-        if not u_ids and not v_ids:
+        u_groups = u_msgs.get(rank) or {}
+        v_groups = v_msgs.get(rank) or {}
+        if not u_groups and not v_groups:
             continue
-        by_content: dict[int, list[int]] = {}
-        for msg_id, content in u_ids.items():
-            by_content.setdefault(content, []).append(msg_id)
-        for msg_id, content in v_ids.items():
-            by_content.setdefault(content, []).append(msg_id)
-        u_rank_new: dict[int, int] = {}
-        v_rank_new: dict[int, int] = {}
-        for content in sorted(by_content):
-            ids = sorted(by_content[content])
+        u_rank_new: dict[int, list[int]] = {}
+        v_rank_new: dict[int, list[int]] = {}
+        for content in sorted(u_groups.keys() | v_groups.keys()):
+            u_ids = u_groups.get(content)
+            v_ids = v_groups.get(content)
+            ids = sorted(u_ids + v_ids) if u_ids and v_ids else u_ids or v_ids
+            if not ids:
+                continue
             half = len(ids) // 2
-            floor_ids, ceil_ids = ids[:half], ids[half:]
-            if u_total > v_total:
-                take_u, take_v = floor_ids, ceil_ids
+            if u_ahead:
+                u_take, v_take = ids[:half], ids[half:]
             else:
-                take_u, take_v = ceil_ids, floor_ids
-            for msg_id in take_u:
-                u_rank_new[msg_id] = content
-            for msg_id in take_v:
-                v_rank_new[msg_id] = content
-            u_total += len(take_u)
-            v_total += len(take_v)
+                u_take, v_take = ids[half:], ids[:half]
+            if u_take:
+                u_rank_new[content] = u_take
+            if v_take:
+                v_rank_new[content] = v_take
+            if len(ids) & 1:
+                u_ahead = not u_ahead
         if u_rank_new:
             u_new[rank] = u_rank_new
         if v_rank_new:
@@ -247,7 +270,8 @@ def detect_collision(
     assert isinstance(u_dc, DCState) and isinstance(v_dc, DCState)
 
     # Line 1-2: interactions across groups are no-ops.
-    if not partition.same_group(u_rank, v_rank):
+    group = partition.group_of(u_rank)
+    if group != partition.group_of(v_rank):
         return u_dc, v_dc
 
     # Lines 3-4: obvious collisions — shared rank or duplicated message.
@@ -261,11 +285,11 @@ def detect_collision(
         return TOP, TOP
 
     # Lines 6-7: restamp and rebalance.
-    group_size = partition.group_size(partition.group_of(u_rank))
+    group_size = partition.group_size(group)
     update_messages(u_rank, u_dc, v_dc, group_size, params, rng)
     update_messages(v_rank, v_dc, u_dc, group_size, params, rng_v if rng_v is not None else rng)
     if balance:
-        balance_load(u_dc, v_dc, partition.group_ranks(partition.group_of(u_rank)))
+        balance_load(u_dc, v_dc, partition.group_ranks(group))
     return u_dc, v_dc
 
 
@@ -353,31 +377,38 @@ def message_system_consistent(
     ranks = [rank for rank, _ in pairs]
     if len(set(ranks)) != len(ranks):
         return False
-    by_rank: dict[int, DCState] = {}
-    for rank, dc in pairs:
+    for _, dc in pairs:
         if dc is TOP or not isinstance(dc, DCState):
             return False
-        by_rank[rank] = dc
 
-    # Collect every circulating copy of every message.
-    seen: dict[tuple[int, int], list[int]] = {}
+    # Per governed rank: id -> content over every circulating copy, and the
+    # number of copies whose id lies in 1..total (ids outside it are never
+    # checked).  Every id in 1..total must map to its governor's recorded
+    # content, so each has a copy, and exactly ``total`` in-range copies
+    # then means exactly one of each.
+    held: dict[int, dict[int, int]] = {}
+    in_range: dict[int, int] = {}
+    group_of = partition.group_of
     for rank, dc in pairs:
         assert isinstance(dc, DCState)
-        for governed, ids in dc.msgs.items():
-            if not partition.same_group(governed, rank):
+        group = group_of(rank)
+        total = params.messages_per_rank(partition.group_size(group))
+        for governed, groups in dc.msgs.items():
+            if group_of(governed) != group:
                 return False  # an agent may only hold its own group's messages
-            for msg_id, content in ids.items():
-                seen.setdefault((governed, msg_id), []).append(content)
+            contents = held.setdefault(governed, {})
+            copies = 0
+            for content, ids in groups.items():
+                contents.update(zip(ids, repeat(content)))
+                copies += bisect_right(ids, total) - bisect_left(ids, 1)
+            in_range[governed] = in_range.get(governed, 0) + copies
 
-    for governed, governor in by_rank.items():
-        group_size = partition.group_size(partition.group_of(governed))
-        total = params.messages_per_rank(group_size)
-        if len(governor.observations) != total:
+    for governed, governor in pairs:
+        assert isinstance(governor, DCState)
+        total = params.messages_per_rank(partition.group_size(group_of(governed)))
+        if len(governor.observations) != total or in_range.get(governed, 0) != total:
             return False
-        for msg_id in range(1, total + 1):
-            copies = seen.get((governed, msg_id), [])
-            if len(copies) != 1:
-                return False
-            if copies[0] != governor.observations[msg_id - 1]:
-                return False
+        contents = held.get(governed, {})
+        if list(map(contents.get, range(1, total + 1))) != governor.observations:
+            return False
     return True

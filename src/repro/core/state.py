@@ -16,6 +16,7 @@ computes its size from these definitions.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -160,32 +161,63 @@ class DCState:
     """Non-error state of ``DetectCollision_r`` (Fig. 3).
 
     ``msgs`` stores the circulating messages this agent currently *holds*,
-    as a dict-of-dicts ``{governing rank: {message id: content}}`` — the
-    paper's sparse array indexed by ``𝒢(rank) × [2 r_u^2]`` with values in
-    ``[r_u^5]``.  ``observations`` is the dense array of the agent's own
-    recorded contents for the messages *its* rank governs.
+    grouped by content: ``{governing rank: {content: ascending list of
+    message ids}}``.  This is the paper's sparse array indexed by
+    ``𝒢(rank) × [2 r_u^2]`` with values in ``[r_u^5]``, stored by content:
+    ``BalanceLoad`` splits each (rank, content) class and a restamp turns
+    a rank's classes into one, so the protocol works per class, not per
+    message.  No list is empty.  ``observations`` is the dense array of
+    the agent's own recorded contents for the messages *its* rank governs.
+
+    Only this module and :mod:`repro.core.detect_collision` know what a
+    rank's entry looks like; other code reaches holdings through the
+    methods below.
     """
 
     signature: int = 1
     counter: int = 1
-    #: held messages: governing rank -> {message id -> content}
-    msgs: dict[int, dict[int, int]] = field(default_factory=dict)
+    #: held messages: governing rank -> {content -> ascending message ids}
+    msgs: dict[int, dict[int, list[int]]] = field(default_factory=dict)
     #: own recorded contents, observations[j-1] for message id j
     observations: list[int] = field(default_factory=list)
 
     def held_count(self) -> int:
         """Total number of messages currently held."""
-        return sum(len(per_rank) for per_rank in self.msgs.values())
+        return sum(len(ids) for groups in self.msgs.values() for ids in groups.values())
 
     def holds(self, rank: int, msg_id: int) -> bool:
-        per_rank = self.msgs.get(rank)
-        return per_rank is not None and msg_id in per_rank
+        groups = self.msgs.get(rank)
+        return groups is not None and any(msg_id in ids for ids in groups.values())
+
+    def held_messages(self) -> list[tuple[int, int, int]]:
+        """Every held message as ``(rank, id, content)``, sorted by rank, then id."""
+        return sorted(
+            (rank, msg_id, content)
+            for rank, groups in self.msgs.items()
+            for content, ids in groups.items()
+            for msg_id in ids
+        )
+
+    def set_content(self, rank: int, msg_id: int, content: int) -> None:
+        """Hold message ``(rank, msg_id)`` with ``content``, moving it out of
+        its current content class if it is already held."""
+        groups = self.msgs.setdefault(rank, {})
+        for old, ids in groups.items():
+            if msg_id in ids:
+                ids.remove(msg_id)
+                if not ids:
+                    del groups[old]
+                break
+        insort(groups.setdefault(content, []), msg_id)
 
     def clone(self) -> "DCState":
         return DCState(
             signature=self.signature,
             counter=self.counter,
-            msgs={rank: dict(ids) for rank, ids in self.msgs.items()},
+            msgs={
+                rank: {content: list(ids) for content, ids in groups.items()}
+                for rank, groups in self.msgs.items()
+            },
             observations=list(self.observations),
         )
 

@@ -61,8 +61,9 @@ class TestGenerators:
         for agent in config:
             assert agent.sv is not None and agent.sv.dc is not TOP
             dc = agent.sv.dc
-            for msg_id, content in dc.msgs.get(agent.rank, {}).items():
-                assert content == dc.observations[msg_id - 1]
+            for rank, msg_id, content in dc.held_messages():
+                if rank == agent.rank:
+                    assert content == dc.observations[msg_id - 1]
 
     def test_planted_top_count(self, protocol):
         config = planted_top(protocol, make_rng(5), count=3)

@@ -204,13 +204,7 @@ class TestDerandomizedSoundnessBounded:
                 dc_key = (
                     state.dc.signature,
                     state.dc.counter,
-                    tuple(
-                        sorted(
-                            (rank, msg_id, content)
-                            for rank, ids in state.dc.msgs.items()
-                            for msg_id, content in ids.items()
-                        )
-                    ),
+                    tuple(state.dc.held_messages()),
                     tuple(state.dc.observations),
                 )
             return (state.rank, dc_key, state.coin.coin, tuple(state.coin.coins),

@@ -4,7 +4,8 @@ These complement the targeted unit tests by searching the input space for
 violations of the paper's structural invariants:
 
 * ``BalanceLoad`` conserves messages and balances per-(rank, content)
-  holdings (Section 3.1's "the mechanism maintains this invariant");
+  holdings (Section 3.1's "the mechanism maintains this invariant"), and
+  gives each agent what the per-message Protocol 14 would;
 * ``DetectCollision`` never invents or destroys circulating messages;
 * randomly scheduled executions of ``ElectLeader_r`` keep every agent's
   state well-formed (role ↔ sub-state consistency);
@@ -13,6 +14,9 @@ violations of the paper's structural invariants:
 """
 
 from __future__ import annotations
+
+from itertools import chain
+from typing import Sequence
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,15 +34,59 @@ def message_multiset(dcs: list[DCState]) -> dict[tuple[int, int], list[int]]:
     """All circulating (rank, id) → contents across the given DC states."""
     seen: dict[tuple[int, int], list[int]] = {}
     for dc in dcs:
-        for rank, ids in dc.msgs.items():
-            for msg_id, content in ids.items():
-                seen.setdefault((rank, msg_id), []).append(content)
+        for rank, msg_id, content in dc.held_messages():
+            seen.setdefault((rank, msg_id), []).append(content)
     return seen
+
+
+def flat_view(dc: DCState) -> dict[tuple[int, int], int]:
+    """``{(rank, id): content}`` of every message ``dc`` holds."""
+    return {(rank, msg_id): content for rank, msg_id, content in dc.held_messages()}
+
+
+def reference_balance_load(
+    u_flat: dict[tuple[int, int], int],
+    v_flat: dict[tuple[int, int], int],
+    governed_ranks: Sequence[int],
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int]]:
+    """Protocol 14 message by message over flat ``{(rank, id): content}``
+    views, with both running totals counted out: the reference the grouped
+    :func:`balance_load` must agree with.  Returns the two agents' new
+    views, each keyed in the rank order the agent keeps."""
+    u_new: dict[tuple[int, int], int] = {}
+    v_new: dict[tuple[int, int], int] = {}
+    u_total = 0
+    v_total = 0
+    for rank in governed_ranks:
+        by_content: dict[int, list[int]] = {}
+        for (held, msg_id), content in chain(u_flat.items(), v_flat.items()):
+            if held == rank:
+                by_content.setdefault(content, []).append(msg_id)
+        for content in sorted(by_content):
+            ids = sorted(by_content[content])
+            half = len(ids) // 2
+            floor_ids, ceil_ids = ids[:half], ids[half:]
+            if u_total > v_total:
+                take_u, take_v = floor_ids, ceil_ids
+            else:
+                take_u, take_v = ceil_ids, floor_ids
+            for msg_id in take_u:
+                u_new[(rank, msg_id)] = content
+            for msg_id in take_v:
+                v_new[(rank, msg_id)] = content
+            u_total += len(take_u)
+            v_total += len(take_v)
+    return u_new, v_new
 
 
 @st.composite
 def dc_pair(draw):
-    """Two same-group DC states with arbitrary (disjoint) holdings."""
+    """Two same-group DC states with arbitrary (disjoint) holdings.
+
+    Each rank's contents come from a pool of one to nine values, so
+    (rank, content) classes of many messages are common, and either agent
+    may keep an empty entry for a rank it holds nothing of.
+    """
     n, r = 12, 4
     params = ProtocolParams(n=n, r=r)
     partition = RankPartition(n, r)
@@ -52,10 +100,14 @@ def dc_pair(draw):
             st.lists(st.integers(1, total), unique=True, max_size=total)
         )
         owner_bits = draw(st.lists(st.booleans(), min_size=len(ids), max_size=len(ids)))
+        pool = draw(st.lists(st.integers(1, min(sig, 50)), min_size=1, max_size=9, unique=True))
         for msg_id, to_u in zip(ids, owner_bits):
-            content = draw(st.integers(1, min(sig, 50)))
+            content = draw(st.sampled_from(pool))
             target = u if to_u else v
-            target.msgs.setdefault(rank, {})[msg_id] = content
+            target.set_content(rank, msg_id, content)
+        for dc in (u, v):
+            if draw(st.booleans()):
+                dc.msgs.setdefault(rank, {})  # an empty rank entry
     return params, partition, u, v
 
 
@@ -75,12 +127,29 @@ class TestBalanceLoadProperties:
         for rank in partition.group_ranks(0):
             counts_u: dict[int, int] = {}
             counts_v: dict[int, int] = {}
-            for msg_id, content in u.msgs.get(rank, {}).items():
-                counts_u[content] = counts_u.get(content, 0) + 1
-            for msg_id, content in v.msgs.get(rank, {}).items():
-                counts_v[content] = counts_v.get(content, 0) + 1
+            for held, msg_id, content in u.held_messages():
+                if held == rank:
+                    counts_u[content] = counts_u.get(content, 0) + 1
+            for held, msg_id, content in v.held_messages():
+                if held == rank:
+                    counts_v[content] = counts_v.get(content, 0) + 1
             for content in set(counts_u) | set(counts_v):
                 assert abs(counts_u.get(content, 0) - counts_v.get(content, 0)) <= 1
+
+    @given(data=dc_pair())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_message_reference(self, data):
+        """The grouped BalanceLoad gives each agent exactly the messages,
+        and keeps exactly the ranks in the order, that Protocol 14 run
+        message by message does."""
+        params, partition, u, v = data
+        governed = list(partition.group_ranks(0))
+        u_ref, v_ref = reference_balance_load(flat_view(u), flat_view(v), governed)
+        balance_load(u, v, governed)
+        assert flat_view(u) == u_ref
+        assert flat_view(v) == v_ref
+        assert list(u.msgs) == list(dict.fromkeys(rank for rank, _ in u_ref))
+        assert list(v.msgs) == list(dict.fromkeys(rank for rank, _ in v_ref))
 
     @given(data=dc_pair(), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -47,11 +47,13 @@ class TestClones:
         assert original.channel == (1, 2)
 
     def test_dc_clone_deep_copies_messages(self):
-        original = DCState(signature=7, msgs={1: {1: 7, 2: 7}}, observations=[7, 7])
+        original = DCState(signature=7, observations=[7, 7])
+        original.set_content(1, 1, 7)
+        original.set_content(1, 2, 7)
         copy = original.clone()
-        copy.msgs[1][1] = 99
+        copy.set_content(1, 1, 99)
         copy.observations[0] = 99
-        assert original.msgs[1][1] == 7
+        assert original.held_messages() == [(1, 1, 7), (1, 2, 7)]
         assert original.observations[0] == 7
 
     def test_sv_clone_preserves_top(self):
@@ -92,11 +94,14 @@ class TestConsistency:
 
 class TestDCStateHelpers:
     def test_held_count(self):
-        dc = DCState(msgs={1: {1: 5, 2: 5}, 2: {7: 3}})
+        dc = DCState()
+        for rank, msg_id, content in [(1, 1, 5), (1, 2, 5), (2, 7, 3)]:
+            dc.set_content(rank, msg_id, content)
         assert dc.held_count() == 3
 
     def test_holds(self):
-        dc = DCState(msgs={1: {1: 5}})
+        dc = DCState()
+        dc.set_content(1, 1, 5)
         assert dc.holds(1, 1)
         assert not dc.holds(1, 2)
         assert not dc.holds(2, 1)

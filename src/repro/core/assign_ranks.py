@@ -183,9 +183,17 @@ def _sleep(u: ARState, v: ARState, params: ProtocolParams) -> None:
 
 _CHANNEL_PHASES = (ARPhase.SHERIFF, ARPhase.DEPUTY, ARPhase.RECIPIENT, ARPhase.SLEEPER)
 
+#: ``ARPhase.RANKED`` as a global: the enum's class-attribute lookup is
+#: several times slower, and most ranker pairs of a run are ranked.
+_RANKED = ARPhase.RANKED
+
 
 def assign_ranks(u: ARState, v: ARState, params: ProtocolParams, rng: RNG) -> None:
     """Protocol 7: one ``AssignRanks_r`` interaction."""
+    # Two ranked agents are silent (Lemma D.1): no line of Protocol 7
+    # changes them or draws for them.
+    if u.phase is _RANKED and v.phase is _RANKED:
+        return
     if u.in_leader_election or v.in_leader_election:
         _elect_sheriff(u, v, params, rng)
         return

@@ -31,6 +31,13 @@ from repro.core.stable_verify import initial_sv_state, stable_verify
 from repro.core.state import TOP, AgentState
 from repro.scheduler.rng import RNG
 
+#: Roles bound as module globals for :meth:`ElectLeader.transition`: a
+#: ``Role.X`` lookup goes through the enum's metaclass and costs several
+#: global reads, and a ranker pair makes about nine of them.
+_RESETTING = Role.RESETTING
+_RANKING = Role.RANKING
+_VERIFYING = Role.VERIFYING
+
 
 class ElectLeader(RankingProtocol):
     """The complete ``ElectLeader_r`` protocol.
@@ -103,26 +110,43 @@ class ElectLeader(RankingProtocol):
 
     def transition(self, u: AgentState, v: AgentState, rng: RNG) -> None:
         """Protocol 1."""
+        u_role = u.role
+        v_role = v.role
+
+        # Two verifiers run only lines 9-10: lines 1-8 need a resetter or
+        # a ranker.
+        if u_role is _VERIFYING and v_role is _VERIFYING:
+            stable_verify(
+                u, v, self.params, self.partition, rng, self.trigger, self._count_soft_reset
+            )
+            return
+
         params = self.params
 
         # Line 1-2: the reset epidemic, if any resetter is involved.
-        if u.role is Role.RESETTING or v.role is Role.RESETTING:
+        if u_role is _RESETTING or v_role is _RESETTING:
             propagate_reset(u, v, params, self.reset_agent)
+            u_role = u.role
+            v_role = v.role
 
         # Lines 3-5: two rankers execute AssignRanks and tick countdowns.
-        if u.role is Role.RANKING and v.role is Role.RANKING:
+        if u_role is _RANKING and v_role is _RANKING:
             assert u.ar is not None and v.ar is not None
             assign_ranks(u.ar, v.ar, params, rng)
-            u.countdown = max(0, u.countdown - 1)
-            v.countdown = max(0, v.countdown - 1)
+            u.countdown = u.countdown - 1 if u.countdown > 0 else 0
+            v.countdown = v.countdown - 1 if v.countdown > 0 else 0
 
-        # Lines 6-8: rankers become verifiers on timeout or by epidemic.
-        for a, b in ((u, v), (v, u)):
-            if a.role is Role.RANKING and (a.countdown == 0 or b.role is Role.VERIFYING):
-                self.become_verifier(a)
+        # Lines 6-8: rankers become verifiers on timeout or by epidemic;
+        # u goes first, so its conversion converts v in the same step.
+        if u_role is _RANKING and (u.countdown == 0 or v_role is _VERIFYING):
+            self.become_verifier(u)
+            u_role = _VERIFYING
+        if v_role is _RANKING and (v.countdown == 0 or u_role is _VERIFYING):
+            self.become_verifier(v)
+            v_role = _VERIFYING
 
         # Lines 9-10: two verifiers execute StableVerify.
-        if u.role is Role.VERIFYING and v.role is Role.VERIFYING:
+        if u_role is _VERIFYING and v_role is _VERIFYING:
             stable_verify(
                 u, v, params, self.partition, rng, self.trigger, self._count_soft_reset
             )

@@ -78,7 +78,12 @@ class RankPartition:
 
     def same_group(self, rank_a: int, rank_b: int) -> bool:
         """True iff the two ranks fall in the same group (``𝒢`` test, Prot. 3)."""
-        return self.group_of(rank_a) == self.group_of(rank_b)
+        n = self.n
+        if not (0 < rank_a <= n and 0 < rank_b <= n):
+            self._check_rank(rank_a)
+            self._check_rank(rank_b)
+        group_of = self._group_of
+        return group_of[rank_a - 1] == group_of[rank_b - 1]
 
     def sizes(self) -> tuple[int, ...]:
         """All group sizes."""

@@ -38,6 +38,10 @@ from repro.core.roles import Role, generation_ahead, generation_successor
 from repro.core.state import TOP, AgentState, SVState
 from repro.scheduler.rng import RNG
 
+#: ``Role.VERIFYING`` as a global: the enum's class-attribute lookup is
+#: several times slower, and every verifier pair checks it twice.
+_VERIFYING = Role.VERIFYING
+
 #: Callback performing ``TriggerReset`` on an agent (Protocol 5).
 TriggerCallback = Callable[[AgentState], None]
 
@@ -91,23 +95,28 @@ def stable_verify(
     on_soft_reset: SoftResetObserver | None = None,
 ) -> None:
     """Protocol 2: one ``StableVerify_r`` interaction between two verifiers."""
-    if u.role is not Role.VERIFYING or v.role is not Role.VERIFYING:
+    if u.role is not _VERIFYING or v.role is not _VERIFYING:
         raise ValueError("stable_verify requires two verifying agents")
-    assert u.sv is not None and v.sv is not None
+    u_sv = u.sv
+    v_sv = v.sv
+    assert u_sv is not None and v_sv is not None
 
     # Lines 1-2: probation timers tick down on every interaction.
-    u.sv.probation_timer = max(0, u.sv.probation_timer - 1)
-    v.sv.probation_timer = max(0, v.sv.probation_timer - 1)
+    u_sv.probation_timer = u_sv.probation_timer - 1 if u_sv.probation_timer > 0 else 0
+    v_sv.probation_timer = v_sv.probation_timer - 1 if v_sv.probation_timer > 0 else 0
 
-    same_generation = (u.sv.generation % params.generations) == (
-        v.sv.generation % params.generations
-    )
+    generations = params.generations
+    same_generation = u_sv.generation % generations == v_sv.generation % generations
 
     # Lines 3-4: collision detection runs only within a generation.
     if same_generation:
-        u.sv.dc, v.sv.dc = detect_collision(
-            u.rank, u.sv.dc, v.rank, v.sv.dc, params, partition, rng
-        )
+        u_dc = u_sv.dc
+        v_dc = v_sv.dc
+        if u_dc is not TOP and v_dc is not TOP and not partition.same_group(u.rank, v.rank):
+            # Across groups, lines 3-4 are a no-op (Protocol 3, lines
+            # 1-2): no ⊤ reaches lines 5-8, and one generation skips 10-13.
+            return
+        u_sv.dc, v_sv.dc = detect_collision(u.rank, u_dc, v.rank, v_dc, params, partition, rng)
 
     # Lines 5-8: error handling.  This also absorbs adversarially planted ⊤
     # states regardless of the generation comparison.

@@ -6,7 +6,10 @@ the protocol's transition function.  The paper's analysis (Appendix A)
 relies only on this uniformity, e.g. Lemma A.1's concentration of
 per-agent interaction counts.
 
-:class:`RandomScheduler` draws fresh pairs; :class:`RecordedSchedule`
+:class:`RandomScheduler` draws fresh pairs: ``i = randrange(n)`` and
+``j = randrange(n - 1)`` shifted past ``i``, with both ``randrange`` calls
+inlined as the ``getrandbits`` rejection loop behind them — the same
+stream at a fraction of the per-pair cost.  :class:`RecordedSchedule`
 replays a recorded interaction sequence, which the test suite uses to
 verify schedule-determinism of protocols (the transition function is the
 only other source of randomness, and it takes an explicit RNG).
@@ -14,38 +17,59 @@ only other source of randomness, and it takes an explicit RNG).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator
 
 from repro.scheduler.rng import RNG, np_generator
 
 
+def _pair_stream(getrandbits: Callable[[int], int], n: int) -> Iterator[tuple[int, int]]:
+    """Endless uniform ordered pairs of distinct agents out of ``n``.
+
+    ``randrange(m)`` draws ``getrandbits(m.bit_length())`` until the value
+    is below ``m``; this loop does exactly that for ``m = n`` and
+    ``m = n - 1``, so it consumes the generator as ``i = randrange(n)``,
+    ``j = randrange(n - 1)`` would, with the bit counts computed once.
+    """
+    n_minus_1 = n - 1
+    i_bits = n.bit_length()
+    j_bits = n_minus_1.bit_length()
+    while True:
+        i = getrandbits(i_bits)
+        while i >= n:
+            i = getrandbits(i_bits)
+        j = getrandbits(j_bits)
+        while j >= n_minus_1:
+            j = getrandbits(j_bits)
+        if j >= i:
+            j += 1
+        yield i, j
+
+
 class RandomScheduler:
-    """Draws uniformly random ordered pairs of distinct agents."""
+    """Draws uniformly random ordered pairs of distinct agents.
+
+    Every method reads the one pair stream, which draws only on demand,
+    so any mix of :meth:`next_pair`, :meth:`next_pairs` and :meth:`pairs`
+    calls consumes the RNG as the same number of :meth:`next_pair` calls.
+    """
 
     def __init__(self, n: int, rng: RNG):
         if n < 2:
             raise ValueError(f"need at least two agents to interact, got n={n}")
         self.n = n
-        self._rng = rng
+        self._stream = _pair_stream(rng.getrandbits, n)
 
     def next_pair(self) -> tuple[int, int]:
         """One ordered pair ``(i, j)``, ``i != j``, uniform over all such pairs."""
-        rng = self._rng
-        n = self.n
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        return i, j
+        return next(self._stream)
 
     def next_pairs(self, count: int) -> list[tuple[int, int]]:
         """``count`` independent pairs materialized in one call.
 
-        Consumes the RNG stream exactly as ``count`` calls to
-        :meth:`next_pair` would, so batched and stepwise executions of the
-        same seed are bit-identical.  Callers that immediately unpack the
-        pairs should prefer :meth:`pairs`, which draws identically but
-        never holds ``count`` tuples alive at once.
+        Callers that immediately unpack the pairs should prefer
+        :meth:`pairs`, which draws identically but never holds ``count``
+        tuples alive at once.
         """
         if count < 0:
             raise ValueError(f"pair count must be non-negative, got {count}")
@@ -54,21 +78,11 @@ class RandomScheduler:
     def pairs(self, count: int) -> Iterator[tuple[int, int]]:
         """A stream of ``count`` independent pairs (the batch-loop fast path).
 
-        Identical RNG consumption to :meth:`next_pairs`, but each pair is
-        yielded, unpacked, and freed in turn — the simulator's batch loop
-        used to materialize a list of ``count`` tuples per draw only to
-        throw it away.  The hot locals (``randrange``, ``n``) are bound
-        once per stream rather than once per pair.
+        Each pair is drawn, yielded, unpacked, and freed in turn — the
+        simulator's batch loop never materializes a list of ``count``
+        tuples.
         """
-        randrange = self._rng.randrange
-        n = self.n
-        n_minus_1 = n - 1
-        for _ in range(count):
-            i = randrange(n)
-            j = randrange(n_minus_1)
-            if j >= i:
-                j += 1
-            yield i, j
+        return islice(self._stream, count)
 
 
 class ArrayScheduler:

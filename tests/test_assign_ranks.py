@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.core.assign_ranks import (
     AssignRanksProtocol,
+    assign_ranks,
     initial_ar_state,
     rank_from_label,
 )
@@ -239,6 +240,20 @@ class TestSleep:
         protocol.transition(sleeper, recipient, rng)
         assert recipient.phase is ARPhase.SLEEPER
         assert recipient.label == (2, 3)
+
+
+class TestRankedPair:
+    def test_two_ranked_agents_unchanged_and_no_draw(self):
+        """Lemma D.1's silence, one interaction: leftover fields included."""
+        params = ProtocolParams(n=12, r=3)
+        u = ARState(phase=ARPhase.RANKED, rank=4, channel=(1, 2, 3), label=(1, 2))
+        v = ARState(phase=ARPhase.RANKED, rank=9, sleep_timer=5)
+        before = (u.clone(), v.clone())
+        rng = make_rng(3)
+        state = rng.getstate()
+        assign_ranks(u, v, params, rng)
+        assert (u, v) == before
+        assert rng.getstate() == state
 
 
 class TestFullRuns:

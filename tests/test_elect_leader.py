@@ -43,6 +43,31 @@ class TestRoleMachinery:
         # v converts too, by epidemic, in the same interaction (lines 6-8).
         assert v.role is Role.VERIFYING
 
+    def test_responder_expiry_leaves_initiator_ranking(self, small_protocol, rng):
+        """Lines 6-8 check u first: when only v's countdown runs out, u
+        still saw a ranker, so it stays one for this interaction."""
+        u = small_protocol.initial_state()
+        v = small_protocol.initial_state()
+        v.countdown = 1
+        small_protocol.transition(u, v, rng)
+        assert v.role is Role.VERIFYING
+        assert u.role is Role.RANKING
+        assert u.countdown == small_protocol.params.countdown_max - 1
+
+    def test_both_expiries_run_stable_verify_at_once(self, small_protocol, rng):
+        u = small_protocol.initial_state()
+        v = small_protocol.initial_state()
+        assert u.ar is not None and v.ar is not None
+        u.ar.rank = 2  # different groups: no collision to reset on
+        v.ar.rank = 9
+        u.countdown = v.countdown = 1
+        small_protocol.transition(u, v, rng)
+        assert u.role is Role.VERIFYING and v.role is Role.VERIFYING
+        # StableVerify's probation tick shows it ran in this interaction.
+        ticked = small_protocol.params.probation_max - 1
+        assert u.sv is not None and v.sv is not None
+        assert u.sv.probation_timer == ticked and v.sv.probation_timer == ticked
+
     def test_unranked_agents_forced_to_verify_collide_and_reset(self, small_protocol, rng):
         """Two unranked rankers timing out share the default rank 1: the
         collision is genuine and must trigger a hard reset immediately."""

@@ -72,6 +72,15 @@ class TestMembership:
         with pytest.raises(ValueError):
             partition.group_of(11)
 
+    @pytest.mark.parametrize("rank", [0, -1, 11])
+    def test_same_group_rank_out_of_range(self, rank):
+        """Unchecked, rank 0 would read ``_group_of[-1]``: the last group."""
+        partition = RankPartition(10, 4)
+        with pytest.raises(ValueError):
+            partition.same_group(rank, 10)
+        with pytest.raises(ValueError):
+            partition.same_group(10, rank)
+
 
 class TestPaperRequirements:
     """Section 3.3: ⌈n/r⌉ groups with sizes in {⌈r/2⌉, ..., r}."""

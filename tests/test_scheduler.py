@@ -61,6 +61,39 @@ class TestRandomScheduler:
         assert a == b
 
 
+def _randrange_pairs(n: int, seed: int, count: int):
+    """``count`` pairs drawn with ``random.Random.randrange``, and its RNG."""
+    reference = make_rng(seed)
+    pairs = []
+    for _ in range(count):
+        i = reference.randrange(n)
+        j = reference.randrange(n - 1)
+        j += j >= i
+        pairs.append((i, j))
+    return pairs, reference
+
+
+class TestRandrangeStream:
+    """The scheduler inlines ``randrange``'s ``getrandbits`` rejection loop.
+
+    Its pairs and its RNG consumption must equal ``randrange``'s on the
+    running Python, at sizes below, at and above powers of two.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 127, 128, 129, 1000, 1024])
+    def test_pairs_and_next_pair_match_randrange(self, n, seed):
+        count = 500
+        expected, reference = _randrange_pairs(n, seed, count)
+        rng = make_rng(seed)
+        assert list(RandomScheduler(n, rng).pairs(count)) == expected
+        assert rng.getstate() == reference.getstate()
+        rng = make_rng(seed)
+        scheduler = RandomScheduler(n, rng)
+        assert [scheduler.next_pair() for _ in range(count)] == expected
+        assert rng.getstate() == reference.getstate()
+
+
 class TestRecordedSchedule:
     def test_record_and_replay(self):
         schedule = RecordedSchedule.record(5, 20, make_rng(4))

@@ -93,6 +93,31 @@ class TestErrorHandling:
         assert u.sv.generation == 1
         assert u.sv.dc is not TOP
 
+    @pytest.mark.parametrize("holder", [0, 1])
+    def test_planted_top_across_groups_soft_resets_off_probation(self, protocol, holder):
+        """One generation, different groups: DetectCollision is a no-op,
+        but a planted ⊤ still reaches the error handling (lines 5-8)."""
+        pair = [verifier(protocol, 1, generation=2, probation=1),
+                verifier(protocol, 7, generation=2, probation=1)]
+        assert not protocol.partition.same_group(1, 7)
+        pair[holder].sv.dc = TOP
+        run_sv(protocol, *pair)
+        agent, partner = pair[holder], pair[1 - holder]
+        assert agent.role is Role.VERIFYING
+        assert agent.sv.generation == 3
+        assert agent.sv.dc is not TOP
+        assert agent.sv.probation_timer == protocol.params.probation_max
+        assert partner.role is Role.VERIFYING and partner.sv.generation == 2
+
+    @pytest.mark.parametrize("holder", [0, 1])
+    def test_planted_top_across_groups_hard_resets_on_probation(self, protocol, holder):
+        pair = [verifier(protocol, 1, generation=2, probation=100),
+                verifier(protocol, 7, generation=2, probation=100)]
+        pair[holder].sv.dc = TOP
+        run_sv(protocol, *pair)
+        assert pair[holder].role is Role.RESETTING
+        assert pair[1 - holder].role is Role.VERIFYING
+
     def test_ranking_untouched_by_soft_reset(self, protocol):
         u = verifier(protocol, 5, probation=1)
         u.sv.dc = TOP

@@ -232,6 +232,17 @@ class ResetEpidemicProtocol(PopulationProtocol):
           delay to ``D_max`` (if its count just became 0) or ticks it
           down, awakening when the new delay hits 0.
 
+        **How it is filled.**  ``u_out`` / ``v_out`` are allocated once as
+        ``(S, S)`` int32 and each case is written straight into its own
+        region: the awake row and column (code 0), then the resetter ×
+        resetter region one initiator count block at a time (the
+        ``D_max + 1`` rows of count ``c``), so no temporary is larger than
+        one ``(D_max + 1) × S`` block.  Why: at the ``n = 10⁶`` frontier
+        (``S = 1654``) the outputs take 22 MB, and full ``S × S`` case
+        arrays would take several times that — enough to set the run's
+        peak memory — and the table is built once per protocol instance,
+        so once per trial under a process pool.
+
         A regression test checks this table equals the generic builder's
         entry for entry.
         """
@@ -241,11 +252,8 @@ class ResetEpidemicProtocol(PopulationProtocol):
         d_max = self.params.delay_timer_max
         block = d_max + 1
         size = self.num_states()
-        codes = np.arange(size, dtype=np.int64)
-        # Per-code fields: count/delay are -1 for the awake code so the
-        # masks below can treat "awake" uniformly.
-        count = np.where(codes == 0, -1, (codes - 1) // block)
-        delay = np.where(codes == 0, -1, (codes - 1) % block)
+        # Per-code fields of the resetter codes 1..S-1 (code 0 is awake).
+        count, delay = np.divmod(np.arange(size - 1, dtype=np.int32), block)
 
         def resetter(c, d):
             return 1 + c * block + d
@@ -263,49 +271,36 @@ class ResetEpidemicProtocol(PopulationProtocol):
             )
             return np.where(merged > 0, resetter(merged, own_delay), dormant)
 
-        ca, cb = count[:, None], count[None, :]
-        da, db = delay[:, None], delay[None, :]
-        a_code = np.broadcast_to(codes[:, None], (size, size))
-        b_code = np.broadcast_to(codes[None, :], (size, size))
-        a_resets = ca >= 0
-        b_resets = cb >= 0
+        u_out = np.empty((size, size), dtype=np.int32)
+        v_out = np.empty((size, size), dtype=np.int32)
 
-        # Both resetting: counts sync to m, then the dormancy step — which
-        # is *sequential in the pair order*: ``propagate_reset`` finalizes
-        # ``u`` first, so a ``u`` that awakens (its ticked delay hit 0) is
-        # a computing partner by the time ``v`` is processed, and ``v``
-        # awakens in the same interaction; the cascade does not run the
-        # other way.  (Evaluated everywhere; masked in below.)
-        merged = np.maximum(np.maximum(ca - 1, cb - 1), 0)
-        both_u = post_sync(ca, da, merged)
-        both_v = np.where(both_u == 0, 0, post_sync(cb, db, merged))
+        # Awake × awake: no-op.
+        u_out[0, 0] = v_out[0, 0] = 0
 
         # Resetter × awake (either order): dormant resetters awaken on
         # contact with a computing agent; active ones infect it and both
         # sync to c - 1.  The infected partner's count "just became zero"
         # whenever the merged count is 0 (its pre-count was None), so it
         # takes post_sync's refresh branch (own_count=1) at delay D_max.
-        ra_u = np.where(ca == 0, 0, post_sync(ca, da, np.maximum(ca - 1, 0)))
-        ra_v = np.where(
-            ca == 0,
-            0,
-            post_sync(np.ones_like(ca), np.full_like(da, d_max), np.maximum(ca - 1, 0)),
-        )
-        rb_v = np.where(cb == 0, 0, post_sync(cb, db, np.maximum(cb - 1, 0)))
-        rb_u = np.where(
-            cb == 0,
-            0,
-            post_sync(np.ones_like(cb), np.full_like(db, d_max), np.maximum(cb - 1, 0)),
-        )
+        synced = np.maximum(count - 1, 0)
+        own = np.where(count == 0, 0, post_sync(count, delay, synced))
+        infected = np.where(count == 0, 0, post_sync(1, d_max, synced))
+        u_out[1:, 0], v_out[1:, 0] = own, infected
+        u_out[0, 1:], v_out[0, 1:] = infected, own
 
-        u_out = np.where(
-            a_resets & b_resets, both_u,
-            np.where(a_resets, ra_u, np.where(b_resets, rb_u, a_code)),
-        ).astype(np.int32)
-        v_out = np.where(
-            a_resets & b_resets, both_v,
-            np.where(a_resets, ra_v, np.where(b_resets, rb_v, b_code)),
-        ).astype(np.int32)
+        # Both resetting, one initiator count block at a time: counts sync
+        # to m, then the dormancy step — which is *sequential in the pair
+        # order*: ``propagate_reset`` finalizes ``u`` first, so a ``u``
+        # that awakens (its ticked delay hit 0) is a computing partner by
+        # the time ``v`` is processed, and ``v`` awakens in the same
+        # interaction; the cascade does not run the other way.
+        own_delay = np.arange(block, dtype=np.int32)[:, None]
+        for c in range(self.params.reset_count_max + 1):
+            rows = slice(resetter(c, 0), resetter(c + 1, 0))
+            merged = np.maximum(np.maximum(c - 1, count - 1), 0)
+            both_u = post_sync(c, own_delay, merged)
+            u_out[rows, 1:] = both_u
+            v_out[rows, 1:] = np.where(both_u == 0, 0, post_sync(count, delay, merged))
         return TransitionTable(num_states=size, u_out=u_out, v_out=v_out)
 
 

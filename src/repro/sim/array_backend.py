@@ -148,6 +148,38 @@ class TransitionTable:
         return self.u_out.ravel(), self.v_out.ravel()
 
 
+def table_size_problem(protocol: PopulationProtocol) -> Optional[str]:
+    """Why ``protocol`` gets no dense transition table, or ``None``.
+
+    The one capability rule of the table engines: a finite encoding of at
+    least one state whose ``S × S`` table fits :data:`MAX_TABLE_ENTRIES`.
+    The registry's ``supports`` hook reports it, and every table build
+    enforces it (:func:`_require_table_size`) — closed forms included.
+    """
+    size = protocol.num_states()
+    if size is None:
+        return (
+            "it has no finite state encoding (num_states() is None); "
+            "use backend='object'"
+        )
+    if size < 1:
+        return f"num_states() must be >= 1, got {size}"
+    if size * size > MAX_TABLE_ENTRIES:
+        return (
+            f"its {size}x{size} transition table exceeds the "
+            f"{MAX_TABLE_ENTRIES}-entry cap"
+        )
+    return None
+
+
+def _require_table_size(protocol: PopulationProtocol) -> int:
+    """``num_states()``, or :class:`ArrayBackendError` by :func:`table_size_problem`."""
+    problem = table_size_problem(protocol)
+    if problem is not None:
+        raise ArrayBackendError(f"protocol '{protocol.name}' cannot be tabulated: {problem}")
+    return protocol.num_states()
+
+
 def build_transition_table(protocol: PopulationProtocol) -> TransitionTable:
     """Generic table builder: enumerate all ``S × S`` pairs through δ.
 
@@ -160,20 +192,7 @@ def build_transition_table(protocol: PopulationProtocol) -> TransitionTable:
     form instead.
     """
     np = require_numpy()
-    size = protocol.num_states()
-    if size is None:
-        raise ArrayBackendError(
-            f"protocol '{protocol.name}' has no finite state encoding "
-            "(num_states() is None), so it cannot run on the array backend; "
-            "use backend='object'"
-        )
-    if size < 1:
-        raise ArrayBackendError(f"num_states() must be >= 1, got {size}")
-    if size * size > MAX_TABLE_ENTRIES:
-        raise ArrayBackendError(
-            f"protocol '{protocol.name}' has {size} states; its dense "
-            f"{size}x{size} table exceeds the {MAX_TABLE_ENTRIES}-entry cap"
-        )
+    size = _require_table_size(protocol)
     u_out = np.empty((size, size), dtype=np.int32)
     v_out = np.empty((size, size), dtype=np.int32)
     rng = _TableRNG()
@@ -198,9 +217,14 @@ _TABLE_CACHE: "WeakKeyDictionary[PopulationProtocol, TransitionTable]" = WeakKey
 
 
 def transition_table_for(protocol: PopulationProtocol) -> TransitionTable:
-    """The protocol's transition table, built at most once per instance."""
+    """The protocol's transition table, built at most once per instance.
+
+    Every table engine gets its table here, so the size cap is checked
+    here, before a closed-form :meth:`transition_table` allocates anything.
+    """
     table = _TABLE_CACHE.get(protocol)
     if table is None:
+        _require_table_size(protocol)
         table = protocol.transition_table()
         _TABLE_CACHE[protocol] = table
     return table

@@ -267,20 +267,9 @@ def _object_supports(protocol: PopulationProtocol) -> Optional[str]:
 
 def _finite_state_supports(protocol: PopulationProtocol) -> Optional[str]:
     """Shared capability check of the table-driven engines."""
-    from repro.sim.array_backend import MAX_TABLE_ENTRIES
+    from repro.sim.array_backend import table_size_problem
 
-    size = protocol.num_states()
-    if size is None:
-        return (
-            "it has no finite state encoding (num_states() is None); "
-            f"use backend='{BACKEND_OBJECT}'"
-        )
-    if size * size > MAX_TABLE_ENTRIES:
-        return (
-            f"its {size}x{size} transition table exceeds the "
-            f"{MAX_TABLE_ENTRIES}-entry cap"
-        )
-    return None
+    return table_size_problem(protocol)
 
 
 def _array_factory(

@@ -49,7 +49,11 @@ from repro.sim.array_backend import (  # noqa: E402
     replay_array,
     transition_table_for,
 )
-from repro.sim.backends import make_simulation, resolve_backend  # noqa: E402
+from repro.sim.backends import (  # noqa: E402
+    make_simulation,
+    resolve_backend,
+    supports_backend,
+)
 from repro.sim.replay import replay  # noqa: E402
 from repro.sim.simulation import run_until  # noqa: E402
 from repro.sim.sweep import GridSpec, SweepError, run_sweep  # noqa: E402
@@ -155,6 +159,22 @@ class _HugeToy(_RandomizedToy):
         return 1 << 20
 
 
+class _OverCapToy(_RandomizedToy):
+    """Over the table cap, with a closed form that records each build."""
+
+    name = "over-cap-toy"
+
+    def __init__(self):
+        self.builds = 0
+
+    def num_states(self):
+        return 1 << 13
+
+    def transition_table(self):
+        self.builds += 1
+        return super().transition_table()
+
+
 class TestTableBuilder:
     @settings(max_examples=120, deadline=None)
     @given(data=st.data())
@@ -182,6 +202,25 @@ class TestTableBuilder:
     def test_oversized_table_rejected(self):
         with pytest.raises(ArrayBackendError, match="cap"):
             build_transition_table(_HugeToy())
+
+    @pytest.mark.parametrize("backend", ["array", "counts", "batch"])
+    def test_cap_checked_before_a_closed_form_runs(self, backend):
+        # The engines take their tables from transition_table_for, which
+        # must refuse an over-cap protocol before its closed form can
+        # allocate the S × S outputs — with the registry's own reason.
+        protocol = _OverCapToy()
+        with pytest.raises(ArrayBackendError, match="cap") as error:
+            make_simulation(protocol, n=4, backend=backend)
+        assert protocol.builds == 0
+        assert supports_backend(protocol, backend) in str(error.value)
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 64])
+    def test_ciw_closed_form_matches_generic_builder(self, n):
+        protocol = CaiIzumiWada(BaselineParams(n=n))
+        closed = protocol.transition_table()
+        generic = build_transition_table(protocol)
+        assert np.array_equal(closed.u_out, generic.u_out)
+        assert np.array_equal(closed.v_out, generic.v_out)
 
     def test_elect_leader_rejected(self):
         protocol = ElectLeader(ProtocolParams(n=16, r=2))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import pytest
 
 from repro.core.elect_leader import ElectLeader
@@ -166,22 +169,40 @@ class TestClosedFormTable:
         from repro.core.propagate_reset import ResetEpidemicProtocol
         from repro.sim.array_backend import build_transition_table
 
-        for n in (8, 64, 512):
-            protocol = ResetEpidemicProtocol(ProtocolParams(n=n, r=1))
+        cases = [ProtocolParams(n=n, r=1) for n in (8, 64, 512)] + [
+            # R_max = D_max = 2, the floors.
+            ProtocolParams(n=8, r=1, c_reset=0.1, c_delay=0.1),
+            # R_max = 17 > D_max = 5: more count blocks than rows per block.
+            ProtocolParams(n=64, r=1, c_reset=4.0, c_delay=1.0),
+        ]
+        for params in cases:
+            protocol = ResetEpidemicProtocol(params)
             closed = protocol.transition_table()
             generic = build_transition_table(protocol)
-            assert numpy.array_equal(closed.u_out, generic.u_out), n
-            assert numpy.array_equal(closed.v_out, generic.v_out), n
+            assert numpy.array_equal(closed.u_out, generic.u_out), params
+            assert numpy.array_equal(closed.v_out, generic.v_out), params
 
     def test_closed_form_builds_at_the_frontier(self):
         pytest.importorskip("numpy")
         from repro.core.propagate_reset import ResetEpidemicProtocol
 
-        # The generic builder needs S² ≈ 2.7M Python δ calls here; the
-        # closed form must stay cheap enough to build per trial.
+        # The generic builder needs S² ≈ 2.7M Python δ calls here, too
+        # slow to compare against, so the table is pinned by its hash.
         protocol = ResetEpidemicProtocol(ProtocolParams(n=1_000_000, r=1))
-        table = protocol.transition_table()
-        assert table.num_states == protocol.num_states()
+        tracemalloc.start()
+        try:
+            table = protocol.transition_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.num_states == protocol.num_states() == 1654
+        digest = hashlib.sha256(table.u_out.tobytes() + table.v_out.tobytes())
+        assert digest.hexdigest() == (
+            "5bd2c1d4fc39ae1e2d1a774f1d303fb8fe99e62034e59ad3485a65a5948191ce"
+        )
+        # Filled in count blocks: no S × S temporary beside the outputs
+        # (numpy reports its buffers to tracemalloc).
+        assert peak <= 1.5 * (table.u_out.nbytes + table.v_out.nbytes)
         # Spot-check the awakening epidemic entry: dormant meets awake.
         dormant = protocol.encode_state(protocol.decode_state(1))  # r(0, 0)
         assert table.lookup(dormant, 0) == (0, 0)

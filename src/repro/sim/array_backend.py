@@ -53,8 +53,9 @@ module without it succeeds, and every entry point raises a clear
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 from weakref import WeakKeyDictionary
 
 from repro.core.protocol import PopulationProtocol
@@ -490,6 +491,9 @@ class ArraySimulation(_Engine):
     def config(self) -> list[Any]:
         """The current configuration as fresh decoded state objects."""
         return decode_configuration(self.protocol, self.codes)
+
+    def _config_snapshot(self) -> Callable[[], list[Any]]:
+        return functools.partial(decode_configuration, self.protocol, self.codes.copy())
 
     def run_batch(self, count: int) -> None:
         """Run ``count`` interactions through the vectorized path."""

@@ -62,6 +62,11 @@ rows stepping:
   own ``marginals`` decomposition), and the pairing either by pair-type
   counts or by a segmented shuffle (see :meth:`CountsSimulation._step_rows`).
   It costs ``S - 1`` generator calls per step, whatever the number of rows.
+  On the pair-type path a step may instead *jump*: a row that expects
+  fewer than one count change per run (near the start or the end of an
+  epidemic) draws the geometric number of null interactions up to the
+  next effectful one and applies that one pair — Gillespie's idea on the
+  discrete-time chain, still the exact law.
 
 Rows share one PCG64 stream seeded ``derive_seed(seed, 0)`` and consume
 disjoint draws, so rows are mutually independent and each is
@@ -476,6 +481,10 @@ class CountsSimulation(_Engine):
     def config(self) -> list[Any]:
         """The one row's configuration as decoded state objects (shared per code)."""
         return configuration_from_counts(self.protocol, self._one_row())
+
+    def _config_snapshot(self) -> Callable[[], list[Any]]:
+        row = self._one_row().copy()
+        return functools.partial(configuration_from_counts, self.protocol, row)
 
     def fault_events(self, row: int = 0) -> list[FaultEvent]:
         """Row ``row``'s fired bursts from the last driven row workload."""
@@ -935,14 +944,23 @@ class CountsSimulation(_Engine):
 
     def _step_rows(self, rows, amounts) -> None:
         """Run ``amounts[i]`` interactions on each row of ``rows``, in
-        lockstep collision-free runs; rows leave the stepping set as
-        their budget empties (the straggler-retirement hot loop).
+        lockstep steps; rows leave the stepping set as their budget
+        empties (the straggler-retirement hot loop).
 
-        Per iteration, for the R still-stepping rows: one run-length
-        block draw, one row-wise hypergeometric sample of the ``2k``
-        agents' states, the uniform pairing of those agents, one
-        aggregate delta — and a vectorized collision interaction for
-        every row whose run completed inside its budget.
+        Each iteration gives every still-stepping row one step of one of
+        two kinds.  On the matching path (below) a row that expects fewer
+        than one count change per collision-free run takes a *jump step*
+        (:meth:`_jump_rows`): it skips straight over the null
+        interactions to the next effectful one.  Every other row takes a
+        *run step* (:meth:`_run_rows`).  Which kind a row takes depends
+        only on its counts, so by the Markov property the mixture samples
+        the same law as runs alone.
+
+        A run step, for the R rows taking one: one run-length block draw,
+        one row-wise hypergeometric sample of the ``2k`` agents' states,
+        the uniform pairing of those agents, one aggregate delta — and a
+        vectorized collision interaction for every row whose run
+        completed inside its budget.
 
         The pairing has two law-identical implementations.  A uniform
         shuffle of the ``2k``-agent multiset decomposes exactly: the
@@ -955,69 +973,148 @@ class CountsSimulation(_Engine):
         calls per step, independent of the run length, so it is used
         whenever ``S(S-1) ≤ √n``; wider protocols keep the explicit
         multiset materialization + segmented-shuffle path (``O(R·√n)``
-        elements but only a dozen numpy calls).
+        elements but only a dozen numpy calls), and never jump.
         """
+        np = self._np
+        idx = np.asarray(rows, dtype=np.int64)
+        remaining = np.array(amounts, dtype=np.int64)
+        while idx.size:
+            run = self._jump_rows(idx, remaining) if self._matching else None
+            if run is None:
+                remaining = self._run_rows(idx, remaining)
+            elif run.any():
+                remaining[run] = self._run_rows(idx[run], remaining[run])
+            keep = remaining > 0
+            if not keep.all():
+                idx = idx[keep]
+                remaining = remaining[keep]
+
+    def _jump_rows(self, idx, remaining):
+        """One jump step for each row of ``idx`` that expects fewer than
+        one count change per run; returns the mask of the rows that take a
+        run step instead, or ``None`` when that is every row.
+
+        A row's effectful weight ``W = Σ c_a·(c_b - [a = b])`` over the
+        ordered pairs whose interaction changes the counts is the number
+        of ordered agent pairs that change them, so each interaction is
+        effectful with probability ``W / n(n-1)``, independently.  A row
+        with ``W·E[L] < n(n-1)`` (``E[L]`` the mean run length) jumps: it
+        draws the number of interactions up to and including the next
+        effectful one, ``τ ~ Geometric(W / n(n-1))``, and if ``τ`` fits
+        its budget applies one effectful pair, drawn in proportion to its
+        weight by one integer in ``[0, W)``, and advances ``τ``.  A row
+        whose ``τ`` overruns its budget ends the slice unchanged (the
+        geometric is memoryless, so restarting next slice is exact), and
+        a row with ``W = 0`` ends it without drawing at all.
+        ``remaining`` is updated in place for the rows that jumped.
+        """
+        np = self._np
+        rng = self._generator
+        timings = self._timings
+        start = perf_counter() if timings is not None else 0.0
+        initiators, responders, diagonal, deltas, mean_run = self._jump_pairs
+        sub = self._matrix[idx]
+        weights = sub[:, initiators] * (sub[:, responders] - diagonal)
+        total = weights.sum(axis=1)
+        pairs = self.n * (self.n - 1)
+        jump = total * mean_run < pairs
+        if not jump.any():
+            if timings is not None:
+                timings["draw"] += perf_counter() - start
+            return None
+        rows = jump.nonzero()[0]
+        # Empty draws consume nothing, so W = 0 rows leave the stream alone.
+        hit = rows[total[rows] > 0]
+        tau = rng.geometric(total[hit] / pairs)
+        fits = tau <= remaining[hit]
+        hit, tau = hit[fits], tau[fits]
+        pick = self._draw_state_rows(weights[hit], total[hit])
+        if timings is not None:
+            drawn = perf_counter()
+            timings["draw"] += drawn - start
+        left = remaining[hit] - tau
+        remaining[rows] = 0
+        remaining[hit] = left
+        self._matrix[idx[hit]] += deltas[pick]
+        if timings is not None:
+            timings["apply"] += perf_counter() - drawn
+        return ~jump
+
+    @functools.cached_property
+    def _jump_pairs(self):
+        """The jump step's tables, built on the first matching step: the
+        ordered pairs ``(a, b)`` whose row of :attr:`_pair_delta` is
+        nonzero, as initiator codes, responder codes and ``[a = b]``
+        flags, those rows of the delta, and the mean run length
+        ``E[L] = Σ P(L ≥ t)``."""
+        np = self._np
+        delta = self._pair_delta
+        effectful = delta.any(axis=1).nonzero()[0]
+        initiators, responders = np.divmod(effectful, self.num_states)
+        diagonal = (initiators == responders).astype(np.int64)
+        return (
+            initiators, responders, diagonal, delta[effectful],
+            float(self._runs.survival.sum()),
+        )
+
+    def _run_rows(self, idx, remaining):
+        """One lockstep run step for each row of ``idx``; returns the
+        rows' budgets left (see :meth:`_step_rows`)."""
         np = self._np
         rng = self._generator
         size = self.num_states
         counts = self._matrix
         u_flat, v_flat = self.table.flat
         timings = self._timings
-        idx = np.asarray(rows, dtype=np.int64)
-        remaining = np.asarray(amounts, dtype=np.int64)
-        while idx.size:
-            start = perf_counter() if timings is not None else 0.0
-            lengths = self._runs.next_run_lengths(int(idx.size))
-            k = np.minimum(lengths, remaining)
-            collide = (remaining > k) & (k == lengths)
-            two_k = 2 * k
-            sub = counts[idx]  # (R, S) snapshot of the pre-run counts
-            sample = self._sample_rows(sub, two_k)
-            live = int(idx.size)
+        start = perf_counter() if timings is not None else 0.0
+        lengths = self._runs.next_run_lengths(int(idx.size))
+        k = np.minimum(lengths, remaining)
+        collide = (remaining > k) & (k == lengths)
+        two_k = 2 * k
+        sub = counts[idx]  # (R, S) snapshot of the pre-run counts
+        sample = self._sample_rows(sub, two_k)
+        live = int(idx.size)
+        if timings is not None:
+            drawn = perf_counter()
+            timings["draw"] += drawn - start
+        if self._matching:
+            # Run applied by pair-type counts: no per-agent arrays.
+            initiators = self._sample_rows(sample, k)
+            matched = self._match_rows(initiators, sample - initiators)
             if timings is not None:
-                drawn = perf_counter()
-                timings["draw"] += drawn - start
-            if self._matching:
-                # Run applied by pair-type counts: no per-agent arrays.
-                initiators = self._sample_rows(sample, k)
-                matched = self._match_rows(initiators, sample - initiators)
-                if timings is not None:
-                    paired = perf_counter()
-                    timings["match"] += paired - drawn
-                counts[idx] += matched.reshape(live, size * size) @ self._pair_delta
-            else:
-                # Pair the drawn states with one segmented shuffle: random
-                # keys offset by the local row index sort row-major with a
-                # uniform order inside each row; segments have even length,
-                # so the global even/odd split never pairs across rows.
-                flat_codes = np.repeat(np.tile(self._codes, live), sample.reshape(-1))
-                row_local = np.repeat(np.arange(live, dtype=np.int64), two_k)
-                order = np.argsort(row_local + rng.random(flat_codes.size))
-                shuffled = flat_codes[order]
-                initiators = shuffled[0::2]
-                responders = shuffled[1::2]
-                pair_rows = np.repeat(np.arange(live, dtype=np.int64), k)
-                pair_index = initiators * size + responders
-                if timings is not None:
-                    paired = perf_counter()
-                    timings["match"] += paired - drawn
-                outputs = np.concatenate(
-                    (u_flat.take(pair_index), v_flat.take(pair_index))
-                )
-                out_rows = np.concatenate((pair_rows, pair_rows))
-                delta = np.bincount(out_rows * size + outputs, minlength=live * size)
-                delta -= np.bincount(row_local * size + flat_codes, minlength=live * size)
-                counts[idx] += delta.reshape(live, size)
-            remaining = remaining - k
-            if collide.any():
-                self._collision_rows(idx[collide], sub[collide] - sample[collide])
-                remaining[collide] -= 1
+                paired = perf_counter()
+                timings["match"] += paired - drawn
+            counts[idx] += matched.reshape(live, size * size) @ self._pair_delta
+        else:
+            # Pair the drawn states with one segmented shuffle: random
+            # keys offset by the local row index sort row-major with a
+            # uniform order inside each row; segments have even length,
+            # so the global even/odd split never pairs across rows.
+            flat_codes = np.repeat(np.tile(self._codes, live), sample.reshape(-1))
+            row_local = np.repeat(np.arange(live, dtype=np.int64), two_k)
+            order = np.argsort(row_local + rng.random(flat_codes.size))
+            shuffled = flat_codes[order]
+            initiators = shuffled[0::2]
+            responders = shuffled[1::2]
+            pair_rows = np.repeat(np.arange(live, dtype=np.int64), k)
+            pair_index = initiators * size + responders
             if timings is not None:
-                timings["apply"] += perf_counter() - paired
-            keep = remaining > 0
-            if not keep.all():
-                idx = idx[keep]
-                remaining = remaining[keep]
+                paired = perf_counter()
+                timings["match"] += paired - drawn
+            outputs = np.concatenate(
+                (u_flat.take(pair_index), v_flat.take(pair_index))
+            )
+            out_rows = np.concatenate((pair_rows, pair_rows))
+            delta = np.bincount(out_rows * size + outputs, minlength=live * size)
+            delta -= np.bincount(row_local * size + flat_codes, minlength=live * size)
+            counts[idx] += delta.reshape(live, size)
+        remaining = remaining - k
+        if collide.any():
+            self._collision_rows(idx[collide], sub[collide] - sample[collide])
+            remaining[collide] -= 1
+        if timings is not None:
+            timings["apply"] += perf_counter() - paired
+        return remaining
 
     @functools.cached_property
     def _pair_delta(self):
@@ -1129,7 +1226,8 @@ class CountsSimulation(_Engine):
         )
 
     def _draw_state_rows(self, pools, totals):
-        """Row-wise: the state of one agent drawn uniformly from each pool."""
+        """Row-wise: the state of one agent drawn uniformly from each pool
+        (an index drawn in proportion to each row's weights)."""
         np = self._np
         x = self._generator.integers(0, totals)
         return (pools.cumsum(axis=1) <= x[:, None]).sum(axis=1).astype(np.int64)

@@ -24,7 +24,11 @@ by inverse transform on the same survival curve, compositions by the
 same conditional hypergeometric chain (the scalar hypergeometric is a
 mode-centered two-sided inversion over the exact pmf recurrences),
 matching by the same Fisher-MVH chain, collisions by the same
-``U(U-1) : U·A : A·U`` category weights.  Streams differ, bits differ;
+``U(U-1) : U·A : A·U`` category weights.  Steps are of the same kind
+too: where the numpy engine pairs by type counts (``S(S-1) ≤ √n``), a
+row that expects fewer than one count change per run takes a jump step
+— a geometric wait by inversion, then one effectful pair drawn in
+proportion to its weight.  Streams differ, bits differ;
 distributions do not — ``batch-jit`` vs ``batch`` is *law-exact, not
 bit-exact* (gated by Monte-Carlo marginals + KS in
 ``tests/test_kernels.py`` and benchmark E24).  Only the lockstep
@@ -336,6 +340,45 @@ def _k_collision(counts_row, avail, key, ctr, n, u_out, v_out):
     return ctr
 
 
+def _k_jump(
+    counts_row, initiators, responders, weights, mean_run, n, u_out, v_out, key, ctr, rem,
+):
+    """One jump step — the scalar twin of
+    :meth:`~repro.sim.counts_backend.CountsSimulation._jump_rows` — if the
+    row expects fewer than one count change per run (``W·E[L] <
+    n(n-1)``).  ``initiators``/``responders`` list the ordered pairs whose
+    interaction changes the counts, and ``weights`` is scratch for their
+    ``c_a·(c_b - [a = b])``.  Returns ``(jumped, budget left, counter)``;
+    a row with ``W = 0``, or whose ``τ`` overruns the budget, ends its
+    slice unchanged."""
+    weight = 0
+    for p in range(initiators.shape[0]):
+        a = initiators[p]
+        b = responders[p]
+        weights[p] = counts_row[a] * (counts_row[b] - (1 if a == b else 0))
+        weight += weights[p]
+    pairs = n * (n - 1)
+    if weight * mean_run >= pairs:
+        return False, rem, ctr
+    if weight == 0:
+        return True, 0, ctr
+    # τ - 1 = ⌊log(1 - u) / log(1 - p)⌋ is Geometric(p) on {1, 2, …} by
+    # inversion; the ratio is compared before it is floored, so a huge τ
+    # never overflows.
+    u, ctr = _k_next(key, ctr)
+    skipped = math.log1p(-u) / math.log1p(-weight / pairs)
+    if skipped >= rem:
+        return True, 0, ctr
+    pick, ctr = _k_draw_state(key, ctr, weights, weight)
+    a = initiators[pick]
+    b = responders[pick]
+    counts_row[a] -= 1
+    counts_row[b] -= 1
+    counts_row[u_out[a, b]] += 1
+    counts_row[v_out[a, b]] += 1
+    return True, rem - int(skipped) - 1, ctr
+
+
 def _k_silent_rows(matrix, rows, effectful, out):
     """Per-row silence scan against the effectful-pair mask — the same
     verdicts as :func:`~repro.sim.counts_backend.counts_are_silent`,
@@ -368,12 +411,17 @@ def _k_silent_rows(matrix, rows, effectful, out):
 # ---------------------------------------------------------------------------
 
 
-def _k_run_rows(counts, rows, amounts, neg_survival, u_out, v_out, keys, counters, n):
+def _k_run_rows(
+    counts, rows, amounts, neg_survival, u_out, v_out, keys, counters, n,
+    jump, jump_initiators, jump_responders, mean_run,
+):
     """Advance each row of ``rows`` through ``amounts[r]`` interactions.
 
     The whole budget slice of every row runs inside this one kernel —
     run-length draw, composition chain, matching chain, apply, collision
-    — a scalar loop per row on that row's counter-based stream.
+    — a scalar loop per row on that row's counter-based stream.  With
+    ``jump`` on (the numpy engine's matching path), each step is a jump
+    step (:func:`_k_jump`) whenever the row qualifies for one.
     """
     size = counts.shape[1]
     sample = np.empty(size, dtype=np.int64)
@@ -381,12 +429,20 @@ def _k_run_rows(counts, rows, amounts, neg_survival, u_out, v_out, keys, counter
     responders = np.empty(size, dtype=np.int64)
     matched = np.empty((size, size), dtype=np.int64)
     avail = np.empty(size, dtype=np.int64)
+    jump_weights = np.empty(jump_initiators.shape[0], dtype=np.int64)
     for r in range(rows.shape[0]):
         row = rows[r]
         key = keys[row]
         ctr = counters[row]
         rem = amounts[r]
         while rem > 0:
+            if jump:
+                jumped, rem, ctr = _k_jump(
+                    counts[row], jump_initiators, jump_responders, jump_weights,
+                    mean_run, n, u_out, v_out, key, ctr, rem,
+                )
+                if jumped:
+                    continue
             length, ctr = _k_run_length(key, ctr, neg_survival)
             k = length if length < rem else rem
             collide = (rem > k) and (k == length)
@@ -416,6 +472,7 @@ if _numba is not None:  # compile in dependency order (globals resolve at compil
     _k_apply_matched = _numba.njit(_k_apply_matched)
     _k_draw_state = _numba.njit(_k_draw_state)
     _k_collision = _numba.njit(_k_collision)
+    _k_jump = _numba.njit(_k_jump)
     _k_silent_rows = _numba.njit(_k_silent_rows)
     _k_run_rows = _numba.njit(_k_run_rows)
 
@@ -467,10 +524,16 @@ class JitBatchCountsEngine(BatchCountsEngine):
         amt = np_mod.asarray(amounts, dtype=np_mod.int64)
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
+        if self._matching:
+            initiators, responders, _, _, mean_run = self._jump_pairs
+        else:
+            initiators = responders = np_mod.empty(0, dtype=np_mod.int64)
+            mean_run = 0.0
         with overflow_guard():
             _k_run_rows(
                 self._matrix, idx, amt, self._neg_survival,
                 self._u_out, self._v_out, self._keys, self._counters, self.n,
+                self._matching, initiators, responders, mean_run,
             )
         if timings is not None:
             timings["apply"] += perf_counter() - start

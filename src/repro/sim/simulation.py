@@ -19,7 +19,8 @@ defined here, and defines only its constructor, ``run_batch``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from repro.core.protocol import PopulationProtocol
@@ -40,13 +41,25 @@ Observer = Callable[["Simulation", int, int], None]
 
 @dataclass
 class SimulationResult:
-    """Outcome of :meth:`Simulation.run_until` / :func:`run_until`."""
+    """Outcome of :meth:`Simulation.run_until` / :func:`run_until`.
+
+    ``snapshot`` decodes the configuration captured at return, kept in
+    the engine's own form: the object engine's live list, or a copy of a
+    counts row or of an array engine's codes.  :attr:`config` calls it on
+    first read, so a caller that reads only the verdict and the counters
+    never builds an ``n``-agent list.
+    """
 
     converged: bool
     interactions: int
     parallel_time: float
     metrics: Metrics
-    config: list[Any]
+    snapshot: Callable[[], list[Any]] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def config(self) -> list[Any]:
+        """The configuration at return, decoded on first read."""
+        return self.snapshot()
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.converged
@@ -132,8 +145,15 @@ class _Engine:
             interactions=self.metrics.interactions,
             parallel_time=self.metrics.parallel_time,
             metrics=self.metrics,
-            config=self.config,
+            snapshot=self._config_snapshot(),
         )
+
+    def _config_snapshot(self) -> Callable[[], list[Any]]:
+        """The configuration now, as a thunk that decodes it; engines
+        whose ``config`` is built on each read override this to copy
+        their own representation instead."""
+        config = self.config
+        return lambda: config
 
 
 class Simulation(_Engine):

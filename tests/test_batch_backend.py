@@ -388,6 +388,8 @@ class TestRowLaw:
     def test_lockstep_rows_match_the_pair_oracle(self):
         # The two-way epidemic mid-spread: the number infected after 150
         # interactions at n=64 (about 25 collision-free runs per row).
+        # Rows jump while few agents are infected and take run steps
+        # after, so the one slice crosses both step kinds.
         protocol = EpidemicProtocol()
         init, budget, rows = seeded_counts(64), 150, 300
         engine = BatchCountsEngine(protocol, init=Replicated(init, rows), seed=1)

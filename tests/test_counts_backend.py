@@ -18,7 +18,10 @@ the abstraction ladder (counts instead of per-agent codes):
 * **exact small-``n`` law** — the per-row sampler's counts after two or
   three interactions at ``n = 4–6`` match the law enumerated over every
   ordered agent-pair sequence (chi-square), collision categories and
-  initiator/responder roles included;
+  initiator/responder roles included, and so do the lockstep sampler's
+  jump steps; rows with nothing left to change draw nothing;
+* **result snapshots** — ``run_until`` never expands a configuration
+  nobody reads, and a late read still sees the configuration at return;
 * **three-way distribution equivalence** — object, array and counts
   backends reach the same convergence verdicts with overlapping
   bootstrap CIs for median stabilization interactions;
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -73,7 +77,12 @@ from repro.sim.counts_backend import (  # noqa: E402
     counts_from_configuration,
     goal_counts_predicate,
 )
-from repro.sim.initial_state import CodeArray, CountVector, ObjectConfig  # noqa: E402
+from repro.sim.initial_state import (  # noqa: E402
+    CodeArray,
+    CountVector,
+    ObjectConfig,
+    Replicated,
+)
 from repro.sim.trials import run_trials  # noqa: E402
 from repro.substrates.epidemics import (  # noqa: E402
     EpidemicProtocol,
@@ -554,6 +563,107 @@ class TestExactSmallLaw:
             observed[tuple(codes.repeat(row).tolist())] += 1
         assert set(observed) <= set(law), "sampled an outcome no agent sequence reaches"
         assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
+
+
+def _jump_law_cases():
+    # PairwiseElimination codes: 0 = follower, 1 = leader.
+    return [
+        pytest.param(OneWayEpidemicProtocol(), [1, 0, 0, 0], 3, id="one-way-n4"),
+        pytest.param(OneWayEpidemicProtocol(), [1, 0, 0, 0, 0], 3, id="one-way-n5"),
+        pytest.param(OneWayEpidemicProtocol(), [1, 1, 0, 0, 0, 0], 2, id="one-way-n6"),
+        pytest.param(EpidemicProtocol(), [1, 0, 0, 0, 0, 0], 3, id="two-way-n6"),
+        pytest.param(PairwiseElimination(5), [0, 0, 0, 1, 1], 3, id="pairwise-n5"),
+    ]
+
+
+class TestJumpStepLaw:
+    """The lockstep sampler's jump step matches the agent-level law.
+
+    One ``_step_rows`` call advances ``LAW_DRAWS`` rows from the same
+    start.  At ``n = 4–6`` a collision-free run is expected to change
+    fewer than one pair, so the rows take jump steps.  The one-way
+    epidemic tells initiator from responder, and pairwise elimination's
+    one effectful pair is diagonal (two leaders meet), which only the
+    ``c_a·(c_b - 1)`` weight counts right.
+    """
+
+    @pytest.mark.parametrize("protocol, start, steps", _jump_law_cases())
+    def test_jump_steps_match_the_enumerated_law(self, protocol, start, steps, monkeypatch):
+        law = _agent_level_law(protocol, start, steps)
+        size = protocol.num_states()
+        initial = np.bincount(start, minlength=size)
+        engine = CountsSimulation(
+            protocol, init=Replicated(CountVector(initial), LAW_DRAWS), seed=1
+        )
+        assert engine._matching and engine._lockstep(LAW_DRAWS)
+        jumped = []
+        jump_rows = engine._jump_rows
+
+        def counted(idx, remaining):
+            run = jump_rows(idx, remaining)
+            jumped.append(0 if run is None else int(idx.size - run.sum()))
+            return run
+
+        monkeypatch.setattr(engine, "_jump_rows", counted)
+        engine._step_rows(range(LAW_DRAWS), [steps] * LAW_DRAWS)
+        assert jumped[0] == LAW_DRAWS, "every row's first step is a jump"
+        codes = np.arange(size)
+        observed = Counter(tuple(codes.repeat(row).tolist()) for row in engine.counts)
+        assert set(observed) <= set(law), "sampled an outcome no agent sequence reaches"
+        assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
+
+    @pytest.mark.parametrize(
+        "protocol, counts",
+        [
+            pytest.param(EpidemicProtocol(), [0, 64], id="saturated-epidemic"),
+            pytest.param(PairwiseElimination(64), [63, 1], id="one-leader"),
+        ],
+    )
+    def test_rows_with_no_effectful_pair_draw_nothing(self, protocol, counts):
+        engine = CountsSimulation(protocol, init=Replicated(CountVector(counts), 16), seed=2)
+        before = engine._generator.bit_generator.state
+        engine._step_rows(range(16), [10_000] * 16)
+        assert engine._generator.bit_generator.state == before
+        assert (engine.counts == counts).all()
+
+
+# ---------------------------------------------------------------------------
+# Result snapshots
+# ---------------------------------------------------------------------------
+
+
+#: Never holds: run_until spends its whole budget.
+NEVER = counts_aware(lambda config: False, lambda counts: False)
+
+
+class TestResultSnapshot:
+    """``SimulationResult.config`` is the configuration at return,
+    decoded only when read."""
+
+    def test_unread_config_is_never_expanded(self):
+        # Expanding n = 10⁶ agents would build an 8 MB list of references;
+        # the run itself needs O(S) counts and O(√n) run buffers.
+        n = 10**6
+        engine = CountsSimulation(EpidemicProtocol(), init=CountVector([n // 2, n // 2]), seed=3)
+        tracemalloc.start()
+        try:
+            result = engine.run_until(NEVER, max_interactions=20_000, check_interval=10_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.interactions == 20_000
+        assert peak < n // 4, peak
+        assert len(result.config) == n
+
+    @pytest.mark.parametrize("backend", ["counts", "array"])
+    def test_late_read_sees_the_configuration_at_return(self, backend):
+        protocol = EpidemicProtocol()
+        sim = make_simulation(protocol, init=CountVector([63, 1]), seed=4, backend=backend)
+        result = sim.run_until(NEVER, max_interactions=40, check_interval=40)
+        at_return = [protocol.encode_state(state) for state in sim.config]
+        sim.run(4_000)
+        assert [protocol.encode_state(state) for state in sim.config] != at_return
+        assert [protocol.encode_state(state) for state in result.config] == at_return
 
 
 # ---------------------------------------------------------------------------

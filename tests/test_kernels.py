@@ -16,6 +16,12 @@ Contracts gated here:
   parameters, a fixed-seed sample passes a two-sample KS test against
   ``numpy``'s sampler, and degenerate supports consume no randomness
   (the conditional-chain decomposition inherits the law);
+* **the jump step is law-exact** — :func:`~repro.sim.kernels._k_jump`
+  leaves rows that expect a change per run and rows with no effectful
+  pair without a draw, waits a geometric number of interactions, picks
+  each effectful pair in proportion to its weight (the diagonal's
+  ``c_a·(c_a - 1)`` included), and ``batch-jit`` rows that only jump
+  follow the closed-form law;
 * **engine equivalence** — ``batch-jit`` vs ``batch`` agrees in law
   (KS over completion interactions), ``T = 1`` is bit-for-bit the
   counts engine, an instrumented engine (the fused kernel timed whole,
@@ -35,6 +41,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +52,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from repro.analysis.stats import ks_statistic, ks_threshold  # noqa: E402
+from repro.baselines.cai_izumi_wada import CaiIzumiWada  # noqa: E402
+from repro.baselines.nonss_leader import PairwiseElimination  # noqa: E402
 from repro.core.params import BaselineParams, ProtocolParams  # noqa: E402
 from repro.core.protocol import PopulationProtocol  # noqa: E402
 from repro.lint import run_lint  # noqa: E402
@@ -67,7 +76,10 @@ from repro.sim.kernels import (  # noqa: E402
     require_numba,
 )
 from repro.sim.trials import run_trials  # noqa: E402
-from repro.substrates.epidemics import EpidemicProtocol  # noqa: E402
+from repro.substrates.epidemics import (  # noqa: E402
+    EpidemicProtocol,
+    OneWayEpidemicProtocol,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -267,6 +279,106 @@ class TestSampleChainLaw:
         )
         stat = ks_statistic(first, reference[:, 0])
         assert stat <= ks_threshold(trials, trials, KS_ALPHA), stat
+
+
+class TestJumpKernel:
+    """The kernel's jump step, the scalar twin of the numpy engine's."""
+
+    def _args(self, protocol, counts):
+        # The numpy engine's effectful-pair lists, fed to the kernel as the
+        # batch-jit engine feeds them.
+        engine = BatchCountsEngine(protocol, init=Replicated(CountVector(counts), 2))
+        initiators, responders, _, _, mean_run = engine._jump_pairs
+        return (
+            initiators, responders, np.empty(initiators.size, dtype=np.int64),
+            mean_run, engine.n,
+            np.ascontiguousarray(engine.table.u_out, dtype=np.int64),
+            np.ascontiguousarray(engine.table.v_out, dtype=np.int64),
+        )
+
+    def _jumps(self, protocol, counts, budget, draws, key):
+        args = self._args(protocol, counts)
+        ctr = np.uint64(0)
+        outcomes = []
+        with overflow_guard():
+            for _ in range(draws):
+                row = np.asarray(counts, dtype=np.int64)
+                jumped, left, ctr = kernels._k_jump(row, *args, key, ctr, budget)
+                assert jumped
+                outcomes.append((budget - int(left), tuple(row.tolist())))
+        return outcomes
+
+    def test_rows_expecting_a_change_per_run_take_a_run_step(self, pure_ok):
+        # Two-way epidemic at n = 256, half infected: W·E[L] ≈ 5·n(n-1).
+        row = np.asarray([128, 128], dtype=np.int64)
+        ctr = np.uint64(5)
+        with overflow_guard():
+            jumped, left, after = kernels._k_jump(
+                row, *self._args(EpidemicProtocol(), row), _key(30, 1), ctr, 1_000
+            )
+        assert (jumped, int(left), after) == (False, 1_000, ctr)
+        assert row.tolist() == [128, 128]
+
+    def test_rows_with_no_effectful_pair_end_the_slice_without_draws(self, pure_ok):
+        row = np.asarray([0, 256], dtype=np.int64)
+        ctr = np.uint64(5)
+        with overflow_guard():
+            jumped, left, after = kernels._k_jump(
+                row, *self._args(EpidemicProtocol(), row), _key(30, 2), ctr, 1_000
+            )
+        assert (jumped, int(left), after) == (True, 0, ctr)
+        assert row.tolist() == [0, 256]
+
+    def test_wait_and_pick_follow_the_law(self, pure_ok):
+        # Cai-Izumi-Wada over three ranks changes the counts only when two
+        # agents of one rank meet: from [3, 2, 0] (n = 5) the weights are
+        # 3·2 = 6 and 2·1 = 2 of n(n-1) = 20 ordered pairs, so the wait is
+        # Geometric(0.4) and rank 0 is picked with probability 3/4.
+        draws = 4_000
+        outcomes = self._jumps(
+            CaiIzumiWada(BaselineParams(n=3)), [3, 2, 0], 10**9, draws, _key(30, 3)
+        )
+        waits = [wait for wait, _ in outcomes]
+        assert min(waits) >= 1
+        sd = math.sqrt(0.6 / 0.4**2 / draws)
+        assert abs(statistics.fmean(waits) - 2.5) <= 6 * sd
+        picks = Counter(row for _, row in outcomes)
+        assert set(picks) == {(2, 3, 0), (3, 1, 1)}
+        share = picks[(2, 3, 0)] / draws
+        assert abs(share - 0.75) <= 6 * math.sqrt(0.75 * 0.25 / draws), share
+
+    def test_a_wait_past_the_budget_ends_the_slice_unchanged(self, pure_ok):
+        # Pairwise elimination from [3 followers, 2 leaders]: only the two
+        # leaders meeting changes the counts, with probability 2/20 per
+        # interaction, so a budget of 1 jumps unchanged 9 times in 10.
+        draws = 4_000
+        outcomes = self._jumps(PairwiseElimination(5), [3, 2], 1, draws, _key(30, 4))
+        unchanged = sum(row == (3, 2) for _, row in outcomes) / draws
+        assert all(wait == 1 for wait, _ in outcomes)
+        assert abs(unchanged - 0.9) <= 6 * math.sqrt(0.9 * 0.1 / draws), unchanged
+
+    @pytest.mark.parametrize(
+        "protocol, start, p",
+        [
+            # Only two leaders meeting changes the counts: 2 of 20 pairs.
+            pytest.param(PairwiseElimination(5), [3, 2], 0.1, id="pairwise-n5"),
+            # Only an infected initiator meeting a susceptible responder
+            # does: 3 of 12 pairs, so swapped roles would never move a row.
+            pytest.param(OneWayEpidemicProtocol(), [3, 1], 0.25, id="one-way-n4"),
+        ],
+    )
+    def test_batch_jit_jump_rows_follow_the_closed_form(self, pure_ok, protocol, start, p):
+        # Through the engine every step jumps, and a row is still at its
+        # start after three interactions with probability (1 - p)³.
+        rows = 2_000
+        engine = make_simulation(
+            protocol, init=Replicated(CountVector(start), rows), seed=11, backend="batch-jit"
+        )
+        assert engine._matching and engine._lockstep(rows)
+        engine._step_rows(range(rows), [3] * rows)
+        stayed = float((engine.counts == start).all(axis=1).mean())
+        expected = (1 - p) ** 3
+        assert abs(stayed - expected) <= 6 * math.sqrt(expected * (1 - expected) / rows), stayed
 
 
 class TestEngineEquivalence:

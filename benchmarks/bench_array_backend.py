@@ -34,7 +34,7 @@ run by CI's ``bench-perf`` job:
 from __future__ import annotations
 
 
-from conftest import FAST, run_once, update_perf_summary
+from conftest import FAST, PARITY_BOUND, run_once, update_perf_summary
 
 from repro.analysis.stats import bootstrap_ci
 from repro.baselines.cai_izumi_wada import CaiIzumiWada
@@ -61,9 +61,6 @@ N = 1024 if FAST else 4096
 BUDGET = 200_000 if FAST else 2_000_000
 #: Alternating timings per engine and workload; a row reports the minimum.
 REPEATS = 3
-#: No engine that supports a protocol may be this many times slower than
-#: its sibling on it.
-PARITY_BOUND = 100.0
 
 
 def _workloads(n: int):

@@ -13,7 +13,15 @@ its regression gate, run by CI's ``bench-perf`` job:
   sides equally).  Both runs execute the identical interaction law; the
   per-trial engine pays the per-collision-run Python dispatch once per
   trial per run, the batch engine pays it once per lockstep step for all
-  1000 rows.
+  1000 rows.  The FAST cell (64 trials at ``n = 2000``) reports the ratio
+  of the minimum of three alternating timings per engine and asserts
+  only ``1 ≤ ratio ≤ 100``: the batch engine is not slower, and neither
+  engine is 100× slower than the other (the parity bound for engines
+  that support the same protocol).  Its ratio moves with the per-trial
+  engine's speed, which is not the batch engine's business: it read
+  5.9–6.4× before the per-row sampler learned to jump over null
+  interactions and 3.5–3.6× after, too close to the old 3× floor not
+  to flake.
 
 * **E22b (distribution agreement)** — at ``T = 1``, the batch engine *is*
   the counts engine (a one-row engine with the same seed always takes the
@@ -34,9 +42,10 @@ mirroring the other vectorized engines' assertions.
 
 from __future__ import annotations
 
+import math
 import statistics
 
-from conftest import FAST, run_once, update_perf_summary
+from conftest import FAST, PARITY_BOUND, run_once, update_perf_summary
 
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
@@ -51,11 +60,14 @@ from repro.sim.trials import run_trials
 from repro.substrates.epidemics import EpidemicProtocol
 
 #: The acceptance bar (≥ 10×) applies at the full T = 1000 grid cell;
-#: FAST smoke runs a trimmed cell with a lenient floor so loaded shared
-#: runners don't flake.
+#: FAST smoke runs a trimmed cell whose ratio is reported, bounded only
+#: by 1 ≤ ratio ≤ PARITY_BOUND.
 TRIALS = 64 if FAST else 1000
 N = 2_000 if FAST else 10_000
-SPEEDUP_FLOOR = 3.0 if FAST else 10.0
+SPEEDUP_FLOOR = 1.0 if FAST else 10.0
+#: Alternating timings per engine; the cell reports the minimum.  The
+#: full cell's per-trial side takes ~40 s, so it is timed once.
+REPEATS = 3 if FAST else 1
 #: Convergence-check cadence: ¼ parallel-time resolution, as in E20.
 CHECK_INTERVAL = N // 4
 #: Two-way epidemic completion concentrates near n·ln n; 30n is generous.
@@ -83,23 +95,26 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
 
         rows = []
         summaries = {}
-        for name in ("counts", "batch"):
-            t0 = perf_counter()
-            summary = run_trials(
-                protocol,
-                predicate,
-                n=N,
-                trials=TRIALS,
-                max_interactions=BUDGET,
-                seed=7,
-                check_interval=CHECK_INTERVAL,
-                init=_seeded_start(N),
-                workers=1,
-                backend=name,
-                label=f"epidemic/{name}",
-            )
-            elapsed = perf_counter() - t0
-            summaries[name] = (summary, elapsed)
+        fastest = {"counts": math.inf, "batch": math.inf}
+        # Alternate the engines, so a host speed change lands on both.
+        for _ in range(REPEATS):
+            for name in fastest:
+                t0 = perf_counter()
+                summaries[name] = run_trials(
+                    protocol,
+                    predicate,
+                    n=N,
+                    trials=TRIALS,
+                    max_interactions=BUDGET,
+                    seed=7,
+                    check_interval=CHECK_INTERVAL,
+                    init=_seeded_start(N),
+                    workers=1,
+                    backend=name,
+                    label=f"epidemic/{name}",
+                )
+                fastest[name] = min(fastest[name], perf_counter() - t0)
+        for name, summary in summaries.items():
             rows.append(
                 {
                     "workload": f"epidemic-cell/{name}",
@@ -107,10 +122,10 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
                     "trials": TRIALS,
                     "success_rate": round(summary.success_rate, 3),
                     "median_interactions": summary.median_interactions,
-                    "seconds": round(elapsed, 3),
+                    "seconds": round(fastest[name], 3),
                 }
             )
-        return rows, summaries
+        return rows, {name: (summaries[name], fastest[name]) for name in fastest}
 
     rows, summaries = run_once(benchmark, experiment)
     counts_summary, counts_s = summaries["counts"]
@@ -123,7 +138,8 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
         "E22_batch_backend",
         rows,
         f"E22: batch vs per-trial counts backend (n={N}, one {TRIALS}-trial "
-        f"grid cell checked every n/4)",
+        f"grid cell checked every n/4"
+        + (f", min of {REPEATS} alternating runs)" if REPEATS > 1 else ")"),
     )
 
     # E22b (distribution agreement): everything converges, and the median
@@ -211,7 +227,9 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
             "n": N,
             "trials": TRIALS,
             "fast_mode": FAST,
+            "repeats": REPEATS,
             "speedup_floor": SPEEDUP_FLOOR,
+            "parity_bound": PARITY_BOUND,
             "cell_speedup": round(speedup, 2),
             "counts_seconds": round(counts_s, 3),
             "batch_seconds": round(batch_s, 3),
@@ -243,5 +261,6 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
     assert schedule_exact
     assert ci_overlap, (counts_lo, counts_hi, batch_lo, batch_hi)
 
-    # E22: the ≥10× cell gate (≥3× in FAST smoke).
-    assert speedup >= SPEEDUP_FLOOR, rows
+    # E22: the ≥10× cell gate; FAST smoke reports the ratio, which must
+    # stay within the parity bound.
+    assert SPEEDUP_FLOOR <= speedup <= PARITY_BOUND, rows

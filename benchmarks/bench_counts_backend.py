@@ -15,9 +15,11 @@ with the array backend, run by CI's ``bench-perf`` job:
   checks convergence on the count vector, the array engine pays ``O(n)``
   conflict bookkeeping per block.  The array/counts wall-time ratio is a
   column of the table and of ``perf-summary.json``, not a gate: it
-  measured 2.1–2.2× at ``n = 10⁶`` and about 1.1× at the ``n = 10⁵``
-  smoke size (numpy 2.4).  Raw engine throughput (``run_batch`` only, no
-  convergence checks) is reported alongside.
+  measured 4.3–4.6× at ``n = 10⁶`` and about 1.35× at the ``n = 10⁵``
+  smoke size (numpy 2.4, 2 vCPU) once the per-row sampler jumped over
+  null interactions, 2.2–3.1× and about 0.7× before.  Raw engine
+  throughput (``run_batch`` only, no convergence checks) is reported
+  alongside.
 
 * **E20b (verdict agreement)** — both engines reach the verdict, at
   completion interaction counts within a small factor of each other

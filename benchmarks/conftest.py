@@ -79,6 +79,10 @@ WORKERS = int(os.environ.get("REPRO_BENCH_WORKERS", "0")) or None
 #: CI smoke mode — trimmed sweeps for pre-merge engine-regression checks.
 FAST = os.environ.get("REPRO_BENCH_FAST", "") == "1"
 
+#: No engine that supports a protocol may be this many times slower than
+#: its sibling on it (the bound on every reported engine ratio).
+PARITY_BOUND = 100.0
+
 T = TypeVar("T")
 
 

@@ -229,7 +229,8 @@ class CollisionRunSampler:
         """Draw ``count`` i.i.d. run lengths as one ``int64`` vector.
 
         The trial-vectorized sibling of :meth:`next_run_length` for the
-        batch counts engine (:mod:`repro.sim.batch_backend`): one uniform
+        lockstep sampler of
+        :class:`~repro.sim.counts_backend.CountsSimulation`: one uniform
         block plus one ``searchsorted`` serves a whole trial batch's
         lockstep step.  Same inverse transform, same law per entry, and
         the generator stream is consumed exactly as ``count`` scalar

@@ -52,21 +52,26 @@ rows stepping:
 
 * the *per-row* sampler runs one row at a time, one C-level
   ``multivariate_hypergeometric`` over the occupied codes per run, and
-  takes the collision from the run's own outputs — a run costs
-  ``O(occupied codes + run length)``, however wide ``S`` is.  One-row
-  engines always use it, so a single trial is the same stream whichever
-  registry name built it;
+  takes the collision from the run's own outputs; when the colliding pair
+  has an unused member, that agent is one more drawn with the run — a run
+  costs ``O(occupied codes + run length)``, however wide ``S`` is.
+  One-row engines always use it, so a single trial is the same stream
+  whichever registry name built it;
 * the *lockstep* sampler serves every stepping row with a fixed number of
   numpy calls per run: one run-length block draw, a conditional
   hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
   own ``marginals`` decomposition), and the pairing either by pair-type
   counts or by a segmented shuffle (see :meth:`CountsSimulation._step_rows`).
   It costs ``S - 1`` generator calls per step, whatever the number of rows.
-  On the pair-type path a step may instead *jump*: a row that expects
-  fewer than one count change per run (near the start or the end of an
-  epidemic) draws the geometric number of null interactions up to the
-  next effectful one and applies that one pair — Gillespie's idea on the
-  discrete-time chain, still the exact law.
+
+Either sampler may *jump* instead of running: a row that expects fewer
+than one count change per run (near the start or the end of an epidemic)
+draws the geometric number of null interactions up to the next effectful
+one and applies that one pair — Gillespie's idea on the discrete-time
+chain, still the exact law.  The lockstep sampler weighs its rows'
+effectful pairs on the pair-type path only; the per-row sampler weighs
+its row's occupied codes straight from the table, up to
+:data:`MAX_SILENCE_STATES` of them.
 
 Rows share one PCG64 stream seeded ``derive_seed(seed, 0)`` and consume
 disjoint draws, so rows are mutually independent and each is
@@ -138,9 +143,10 @@ BATCHING_RUN = "run"
 BATCHING_PAIR = "pair"
 BATCHING_MODES = (BATCHING_RUN, BATCHING_PAIR)
 
-#: Occupied-state cap for the counts-level silence check: above this many
-#: occupied codes the O(occupied²) table scan stops paying for itself and
-#: the batched sampler just runs (correct either way).
+#: Occupied-state cap for the counts-level silence check and the per-row
+#: sampler's jump weights: above this many occupied codes the
+#: O(occupied²) table scan stops paying for itself and the batched sampler
+#: just runs (correct either way).
 MAX_SILENCE_STATES = 64
 
 #: The sampler rule: ``R`` stepping rows take the lockstep sampler when
@@ -379,9 +385,9 @@ class CountsSimulation(_Engine):
     A one-row engine is a per-trial engine: it defines ``run_batch`` /
     ``predicate_holds`` / ``apply_fault`` / ``config`` and inherits ``run``
     / ``run_until`` and the phase clock from the shared engine driver
-    (``draw``: run lengths and compositions, ``match``: pairing,
-    ``apply``: aggregate deltas and collision interactions, ``retire``:
-    silence and predicate checks).  With more rows the per-trial methods
+    (``draw``: run lengths, compositions and jump draws, ``match``:
+    pairing, ``apply``: aggregate deltas, collision interactions and
+    jumped pairs, ``retire``: jump weights, silence and predicate checks).  With more rows the per-trial methods
     raise, because a batch has rows, not a single trajectory.  Every
     engine also has the row workloads :meth:`run_rows_until` and
     :meth:`measure_rows_availability`, each with an optional per-row
@@ -452,6 +458,8 @@ class CountsSimulation(_Engine):
         self._codes = np.arange(size, dtype=np.int64)
         self._generator = np_stream(seed, 0)
         self._runs = CollisionRunSampler(self.n, self._generator)
+        # The jump rule's E[L] = Σ P(L ≥ t), the mean collision-free run.
+        self._mean_run = float(self._runs.survival.sum())
         self._driven = False
         self._row_events: list[list[FaultEvent]] = []
         # The lockstep sampler pairs runs by type counts (an S² chain)
@@ -794,47 +802,120 @@ class CountsSimulation(_Engine):
     def _run_row(self, counts, count: int) -> None:
         """``count`` interactions on one row vector ``counts``, in place.
 
-        The collision-run sampler first runs the counts-level *silence
-        check* (:func:`counts_are_silent`): when every interaction the row
-        can produce is provably a no-op — a silent protocol in its goal
-        configuration, an epidemic at saturation — the whole advance is
-        skipped in ``O(occupied²)`` table lookups.  Law-exact: from such a
-        configuration the counts trajectory is constant, so skipping
-        changes nothing but the wall clock.  The pair-at-a-time oracle
-        never skips (its job is to be obviously correct).
+        The per-row form of the jump rule (see :meth:`_step_rows`): the
+        advance starts with a jump step (:meth:`_jump_row`), and keeps
+        jumping while the row expects fewer than one count change per
+        collision-free run.  Once it expects more — or holds more than
+        :data:`MAX_SILENCE_STATES` occupied codes, which are not weighed —
+        the rest of the advance is collision-free runs
+        (:meth:`_run_batched`).  A row that turns sparse mid-advance thus
+        keeps running until its next advance: a weight pass costs about as
+        much as a run, so runs are never re-weighed.  A row with no
+        effectful pair — a silent protocol in its goal configuration, an
+        epidemic at saturation — skips the whole advance with no draws:
+        its counts trajectory is constant, so skipping changes nothing
+        but the wall clock.  The pair-at-a-time oracle never jumps or
+        skips (its job is to be obviously correct).
         """
         if self.batching == BATCHING_PAIR:
             self._run_pairwise(counts, count)
             return
-        if not count:
-            return
+        while count:
+            jumped = self._jump_row(counts, count)
+            if jumped is None:
+                self._run_batched(counts, count)
+                return
+            count -= jumped
+
+    def _jump_row(self, counts, remaining: int) -> Optional[int]:
+        """One jump step on the row ``counts``: returns the interactions it
+        took, or ``None`` when the row takes runs instead.
+
+        The per-row form of :meth:`_jump_rows`.  The weight pass
+        (:meth:`_pair_weights`, charged to ``retire``) reads the table over
+        the occupied codes only, and is skipped above
+        :data:`MAX_SILENCE_STATES` of them.  A row with ``W·E[L] ≥
+        n(n-1)`` returns ``None``.  Otherwise ``τ ~ Geometric(W /
+        n(n-1))`` is the number of interactions up to and including the
+        next effectful one; if it fits ``remaining``, one effectful pair
+        drawn in proportion to its weight is applied and ``τ`` returned.
+        An overrunning ``τ`` ends the advance unchanged (the geometric is
+        memoryless), and ``W = 0`` ends it without a draw: both return
+        ``remaining``.
+        """
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
-        silent = counts_are_silent(self.table, counts)
+        occupied = counts.nonzero()[0]
+        total = None
+        if occupied.size <= MAX_SILENCE_STATES:
+            cumulative = self._pair_weights(counts, occupied).cumsum()
+            total = int(cumulative[-1])
         if timings is not None:
-            timings["retire"] += perf_counter() - start
-        if not silent:
-            self._run_batched(counts, count)
+            weighed = perf_counter()
+            timings["retire"] += weighed - start
+        pairs = self.n * (self.n - 1)
+        if total is None or total * self._mean_run >= pairs:
+            return None
+        if not total:
+            return remaining
+        rng = self._generator
+        tau = int(rng.geometric(total / pairs))
+        if tau > remaining:
+            if timings is not None:
+                timings["draw"] += perf_counter() - weighed
+            return remaining
+        pick = int(cumulative.searchsorted(rng.integers(0, total), "right"))
+        a, b = divmod(pick, occupied.size)
+        if timings is not None:
+            drawn = perf_counter()
+            timings["draw"] += drawn - weighed
+        self._apply_one(counts, int(occupied[a]), int(occupied[b]))
+        if timings is not None:
+            timings["apply"] += perf_counter() - drawn
+        return tau
+
+    def _pair_weights(self, counts, occupied):
+        """``(m, m)`` weights of the ordered pairs of the ``m`` occupied
+        codes: entry ``[i, j]`` is ``c_a·(c_b - [a = b])`` for ``a, b =
+        occupied[i], occupied[j]`` — the number of ordered agent pairs in
+        those states — where δ changes the counts, else 0."""
+        np = self._np
+        u_flat, v_flat = self.table.flat
+        initiators = occupied[:, None]
+        index = initiators * self.num_states + occupied
+        u = u_flat.take(index)
+        v = v_flat.take(index)
+        null = ((u == initiators) & (v == occupied)) | ((u == occupied) & (v == initiators))
+        sizes = counts[occupied]
+        weights = sizes[:, None] * sizes
+        diagonal = np.arange(occupied.size)
+        weights[diagonal, diagonal] -= sizes
+        weights[null] = 0
+        return weights
 
     def _run_batched(self, counts, count: int) -> None:
         """``count`` interactions as collision-free runs + collision steps.
 
         Each loop iteration is one (possibly budget-truncated) run of
-        ``k`` interactions: draw its length from the birthday law, draw
+        ``k`` interactions: draw its length from the birthday law, and if
+        the budget allows the colliding ``(k+1)``-th interaction, its
+        category and used agents — they depend only on ``k``.  Then draw
         the ``2k`` distinct agents' states by one multivariate
         hypergeometric over the occupied codes (a code with no agents can
         only draw zero), pair them with a shuffle and take them out of
-        ``counts``, which then holds exactly the unused agents.  If the
-        budget allows, the colliding ``(k+1)``-th interaction follows,
-        and one ``bincount`` adds the run's ``outputs`` back.  Truncating
-        a run at the advance boundary and restarting fresh next call is
-        exact (see the module docstring).
+        ``counts``, which then holds exactly the unused agents; one
+        ``bincount`` adds the run's ``outputs`` back.  Truncating a run at
+        the advance boundary and restarting fresh next call is exact (see
+        the module docstring).
 
         The collision is one draw over the ``U(U-1) + 2·U·A`` ordered
         pairs with a used member (``U = 2k``, ``A = n - U``), which picks
-        the category and both agents at once: a used agent is an index
-        into ``outputs``, an unused one a rank into ``counts`` over the
-        occupied codes.  It is applied in place to both.
+        the category and the used agents at once; a used agent is an index
+        into ``outputs``.  An unused member is drawn with the run: the
+        hypergeometric takes ``2k + 1`` agents and the shuffle puts a
+        uniform one of them last, where it joins ``outputs`` unchanged —
+        so the collision is one pair of indices into ``outputs`` in every
+        category.
 
         This is the engine's hot loop — ``Θ(√n)`` interactions per
         iteration means tens of thousands of iterations per ``n·log n``
@@ -864,9 +945,24 @@ class CountsSimulation(_Engine):
                 start = perf_counter()
             length = next_run_length()
             k = min(length, remaining)
+            used = 2 * k
+            agents = used
+            collide = remaining > length
+            if collide:
+                unused = n - used
+                x = int(draw_pair(0, used * (used - 1 + 2 * unused)))
+                if x < used * (used - 1):  # (used, used)
+                    first, second = divmod(x, used - 1)
+                    second += second >= first
+                else:  # (used, unused) or (unused, used)
+                    unused_first, x = divmod(x - used * (used - 1), used * unused)
+                    first, second = x // unused, used  # outputs[used]: the unused agent
+                    if unused_first:
+                        first, second = second, first
+                    agents = used + 1
             # The occupied codes; nonzero on a bool array is numpy's fast path.
             support = counts.astype(bool).nonzero()[0]
-            sample = draw_sample(counts[support], 2 * k)
+            sample = draw_sample(counts[support], agents)
             if timings is not None:
                 drawn_at = perf_counter()
                 timings["draw"] += drawn_at - start
@@ -876,33 +972,14 @@ class CountsSimulation(_Engine):
                 matched_at = perf_counter()
                 timings["match"] += matched_at - drawn_at
             counts[support] -= sample
-            index = drawn[0::2] * size
-            index += drawn[1::2]
-            outputs = concatenate((u_flat.take(index), v_flat.take(index)))
+            index = drawn[0:used:2] * size
+            index += drawn[1:used:2]
+            outputs = concatenate((u_flat.take(index), v_flat.take(index), drawn[used:]))
             remaining -= k
-            if remaining and k == length:
-                used = 2 * k
-                unused = n - used
-                x = int(draw_pair(0, used * (used - 1 + 2 * unused)))
-                if x < used * (used - 1):  # (used, used)
-                    i, j = divmod(x, used - 1)
-                    j += j >= i
-                    pair = int(outputs[i]) * size + int(outputs[j])
-                    outputs[i] = u_flat[pair]
-                    outputs[j] = v_flat[pair]
-                else:  # (used, unused) or (unused, used)
-                    unused_first, x = divmod(x - used * (used - 1), used * unused)
-                    i, rank = divmod(x, unused)
-                    code = int(support[counts[support].cumsum().searchsorted(rank, "right")])
-                    counts[code] -= 1
-                    if unused_first:
-                        pair = code * size + int(outputs[i])
-                        counts[u_flat[pair]] += 1
-                        outputs[i] = v_flat[pair]
-                    else:
-                        pair = int(outputs[i]) * size + code
-                        outputs[i] = u_flat[pair]
-                        counts[v_flat[pair]] += 1
+            if collide:
+                pair = int(outputs[first]) * size + int(outputs[second])
+                outputs[first] = u_flat[pair]
+                outputs[second] = v_flat[pair]
                 remaining -= 1
             counts += bincount(outputs, minlength=size)
             if timings is not None:
@@ -1052,10 +1129,7 @@ class CountsSimulation(_Engine):
         effectful = delta.any(axis=1).nonzero()[0]
         initiators, responders = np.divmod(effectful, self.num_states)
         diagonal = (initiators == responders).astype(np.int64)
-        return (
-            initiators, responders, diagonal, delta[effectful],
-            float(self._runs.survival.sum()),
-        )
+        return initiators, responders, diagonal, delta[effectful], self._mean_run
 
     def _run_rows(self, idx, remaining):
         """One lockstep run step for each row of ``idx``; returns the

@@ -24,7 +24,9 @@ Contracts gated here:
   lockstep sampler serves and one the per-row sampler serves, and one-row
   engines agree with them on a wide, sparsely occupied state space;
 * the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
-  matrix it does not read.
+  matrix it does not read, and the per-row sampler's jumps build neither
+  it nor the lockstep jump tables, and weigh no row above the
+  occupied-code cap.
 """
 
 from __future__ import annotations
@@ -473,3 +475,52 @@ class TestWideStateMemory:
             tracemalloc.stop()
         assert "_pair_delta" not in vars(engine)
         assert peak < 16 * 2**20
+
+    def test_per_row_jumps_never_build_the_pair_tables(self, monkeypatch):
+        # One triggered agent among 300 is the per-row sampler's jump
+        # regime: it weighs its few occupied codes straight from the
+        # table.  The lockstep jump tables would be an (S², S) matrix,
+        # 245 MB at S = 313.
+        protocol = ResetEpidemicProtocol(ProtocolParams(n=300))
+        assert protocol.num_states() == 313
+        transition_table_for(protocol)  # the cached table is not the engine's
+        start = np.zeros(313, dtype=np.int64)
+        start[0] = 299
+        start[protocol.encode_state(protocol.triggered_state())] = 1
+        tracemalloc.start()
+        try:
+            engine = CountsSimulation(protocol, init=CountVector(start), seed=3)
+            jumps = []
+            jump_row = engine._jump_row
+
+            def counted(counts, remaining):
+                taken = jump_row(counts, remaining)
+                jumps.append(taken is not None)
+                return taken
+
+            monkeypatch.setattr(engine, "_jump_row", counted)
+            result = engine.run_until(
+                goal_counts_predicate(protocol), max_interactions=120_000, check_interval=75
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.converged and any(jumps)
+        assert "_pair_delta" not in vars(engine) and "_jump_pairs" not in vars(engine)
+        assert peak < 16 * 2**20
+
+    def test_per_row_sampler_weighs_no_row_above_the_cap(self, monkeypatch):
+        from repro.sim.counts_backend import MAX_SILENCE_STATES
+
+        protocol = ResetEpidemicProtocol(ProtocolParams(n=300))
+        start = np.zeros(313, dtype=np.int64)
+        start[1:101] = 3  # 300 resetters over 100 codes
+        assert 100 > MAX_SILENCE_STATES
+        engine = CountsSimulation(protocol, init=CountVector(start), seed=3)
+        weighed = []
+        monkeypatch.setattr(
+            engine, "_pair_weights", lambda counts, occupied: weighed.append(occupied.size)
+        )
+        engine.run_batch(300)
+        assert not weighed
+        assert (engine.counts[0] != start).any()

@@ -17,9 +17,10 @@ the abstraction ladder (counts instead of per-agent codes):
   a collision) agree exactly across all engines;
 * **exact small-``n`` law** — the per-row sampler's counts after two or
   three interactions at ``n = 4–6`` match the law enumerated over every
-  ordered agent-pair sequence (chi-square), collision categories and
-  initiator/responder roles included, and so do the lockstep sampler's
-  jump steps; rows with nothing left to change draw nothing;
+  ordered agent-pair sequence (chi-square), jump steps, collision
+  categories and initiator/responder roles included, and so do the
+  lockstep sampler's jump steps; rows with nothing left to change draw
+  nothing on either sampler;
 * **result snapshots** — ``run_until`` never expands a configuration
   nobody reads, and a late read still sees the configuration at return;
 * **three-way distribution equivalence** — object, array and counts
@@ -523,48 +524,6 @@ def _chi2_pvalue(observed: Counter, law: dict, draws: int) -> float:
     return _chi2_survival(statistic, len(bins) - 1)
 
 
-def _small_law_cases():
-    reset = ResetEpidemicProtocol(ProtocolParams(n=5))
-    triggered = reset.encode_state(reset.triggered_state())
-    # A second resetter (count 1, delay 2): within three interactions
-    # resetters meet each other and awake agents, and counts reach the
-    # dormant 0.
-    late = 1 + (reset.params.delay_timer_max + 1) + 2
-    return [
-        pytest.param(OneWayEpidemicProtocol(), [1, 0, 0, 0], 3, id="one-way-n4"),
-        pytest.param(OneWayEpidemicProtocol(), [1, 1, 0, 0, 0, 0], 2, id="one-way-n6"),
-        pytest.param(reset, [triggered, late, 0, 0, 0], 3, id="reset-n5"),
-    ]
-
-
-class TestExactSmallLaw:
-    """A one-row engine's per-row sampler matches the agent-level law.
-
-    Two or three interactions among four to six agents end in a colliding
-    interaction most of the time, so each collision category — and which
-    of its agents initiates — carries mass the chi-square test sees.  The
-    one-way epidemic tells initiator from responder; the reset epidemic
-    (S = 41, at most five codes occupied) has many states and a sparse
-    support.
-    """
-
-    @pytest.mark.parametrize("protocol, start, steps", _small_law_cases())
-    def test_per_row_sampler_matches_the_enumerated_law(self, protocol, start, steps):
-        law = _agent_level_law(protocol, start, steps)
-        size = protocol.num_states()
-        initial = np.bincount(start, minlength=size)
-        engine = CountsSimulation(protocol, init=CountVector(initial), seed=1)
-        row = engine.counts[0]
-        codes = np.arange(size)
-        observed = Counter()
-        for _ in range(LAW_DRAWS):
-            row[:] = initial
-            engine._run_row(row, steps)
-            observed[tuple(codes.repeat(row).tolist())] += 1
-        assert set(observed) <= set(law), "sampled an outcome no agent sequence reaches"
-        assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
-
-
 def _jump_law_cases():
     # PairwiseElimination codes: 0 = follower, 1 = leader.
     return [
@@ -574,6 +533,83 @@ def _jump_law_cases():
         pytest.param(EpidemicProtocol(), [1, 0, 0, 0, 0, 0], 3, id="two-way-n6"),
         pytest.param(PairwiseElimination(5), [0, 0, 0, 1, 1], 3, id="pairwise-n5"),
     ]
+
+
+def _small_law_cases():
+    reset = ResetEpidemicProtocol(ProtocolParams(n=5))
+    triggered = reset.encode_state(reset.triggered_state())
+    # A second resetter (count 1, delay 2): within three interactions
+    # resetters meet each other and awake agents, and counts reach the
+    # dormant 0.
+    late = 1 + (reset.params.delay_timer_max + 1) + 2
+    return [
+        *_jump_law_cases(),
+        pytest.param(reset, [triggered, late, 0, 0, 0], 3, id="reset-n5"),
+    ]
+
+
+class TestExactSmallLaw:
+    """A one-row engine's per-row sampler matches the agent-level law.
+
+    Among four to six agents a collision-free run is expected to change
+    fewer than one pair, so every case's first step is a jump; the one-way
+    epidemic tells initiator from responder, and pairwise elimination's
+    one effectful pair is diagonal.  The reset epidemic (S = 41, at most
+    five codes occupied) has many states and a sparse support, and in
+    about 85 % of draws one or two jumps take it to more than one
+    expected change per run, so it goes on with runs that end in
+    colliding interactions of every category.  Runs alone, with no
+    jump steps, must match the same law: two or three interactions among
+    four to six agents end in a collision most of the time, so each
+    category — and which of its agents initiates, with or without an
+    unused member — carries mass the chi-square test sees.
+    """
+
+    @pytest.mark.parametrize("protocol, start, steps", _small_law_cases())
+    def test_per_row_sampler_matches_the_enumerated_law(
+        self, protocol, start, steps, monkeypatch
+    ):
+        engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
+        steps_jumped = []
+        jump_row = engine._jump_row
+
+        def counted(counts, remaining):
+            taken = jump_row(counts, remaining)
+            steps_jumped.append(taken is not None)
+            return taken
+
+        monkeypatch.setattr(engine, "_jump_row", counted)
+        first_jumps = 0
+
+        def advance(row):
+            nonlocal first_jumps
+            steps_jumped.clear()
+            engine._run_row(row, steps)
+            first_jumps += steps_jumped[0]
+
+        self._check_law(engine, start, steps, advance)
+        assert first_jumps == LAW_DRAWS, "every draw's first step is a jump"
+
+    @pytest.mark.parametrize("protocol, start, steps", _small_law_cases())
+    def test_runs_alone_match_the_enumerated_law(self, protocol, start, steps):
+        engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
+        self._check_law(engine, start, steps, lambda row: engine._run_batched(row, steps))
+
+    @staticmethod
+    def _check_law(engine, start, steps, advance):
+        """``LAW_DRAWS`` advances of the engine's row from ``start``
+        against the enumerated law."""
+        law = _agent_level_law(engine.protocol, start, steps)
+        initial = np.bincount(start, minlength=engine.num_states)
+        row = engine.counts[0]
+        codes = np.arange(engine.num_states)
+        observed = Counter()
+        for _ in range(LAW_DRAWS):
+            row[:] = initial
+            advance(row)
+            observed[tuple(codes.repeat(row).tolist())] += 1
+        assert set(observed) <= set(law), "sampled an outcome no agent sequence reaches"
+        assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
 
 
 class TestJumpStepLaw:
@@ -613,16 +649,21 @@ class TestJumpStepLaw:
         assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
 
     @pytest.mark.parametrize(
-        "protocol, counts",
+        "protocol, counts, trials",
         [
-            pytest.param(EpidemicProtocol(), [0, 64], id="saturated-epidemic"),
-            pytest.param(PairwiseElimination(64), [63, 1], id="one-leader"),
+            pytest.param(EpidemicProtocol(), [0, 64], 16, id="saturated-epidemic"),
+            pytest.param(PairwiseElimination(64), [63, 1], 16, id="one-leader"),
+            pytest.param(PairwiseElimination(64), [63, 1], 1, id="one-row-one-leader"),
         ],
     )
-    def test_rows_with_no_effectful_pair_draw_nothing(self, protocol, counts):
-        engine = CountsSimulation(protocol, init=Replicated(CountVector(counts), 16), seed=2)
+    def test_rows_with_no_effectful_pair_draw_nothing(self, protocol, counts, trials):
+        # Sixteen two-state rows take the lockstep sampler, one row the
+        # per-row sampler.
+        engine = CountsSimulation(
+            protocol, init=Replicated(CountVector(counts), trials), seed=2
+        )
         before = engine._generator.bit_generator.state
-        engine._step_rows(range(16), [10_000] * 16)
+        engine._advance_rows(range(trials), 0, 10_000, [None] * trials)
         assert engine._generator.bit_generator.state == before
         assert (engine.counts == counts).all()
 

@@ -19,7 +19,10 @@ with the array backend, run by CI's ``bench-perf`` job:
   smoke size (numpy 2.4, 2 vCPU) once the per-row sampler jumped over
   null interactions, 2.2–3.1× and about 0.7× before.  Raw engine
   throughput (``run_batch`` only, no convergence checks) is reported
-  alongside.
+  alongside; its epidemic rows start half infected, where every engine
+  takes collision-free runs — from one source the per-row sampler
+  crosses the whole budget in a few dozen jump steps, which would time
+  the jump rule instead of the run loop.
 
 * **E20b (verdict agreement)** — both engines reach the verdict, at
   completion interaction counts within a small factor of each other
@@ -59,11 +62,11 @@ BUDGET = 30 * N
 RAW_BUDGET = 500_000 if FAST else 2_000_000
 
 
-def _epidemic_codes(n: int):
+def _epidemic_codes(n: int, infected: int = 1):
     import numpy
 
     codes = numpy.zeros(n, dtype=numpy.int64)
-    codes[0] = 1  # one infected source
+    codes[:infected] = 1
     return codes
 
 
@@ -102,9 +105,9 @@ def test_e20_counts_backend_speedup(benchmark, record_table):
         raw = {}
         for label, protocol_r, factory in (
             ("epidemic", protocol,
-             lambda p: CountsSimulation(p, init=CodeArray(_epidemic_codes(N)), seed=5)),
+             lambda p: CountsSimulation(p, init=CodeArray(_epidemic_codes(N, N // 2)), seed=5)),
             ("epidemic", protocol,
-             lambda p: ArraySimulation(p, codes=_epidemic_codes(N), seed=5)),
+             lambda p: ArraySimulation(p, codes=_epidemic_codes(N, N // 2), seed=5)),
             ("loose", loose, lambda p: CountsSimulation(p, n=N, seed=5)),
             ("loose", loose, lambda p: ArraySimulation(p, n=N, seed=5)),
         ):
@@ -185,7 +188,9 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
     in disabled-tracer spans pays <= 2% over the unwrapped drive (min of
     3 runs each — the null tracer is one attribute check per span).  The
     plain and spanned drives alternate, so a host speed change between
-    runs lands on both sides instead of reading as overhead."""
+    runs lands on both sides instead of reading as overhead.  Every drive
+    must take collision-free runs (counted at the run sampler), so the
+    check times the hot loop rather than a few jump steps."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     tracer = get_tracer()
     assert not tracer.enabled
@@ -193,8 +198,19 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
     protocol = EpidemicProtocol()
     per_batch = max(1, RAW_BUDGET // TRACE_OVERHEAD_BATCHES)
 
-    def drive(spanned: bool) -> float:
-        sim = CountsSimulation(protocol, init=CodeArray(_epidemic_codes(N)), seed=11)
+    def drive(spanned: bool) -> tuple[float, int]:
+        sim = CountsSimulation(
+            protocol, init=CodeArray(_epidemic_codes(N, N // 2)), seed=11
+        )
+        taken = 0
+        next_run_length = sim._runs.next_run_length
+
+        def counted():
+            nonlocal taken
+            taken += 1
+            return next_run_length()
+
+        sim._runs.next_run_length = counted
         t0 = perf_counter()
         if spanned:
             for _ in range(TRACE_OVERHEAD_BATCHES):
@@ -203,13 +219,18 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
         else:
             for _ in range(TRACE_OVERHEAD_BATCHES):
                 sim.run_batch(per_batch)
-        return perf_counter() - t0
+        return perf_counter() - t0, taken
 
     def experiment():
-        runs = [(drive(False), drive(True)) for _ in range(3)]
-        return min(plain for plain, _ in runs), min(spanned for _, spanned in runs)
+        drives = [(drive(False), drive(True)) for _ in range(3)]
+        return (
+            min(plain for (plain, _), _ in drives),
+            min(spanned for _, (spanned, _) in drives),
+            min(taken for pair in drives for _, taken in pair),
+        )
 
-    plain_s, spanned_s = run_once(benchmark, experiment)
+    plain_s, spanned_s, runs = run_once(benchmark, experiment)
+    assert runs > 0, "a drive took no collision-free runs"
     overhead = spanned_s / plain_s - 1 if plain_s > 0 else 0.0
     rows = [
         {
@@ -236,6 +257,7 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
             "overhead": round(overhead, 4),
             "plain_seconds": round(plain_s, 3),
             "spanned_seconds": round(spanned_s, 3),
+            "runs_per_drive": runs,
         },
     )
     assert spanned_s <= plain_s * (1 + TRACE_OVERHEAD_LIMIT) + TRACE_OVERHEAD_EPSILON_S, (

@@ -1,7 +1,7 @@
 """Analytical calculators: state-space sizes, predicted bounds, statistics,
 and plot-free reporting."""
 
-from repro.analysis.reporting import ascii_chart, dump_rows, load_rows, series_from_rows
+from repro.analysis.reporting import ascii_chart
 from repro.analysis.stats import (
     ConfidenceInterval,
     bootstrap_ci,
@@ -26,7 +26,6 @@ from repro.analysis.statespace import (
 from repro.analysis.theory import (
     PowerLawFit,
     elect_leader_interactions,
-    epidemic_interactions,
     fit_power_law,
     normalized_ratio,
     predicted_stabilization_interactions,
@@ -50,13 +49,9 @@ __all__ = [
     "fit_power_law",
     "elect_leader_interactions",
     "predicted_stabilization_interactions",
-    "epidemic_interactions",
     "normalized_ratio",
     "ratio_spread",
     "ascii_chart",
-    "series_from_rows",
-    "dump_rows",
-    "load_rows",
     "ConfidenceInterval",
     "bootstrap_ci",
     "tail_probability",

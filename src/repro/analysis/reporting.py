@@ -1,34 +1,17 @@
-"""Plot-free reporting: ASCII charts and experiment serialization.
+"""Plot-free reporting: ASCII charts.
 
 The benchmark harness runs in terminals without display servers, so the
 "figures" of this reproduction are rendered as monospace charts:
-
-* :func:`ascii_chart` — a scatter/line chart on linear or log axes,
-  multi-series, suitable for the time-vs-n and time-vs-r sweeps;
-* :func:`series_from_rows` — extract (x, y) series from the row dicts the
-  trial runner produces;
-* :func:`dump_rows` / :func:`load_rows` — JSON round-trip of experiment
-  rows so EXPERIMENTS.md numbers can be regenerated verbatim.
+:func:`ascii_chart` draws a scatter/line chart on linear or log axes,
+multi-series, suitable for the time-vs-n and time-vs-r sweeps.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import pathlib
 from typing import Mapping, Sequence
 
 Number = float | int
-
-
-def series_from_rows(
-    rows: Sequence[Mapping[str, object]], x: str, y: str
-) -> list[tuple[float, float]]:
-    """Extract a numeric (x, y) series from experiment rows."""
-    series = []
-    for row in rows:
-        series.append((float(row[x]), float(row[y])))  # type: ignore[arg-type]
-    return series
 
 
 def _transform(value: float, log: bool) -> float:
@@ -98,16 +81,3 @@ def ascii_chart(
     lines.append(f"legend: {legend}")
     return "\n".join(lines)
 
-
-def dump_rows(
-    rows: Sequence[Mapping[str, object]], path: str | pathlib.Path, title: str = ""
-) -> None:
-    """Serialize experiment rows (with a title) to JSON."""
-    payload = {"title": title, "rows": [dict(row) for row in rows]}
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2, default=str) + "\n")
-
-
-def load_rows(path: str | pathlib.Path) -> list[dict[str, object]]:
-    """Load experiment rows written by :func:`dump_rows`."""
-    payload = json.loads(pathlib.Path(path).read_text())
-    return list(payload["rows"])

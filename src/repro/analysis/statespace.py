@@ -198,11 +198,6 @@ def burman_style_bits(params: BaselineParams) -> float:
     return seen_bits + name_bits + reset_bits + rank_bits
 
 
-def pairwise_elimination_bits() -> float:
-    """One bit."""
-    return 1.0
-
-
 # ---------------------------------------------------------------------------
 # Quoted bounds from the paper (not simulable; analytic comparison only)
 # ---------------------------------------------------------------------------

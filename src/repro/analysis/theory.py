@@ -48,33 +48,6 @@ def collision_detection_interactions(n: int, r: int) -> float:
     return (n * n / r) * math.log(max(2, n))
 
 
-def epidemic_interactions(n: int) -> float:
-    """Lemma A.2: completion within ``c_epi·n·log n``, ``c_epi < 7``."""
-    return n * math.log(max(2, n))
-
-
-def load_balancing_interactions(m: int) -> float:
-    """Lemma E.6 / Berenbrink et al.: coverage within ``O(m log m)``."""
-    return m * math.log(max(2, m))
-
-
-def fast_leader_elect_interactions(n: int) -> float:
-    """Lemma D.10: unique leader within ``O(n log n)`` interactions."""
-    return n * math.log(max(2, n))
-
-
-def ciw_interactions(n: int) -> float:
-    """CIW baseline: ``O(n²)`` expected parallel time → ``O(n³)``
-    interactions in the worst case; empirically ``Θ(n² log n)``-ish from
-    typical starts."""
-    return n * n * math.log(max(2, n))
-
-
-def burman_style_interactions(n: int) -> float:
-    """Burman-style baseline: ``O(n log n)`` interactions from clean starts."""
-    return n * math.log(max(2, n))
-
-
 # ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------

@@ -213,11 +213,6 @@ def resolve_backend(backend: Optional[str] = None) -> str:
     return get_backend(backend).name
 
 
-def supports_backend(protocol: PopulationProtocol, backend: str) -> Optional[str]:
-    """``None`` if ``backend`` can run ``protocol``, else the reason not."""
-    return get_backend(backend).supports(protocol)
-
-
 def make_simulation(
     protocol: PopulationProtocol,
     *,

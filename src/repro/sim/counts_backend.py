@@ -30,7 +30,7 @@ recovers exactness through *collision-free runs*:
   responders;
 * because the run's agents are distinct, its interactions commute: the
   whole run is applied as one aggregate count delta through the compiled
-  ``S × S`` transition table (:func:`apply_pair_counts`, reusing
+  ``S × S`` transition table (one ``bincount`` of its outputs, reusing
   :mod:`repro.sim.array_backend`'s table builder);
 * the ``(L+1)``-th interaction *collides* — it involves at least one
   already-used agent, whose current state is one of the run's outputs.
@@ -72,6 +72,14 @@ chain, still the exact law.  The lockstep sampler weighs its rows'
 effectful pairs on the pair-type path only; the per-row sampler weighs
 its row's occupied codes straight from the table, up to
 :data:`MAX_SILENCE_STATES` of them.
+
+**One rule for effectful pairs.**  An ``(a, b)`` interaction changes the
+counts unless ``δ(a, b)`` is ``(a, b)`` or the swap ``(b, a)``, and the
+engine decides this in one place (:meth:`CountsSimulation._changes_counts`).
+A row's jump weight ``W`` counts the ordered agent pairs that change its
+counts, and a row with ``W = 0`` is *silent*: a jump step ends its
+advance, ``run_rows_until`` retires it and ``measure_rows_availability``
+stops sampling it, none of them with a draw.
 
 Rows share one PCG64 stream seeded ``derive_seed(seed, 0)`` and consume
 disjoint draws, so rows are mutually independent and each is
@@ -117,7 +125,6 @@ from repro.scheduler.rng import np_stream
 from repro.scheduler.scheduler import CollisionRunSampler
 from repro.sim.array_backend import (
     ArrayBackendError,
-    TransitionTable,
     require_numpy,
     transition_table_for,
 )
@@ -143,10 +150,11 @@ BATCHING_RUN = "run"
 BATCHING_PAIR = "pair"
 BATCHING_MODES = (BATCHING_RUN, BATCHING_PAIR)
 
-#: Occupied-state cap for the counts-level silence check and the per-row
-#: sampler's jump weights: above this many occupied codes the
-#: O(occupied²) table scan stops paying for itself and the batched sampler
-#: just runs (correct either way).
+#: The cap on weighing effectful pairs: up to this many states the silence
+#: check reads one (S, S) mask; wider protocols weigh a row's occupied codes
+#: straight from the table (jump weights and silence alike), and above this
+#: many occupied codes the O(occupied²) read stops paying for itself — the
+#: row just runs and is never called silent (correct either way).
 MAX_SILENCE_STATES = 64
 
 #: The sampler rule: ``R`` stepping rows take the lockstep sampler when
@@ -218,82 +226,6 @@ def _require_num_states(protocol: PopulationProtocol) -> int:
             "backend; use backend='object'"
         )
     return size
-
-
-def counts_are_silent(table: TransitionTable, counts) -> bool:
-    """True iff no *possible* interaction can change ``counts``.
-
-    The counts-level form of the paper's silence notion: every ordered
-    pair ``(a, b)`` of occupied codes that two distinct agents can
-    realize must satisfy ``δ(a, b) = (a, b)``.  A diagonal pair
-    ``(a, a)`` needs two agents in code ``a``, so single-occupancy codes
-    are exempt on the diagonal — which is exactly why a one-leader
-    pairwise-elimination population and a CIW permutation count as
-    silent.  ``O(occupied²)`` lookups, bailing out above
-    :data:`MAX_SILENCE_STATES` occupied codes (``False`` is always a
-    safe answer).
-    """
-    np = require_numpy()
-    occupied = np.flatnonzero(counts)
-    if occupied.size > MAX_SILENCE_STATES:
-        return False
-    grid = np.ix_(occupied, occupied)
-    changes = (table.u_out[grid] != occupied[:, None])
-    changes |= (table.v_out[grid] != occupied[None, :])
-    if not changes.any():
-        return True
-    # Non-inert diagonal entries are unrealizable with a single agent.
-    diagonal = np.arange(occupied.size)
-    changes[diagonal, diagonal] &= counts[occupied] > 1
-    return not changes.any()
-
-
-# ---------------------------------------------------------------------------
-# Aggregate application of state-pair interactions
-# ---------------------------------------------------------------------------
-
-
-def apply_pair_counts(counts, initiators, responders, table: TransitionTable) -> None:
-    """Apply a batch of state-pair interactions to ``counts`` in place.
-
-    ``initiators``/``responders`` are equal-length vectors of *state
-    codes* (not agent indices): entry ``k`` says one interaction happened
-    between an agent in state ``initiators[k]`` and an agent in state
-    ``responders[k]``.  Each interaction contributes the count delta
-    ``-e[a] - e[b] + e[δu(a,b)] + e[δv(a,b)]``; deltas are additive, so
-    the vectorized bincount form below is *exactly* the sum a
-    pair-at-a-time loop would produce (the hypothesis property test in
-    ``tests/test_counts_backend.py`` pins this down).
-
-    The caller guarantees physical feasibility — within one collision-free
-    run every interaction involves distinct agents, so the multiset of
-    input states is drawn without replacement from ``counts``.
-    """
-    np = require_numpy()
-    if initiators.shape != responders.shape:
-        raise ValueError("initiator and responder vectors must have equal length")
-    if initiators.size == 0:
-        return
-    size = table.num_states
-    u_flat, v_flat = table.flat
-    index = initiators * size
-    index = index + responders
-    outputs = np.concatenate([u_flat.take(index), v_flat.take(index)])
-    counts += np.bincount(outputs, minlength=size)
-    counts -= np.bincount(initiators, minlength=size)
-    counts -= np.bincount(responders, minlength=size)
-
-
-def apply_pairs_sequential(counts, initiators, responders, table: TransitionTable) -> None:
-    """Pair-at-a-time oracle for :func:`apply_pair_counts` (tests only)."""
-    size = table.num_states
-    u_flat, v_flat = table.flat
-    for a, b in zip(initiators.tolist(), responders.tolist()):
-        index = a * size + b
-        counts[a] -= 1
-        counts[b] -= 1
-        counts[int(u_flat[index])] += 1
-        counts[int(v_flat[index])] += 1
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +320,9 @@ class CountsSimulation(_Engine):
     (``draw``: run lengths, compositions and jump draws, ``match``:
     pairing, ``apply``: aggregate deltas, collision interactions and
     jumped pairs, ``retire``: jump weights, silence and predicate checks).  With more rows the per-trial methods
-    raise, because a batch has rows, not a single trajectory.  Every
+    raise, because a batch has rows, not a single trajectory.  Jump
+    weights, silence and the lockstep jump tables all read one rule for
+    which pairs change the counts, :meth:`_changes_counts`.  Every
     engine also has the row workloads :meth:`run_rows_until` and
     :meth:`measure_rows_availability`, each with an optional per-row
     :class:`~repro.sim.fault_engine.FaultSpec` list; an engine drives
@@ -466,13 +400,10 @@ class CountsSimulation(_Engine):
         # when that beats materializing the Θ(√n)-length agent multiset;
         # both pairings sample the identical law (see _step_rows).
         self._matching = size * (size - 1) <= math.isqrt(self.n)
-        # (S, S) mask of pairs the protocol's δ actually changes, for the
+        # (S, S) mask of the pairs that change the counts, for the
         # row-vectorized silence check (None above the O(S²) memory bar).
         if size <= MAX_SILENCE_STATES:
-            self._effectful = (
-                (self.table.u_out != self._codes[:, None])
-                | (self.table.v_out != self._codes[None, :])
-            )
+            self._effectful = self._changes_counts(self._codes[:, None], self._codes)
         else:
             self._effectful = None
 
@@ -542,14 +473,6 @@ class CountsSimulation(_Engine):
         hypergeometric victim draw — no per-agent work at any ``n``.
         """
         model.apply_counts(self.protocol, self._one_row(), burst_size, generator)
-
-    def configuration_is_silent(self) -> bool:
-        """True iff no *possible* interaction can change the counts.
-
-        See :func:`counts_are_silent` for the law (and the
-        single-occupancy diagonal exemption).
-        """
-        return counts_are_silent(self.table, self._one_row())
 
     # ------------------------------------------------------------------
     # Row workloads
@@ -634,8 +557,10 @@ class CountsSimulation(_Engine):
                 accounting[row].checkpoint(
                     position, self._row_predicate(correct, self._matrix[row])
                 )
-                if row not in frozen and row_faults[row] is None and self._row_silent(row):
-                    frozen.add(row)
+            fault_free = [row for row in active if row_faults[row] is None]
+            if fault_free:
+                silent = self._silent_rows(fault_free)
+                frozen.update(row for row, holds in zip(fault_free, silent) if holds)
         return [
             accounting[row].report(
                 total_interactions=total_interactions,
@@ -682,9 +607,6 @@ class CountsSimulation(_Engine):
             return bool(on_counts(counts))
         return bool(predicate(configuration_from_counts(self.protocol, counts)))
 
-    def _row_silent(self, row: int) -> bool:
-        return counts_are_silent(self.table, self._matrix[row])
-
     def _retire_converged(self, live, outcomes, predicate, position):
         if not live:
             return []
@@ -716,16 +638,26 @@ class CountsSimulation(_Engine):
         return [self._row_predicate(predicate, self._matrix[row]) for row in rows]
 
     def _silent_rows(self, rows):
-        """Per-row :func:`counts_are_silent`, vectorized over ``rows``.
+        """Whether each row of ``rows`` is silent: its jump weight ``W`` is
+        0, so no ordered pair of two distinct agents changes its counts.
 
-        One ``(R, S, S)`` mask against the precomputed effectful-pair
-        table — same verdicts as the per-row scan, including the
-        diagonal's two-agent requirement.  Falls back to the per-row
-        check when ``S`` is past the O(S²)-memory bar.
+        Up to :data:`MAX_SILENCE_STATES` states, one ``(R, S, S)`` mask
+        against the effectful pairs, where a diagonal pair needs two
+        agents in its code.  Wider protocols weigh each row with the
+        per-row jump step's :meth:`_pair_weights`, and call no row with
+        more than :data:`MAX_SILENCE_STATES` occupied codes silent.
         """
         np = self._np
         if self._effectful is None:
-            return [self._row_silent(row) for row in rows]
+            silent = []
+            for row in rows:
+                counts = self._matrix[row]
+                occupied = counts.nonzero()[0]
+                silent.append(
+                    occupied.size <= MAX_SILENCE_STATES
+                    and not self._pair_weights(counts, occupied).any()
+                )
+            return silent
         sub = self._matrix[np.asarray(rows, dtype=np.int64)]
         occupied = sub > 0
         changes = occupied[:, :, None] & occupied[:, None, :] & self._effectful
@@ -878,20 +810,25 @@ class CountsSimulation(_Engine):
         """``(m, m)`` weights of the ordered pairs of the ``m`` occupied
         codes: entry ``[i, j]`` is ``c_a·(c_b - [a = b])`` for ``a, b =
         occupied[i], occupied[j]`` — the number of ordered agent pairs in
-        those states — where δ changes the counts, else 0."""
+        those states — where the pair changes the counts, else 0."""
         np = self._np
-        u_flat, v_flat = self.table.flat
-        initiators = occupied[:, None]
-        index = initiators * self.num_states + occupied
-        u = u_flat.take(index)
-        v = v_flat.take(index)
-        null = ((u == initiators) & (v == occupied)) | ((u == occupied) & (v == initiators))
         sizes = counts[occupied]
         weights = sizes[:, None] * sizes
         diagonal = np.arange(occupied.size)
         weights[diagonal, diagonal] -= sizes
-        weights[null] = 0
+        weights *= self._changes_counts(occupied[:, None], occupied)
         return weights
+
+    def _changes_counts(self, initiators, responders):
+        """Where an ``(a, b)`` interaction changes the counts, over any
+        broadcast pair of code arrays: ``δ(a, b) ∉ {(a, b), (b, a)}``.  A
+        swap only trades two agents' states, so the counts — all the
+        counts process and its predicates see — stay put."""
+        u_flat, v_flat = self.table.flat
+        index = initiators * self.num_states + responders
+        u = u_flat.take(index)
+        v = v_flat.take(index)
+        return ((u != initiators) | (v != responders)) & ((u != responders) | (v != initiators))
 
     def _run_batched(self, counts, count: int) -> None:
         """``count`` interactions as collision-free runs + collision steps.
@@ -1120,16 +1057,16 @@ class CountsSimulation(_Engine):
     @functools.cached_property
     def _jump_pairs(self):
         """The jump step's tables, built on the first matching step: the
-        ordered pairs ``(a, b)`` whose row of :attr:`_pair_delta` is
-        nonzero, as initiator codes, responder codes and ``[a = b]``
-        flags, those rows of the delta, and the mean run length
-        ``E[L] = Σ P(L ≥ t)``."""
+        ordered pairs ``(a, b)`` that change the counts
+        (:meth:`_changes_counts`), as initiator codes, responder codes and
+        ``[a = b]`` flags, their rows of :attr:`_pair_delta`, and the mean
+        run length ``E[L] = Σ P(L ≥ t)``."""
         np = self._np
-        delta = self._pair_delta
-        effectful = delta.any(axis=1).nonzero()[0]
-        initiators, responders = np.divmod(effectful, self.num_states)
+        codes = self._codes
+        initiators, responders = self._changes_counts(codes[:, None], codes).nonzero()
         diagonal = (initiators == responders).astype(np.int64)
-        return initiators, responders, diagonal, delta[effectful], self._mean_run
+        deltas = self._pair_delta[initiators * self.num_states + responders]
+        return initiators, responders, diagonal, deltas, self._mean_run
 
     def _run_rows(self, idx, remaining):
         """One lockstep run step for each row of ``idx``; returns the

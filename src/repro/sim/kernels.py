@@ -34,7 +34,9 @@ bit-exact* (gated by Monte-Carlo marginals + KS in
 ``tests/test_kernels.py`` and benchmark E24).  Only the lockstep
 sampler is compiled: advances the sampler rule sends to the per-row
 sampler — every advance of a one-row engine among them — run the numpy
-counts loop, so single trials stay bit-for-bit the counts engine.
+counts loop, so single trials stay bit-for-bit the counts engine, and
+rows retire or freeze on the numpy engine's silence verdicts, which make
+no draws.
 
 numba is an optional ``[jit]`` extra.  Without it the backend fails
 loudly at construction with an install hint — never a silent numpy
@@ -379,33 +381,6 @@ def _k_jump(
     return True, rem - int(skipped) - 1, ctr
 
 
-def _k_silent_rows(matrix, rows, effectful, out):
-    """Per-row silence scan against the effectful-pair mask — the same
-    verdicts as :func:`~repro.sim.counts_backend.counts_are_silent`,
-    including the diagonal's two-agent requirement, in ``O(occupied²)``
-    per row with no ``(R, S, S)`` temporaries."""
-    size = matrix.shape[1]
-    for r in range(rows.shape[0]):
-        row = rows[r]
-        silent = True
-        for i in range(size):
-            count_i = matrix[row, i]
-            if count_i == 0:
-                continue
-            for j in range(size):
-                if not effectful[i, j]:
-                    continue
-                if matrix[row, j] == 0:
-                    continue
-                if i == j and count_i < 2:
-                    continue
-                silent = False
-                break
-            if not silent:
-                break
-        out[r] = silent
-
-
 # ---------------------------------------------------------------------------
 # The fused per-row stepper
 # ---------------------------------------------------------------------------
@@ -473,7 +448,6 @@ if _numba is not None:  # compile in dependency order (globals resolve at compil
     _k_draw_state = _numba.njit(_k_draw_state)
     _k_collision = _numba.njit(_k_collision)
     _k_jump = _numba.njit(_k_jump)
-    _k_silent_rows = _numba.njit(_k_silent_rows)
     _k_run_rows = _numba.njit(_k_run_rows)
 
 
@@ -487,11 +461,11 @@ class JitBatchCountsEngine(BatchCountsEngine):
     compiled kernels on counter-based per-row streams.
 
     Everything else is inherited: the ``init`` union, burst slicing,
-    retirement discipline, the sampler rule and the numpy per-row sampler
-    (so single trials are bit-for-bit the counts engine), the row-workload
-    surface the sweep/fabric stack calls.  Lockstep draws come from this
-    module's streams — same law as ``backend='batch'``, not the same bits
-    (see the module docstring).
+    retirement discipline and silence verdicts, the sampler rule and the
+    numpy per-row sampler (so single trials are bit-for-bit the counts
+    engine), the row-workload surface the sweep/fabric stack calls.
+    Lockstep draws come from this module's streams — same law as
+    ``backend='batch'``, not the same bits (see the module docstring).
 
     Under :meth:`instrument_steps` the fused kernel call is timed whole,
     under ``apply``; the draws are the same as without the clock.
@@ -537,15 +511,6 @@ class JitBatchCountsEngine(BatchCountsEngine):
             )
         if timings is not None:
             timings["apply"] += perf_counter() - start
-
-    def _silent_rows(self, rows):
-        if self._effectful is None:
-            return super()._silent_rows(rows)
-        np_mod = self._np
-        idx = np_mod.asarray(rows, dtype=np_mod.int64)
-        out = np_mod.zeros(idx.size, dtype=np_mod.bool_)
-        _k_silent_rows(self._matrix, idx, self._effectful, out)
-        return out
 
 
 __all__ = [

@@ -77,7 +77,6 @@ from repro.sim.counts_backend import counts_aware, goal_counts_predicate
 from repro.sim.fault_engine import (
     DEFAULT_FAULT_MODEL,
     FAULT_MODELS,
-    FaultEngine,
     FaultSpec,
     get_fault_model,
 )
@@ -695,16 +694,9 @@ def run_scenario(spec: ScenarioSpec) -> ScenarioOutcome:
     tracer = get_tracer()
     timings = sim.instrument_steps() if tracer.enabled else None
     started = perf_counter() if tracer.enabled else 0.0
-    if spec.fault_rate > 0:
-        engine = FaultEngine(
-            get_fault_model(spec.fault_model),
-            protocol,
-            n=spec.n,
-            rate=spec.fault_rate,
-            burst_size=spec.burst_size,
-            seed=derive_seed(spec.seed, _FAULT_STREAM),
-        )
-        report = engine.measure_availability(
+    faults = _fault_spec(spec)
+    if faults is not None:
+        report = faults.make_engine(protocol, n=spec.n).measure_availability(
             sim, predicate,
             total_interactions=spec.max_interactions,
             checkpoint_every=spec.check_interval,
@@ -985,30 +977,23 @@ def load_checkpoint(
         raise SweepError(f"{path}: unsupported checkpoint version {meta.get('version')}")
     stored_grid = meta.get("grid")
     if isinstance(stored_grid, dict):
-        # Checkpoints written before the backend / fault-model knobs
-        # existed carry no "backend"/"fault_models" keys; they are
-        # object-backend, default-model files, so defaulting the keys
-        # (mirroring ScenarioOutcome.from_record) keeps them resumable
-        # instead of rejecting them as "a different grid".
-        stored_grid = dict(stored_grid)
-        stored_grid.setdefault("backend", DEFAULT_BACKEND)
-        stored_grid.setdefault("burst_sizes", [1])
-        if "fault_models" not in stored_grid:
-            # One exception: pre-fault-engine counts-backend cells with
-            # code-space adversaries drew the O(n) codes form; this
-            # version draws the O(S) counts twin (same law, different
-            # realization).  Resuming such a file would silently mix two
-            # start-configuration streams, so refuse it instead.
-            if get_backend(grid.backend).native_form == NATIVE_COUNTS and any(
-                adversary in COUNTS_ADVERSARIES for adversary in grid.adversaries
-            ):
-                raise SweepError(
-                    f"{path}: checkpoint predates the fault-engine schema and its "
-                    "counts-backend adversarial cells used the codes-form start "
-                    "law; finish it with the version that wrote it or start a "
-                    "fresh output file"
-                )
-            stored_grid["fault_models"] = [DEFAULT_FAULT_MODEL]
+        # Pre-fault-engine counts-backend cells with code-space
+        # adversaries drew the O(n) codes form; this version draws the
+        # O(S) counts twin (same law, different realization).  Resuming
+        # such a file would silently mix two start-configuration streams,
+        # so refuse it before defaulting its missing keys.
+        if (
+            "fault_models" not in stored_grid
+            and get_backend(grid.backend).native_form == NATIVE_COUNTS
+            and any(adversary in COUNTS_ADVERSARIES for adversary in grid.adversaries)
+        ):
+            raise SweepError(
+                f"{path}: checkpoint predates the fault-engine schema and its "
+                "counts-backend adversarial cells used the codes-form start "
+                "law; finish it with the version that wrote it or start a "
+                "fresh output file"
+            )
+        stored_grid = _default_legacy_grid_keys(stored_grid)
     if stored_grid != grid.to_dict():
         raise SweepError(
             f"{path}: checkpoint was written for a different grid; "

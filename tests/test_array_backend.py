@@ -50,9 +50,9 @@ from repro.sim.array_backend import (  # noqa: E402
     transition_table_for,
 )
 from repro.sim.backends import (  # noqa: E402
+    get_backend,
     make_simulation,
     resolve_backend,
-    supports_backend,
 )
 from repro.sim.replay import replay  # noqa: E402
 from repro.sim.simulation import run_until  # noqa: E402
@@ -212,7 +212,7 @@ class TestTableBuilder:
         with pytest.raises(ArrayBackendError, match="cap") as error:
             make_simulation(protocol, n=4, backend=backend)
         assert protocol.builds == 0
-        assert supports_backend(protocol, backend) in str(error.value)
+        assert get_backend(backend).supports(protocol) in str(error.value)
 
     @pytest.mark.parametrize("n", [2, 3, 17, 64])
     def test_ciw_closed_form_matches_generic_builder(self, n):

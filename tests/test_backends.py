@@ -42,7 +42,6 @@ from repro.sim.backends import (
     make_simulation,
     register_backend,
     resolve_backend,
-    supports_backend,
 )
 from repro.sim.initial_state import CodeArray, CountVector
 from repro.sim.simulation import Simulation
@@ -152,17 +151,17 @@ class TestResolution:
 class TestCapabilities:
     def test_object_runs_everything(self):
         elect = ElectLeader(ProtocolParams(n=16, r=2))
-        assert supports_backend(elect, "object") is None
+        assert get_backend("object").supports(elect) is None
 
     @pytest.mark.parametrize("name", ["array", "counts", "batch"])
     def test_vectorized_engines_reject_elect_leader(self, name):
         elect = ElectLeader(ProtocolParams(n=16, r=2))
-        reason = supports_backend(elect, name)
+        reason = get_backend(name).supports(elect)
         assert reason is not None and "finite state encoding" in reason
 
     @pytest.mark.parametrize("name", ["array", "counts", "batch"])
     def test_vectorized_engines_accept_finite_state(self, name):
-        assert supports_backend(PairwiseElimination(8), name) is None
+        assert get_backend(name).supports(PairwiseElimination(8)) is None
 
     def test_require_raises_with_protocol_and_backend(self):
         elect = ElectLeader(ProtocolParams(n=16, r=2))

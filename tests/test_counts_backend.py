@@ -5,10 +5,10 @@ the abstraction ladder (counts instead of per-agent codes):
 
 * **codecs** — configurations, code arrays and count vectors round-trip,
   and expansion shares one decoded object per occupied code;
-* **application exactness** — the vectorized aggregate delta
-  (:func:`apply_pair_counts`) matches a pair-at-a-time loop *exactly* for
-  any feasible interaction multiset (hypothesis property: count updates
-  are additive deltas, so batching must commute);
+* **one silence rule** — a row is silent exactly when no ordered pair of
+  two distinct agents changes its counts (a brute-force oracle over
+  random count vectors, on the mask path and the per-row weight path), so
+  rows whose only transitions are swaps retire and freeze without a draw;
 * **sampler law** — collision-run lengths stay in ``[1, n//2]`` with a
   monotone survival curve; conservation and protocol invariants
   (epidemic monotonicity, pairwise-elimination leader floors) hold along
@@ -41,9 +41,6 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from hypothesis import given, settings  # noqa: E402
-from hypothesis import strategies as st  # noqa: E402
-
 from repro.adversary.initializers import (  # noqa: E402
     code_rng,
     planted_codes,
@@ -60,7 +57,8 @@ from repro.baselines.nonss_leader import PairwiseElimination  # noqa: E402
 from repro.core.elect_leader import ElectLeader  # noqa: E402
 from repro.core.params import BaselineParams, ProtocolParams  # noqa: E402
 from repro.core.propagate_reset import ResetEpidemicProtocol  # noqa: E402
-from repro.scheduler.rng import make_rng  # noqa: E402
+from repro.core.protocol import PopulationProtocol  # noqa: E402
+from repro.scheduler.rng import make_rng, np_generator  # noqa: E402
 from repro.scheduler.scheduler import CollisionRunSampler  # noqa: E402
 from repro.sim.array_backend import (  # noqa: E402
     ArrayBackendError,
@@ -68,10 +66,9 @@ from repro.sim.array_backend import (  # noqa: E402
 )
 from repro.sim.backends import make_simulation  # noqa: E402
 from repro.sim.counts_backend import (  # noqa: E402
+    MAX_SILENCE_STATES,
     CountsBackendError,
     CountsSimulation,
-    apply_pair_counts,
-    apply_pairs_sequential,
     configuration_from_counts,
     counts_aware,
     counts_from_codes,
@@ -178,67 +175,6 @@ class TestConstruction:
         # The established "no finite encoding" signal catches it too.
         with pytest.raises(ArrayBackendError):
             CountsSimulation(protocol, n=16)
-
-
-# ---------------------------------------------------------------------------
-# Batched delta application == pair-at-a-time (the exactness property)
-# ---------------------------------------------------------------------------
-
-
-def _property_protocols():
-    loose = LooselyStabilizingLeaderElection(BaselineParams(n=N), tau=1.0)
-    reset = ResetEpidemicProtocol(ProtocolParams(n=N, r=2))
-    return [
-        ("epidemic", EpidemicProtocol()),
-        ("loose", loose),
-        ("reset", reset),
-    ]
-
-
-PROPERTY_PROTOCOLS = _property_protocols()
-
-
-class TestApplyPairCounts:
-    @pytest.mark.parametrize(
-        "protocol", [p for _, p in PROPERTY_PROTOCOLS],
-        ids=[name for name, _ in PROPERTY_PROTOCOLS],
-    )
-    @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_batched_matches_pair_at_a_time_exactly(self, protocol, data):
-        table = transition_table_for(protocol)
-        size = table.num_states
-        pair_count = data.draw(st.integers(min_value=0, max_value=24), label="pairs")
-        pairs = data.draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, size - 1), st.integers(0, size - 1)
-                ),
-                min_size=pair_count,
-                max_size=pair_count,
-            ),
-            label="state pairs",
-        )
-        # Feasible by construction: give every state enough agents that
-        # any drawn multiset could have come from distinct agents.
-        counts = np.full(size, 2 * max(1, pair_count), dtype=np.int64)
-        initiators = np.array([a for a, _ in pairs], dtype=np.int64)
-        responders = np.array([b for _, b in pairs], dtype=np.int64)
-        batched = counts.copy()
-        sequential = counts.copy()
-        apply_pair_counts(batched, initiators, responders, table)
-        apply_pairs_sequential(sequential, initiators, responders, table)
-        assert batched.tolist() == sequential.tolist()
-        assert int(batched.sum()) == int(counts.sum())  # conservation
-
-    def test_length_mismatch_rejected(self):
-        protocol = EpidemicProtocol()
-        table = transition_table_for(protocol)
-        counts = np.array([3, 3], dtype=np.int64)
-        with pytest.raises(ValueError, match="equal length"):
-            apply_pair_counts(
-                counts, np.array([0, 1]), np.array([0]), table
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -370,47 +306,128 @@ class TestCountsSimulation:
         assert not protocol.goal_counts(np.array([1, 4]))
 
 
+class _SwapToy(PopulationProtocol):
+    """Three states whose only non-identity transitions are swaps,
+    ``δ(a, b) = (b, a)``: every interaction leaves the counts as they are."""
+
+    name = "swap-toy"
+
+    def initial_state(self):
+        return [0]
+
+    def transition(self, u, v, rng):
+        u[0], v[0] = v[0], u[0]
+
+    def output(self, state):
+        return state[0]
+
+    def num_states(self):
+        return 3
+
+    def encode_state(self, state):
+        return state[0]
+
+    def decode_state(self, code):
+        return [code]
+
+
+def _silence_oracle(table, counts) -> bool:
+    """No ordered pair of two distinct agents changes ``counts``."""
+    counts = counts.tolist()
+    occupied = [code for code, count in enumerate(counts) if count]
+    for a, b in itertools.product(occupied, repeat=2):
+        if a == b and counts[a] < 2:
+            continue
+        u, v = table.lookup(a, b)
+        after = list(counts)
+        after[a] -= 1
+        after[b] -= 1
+        after[u] += 1
+        after[v] += 1
+        if after != counts:
+            return False
+    return True
+
+
+def _silence_cases():
+    return [
+        pytest.param(EpidemicProtocol(), id="epidemic"),
+        pytest.param(OneWayEpidemicProtocol(), id="one-way-epidemic"),
+        pytest.param(PairwiseElimination(16), id="pairwise"),
+        pytest.param(CaiIzumiWada(BaselineParams(n=16)), id="ciw-S16"),
+        pytest.param(
+            LooselyStabilizingLeaderElection(BaselineParams(n=32), tau=1.0), id="loose-S44"
+        ),
+        pytest.param(ResetEpidemicProtocol(ProtocolParams(n=5, r=1)), id="reset-S41"),
+        pytest.param(_SwapToy(), id="swap-toy"),
+        # Past MAX_SILENCE_STATES states: the per-row weight path.
+        pytest.param(CaiIzumiWada(BaselineParams(n=80)), id="ciw-S80"),
+        pytest.param(LooselyStabilizingLeaderElection(BaselineParams(n=16)), id="loose-S136"),
+        pytest.param(ResetEpidemicProtocol(ProtocolParams(n=16)), id="reset-S92"),
+    ]
+
+
 class TestSilenceDetection:
-    """Counts-level silence: provably-no-op batches are skipped in O(S²)."""
+    """Counts-level silence: a row is silent when its jump weight is 0."""
+
+    @staticmethod
+    def _silent(protocol, counts) -> bool:
+        engine = CountsSimulation(protocol, init=CountVector(counts), seed=0)
+        return bool(engine._silent_rows([0])[0])
 
     def test_saturated_epidemic_is_silent(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, init=CountVector([0, 64]), seed=0)
-        assert sim.configuration_is_silent()
-        sim2 = CountsSimulation(protocol, init=CountVector([1, 63]), seed=0)
-        assert not sim2.configuration_is_silent()
+        assert self._silent(protocol, [0, 64])
+        assert not self._silent(protocol, [1, 63])
 
     def test_single_occupancy_diagonal_is_exempt(self):
         # One leader + followers: the only non-inert pair (L, L) needs two
         # leaders, so the configuration is silent — exactly the converged
         # state of pairwise elimination.
         protocol = PairwiseElimination(16)
-        one_leader = CountsSimulation(protocol, init=CountVector([15, 1]), seed=0)
-        two_leaders = CountsSimulation(protocol, init=CountVector([14, 2]), seed=0)
-        assert one_leader.configuration_is_silent()
-        assert not two_leaders.configuration_is_silent()
+        assert self._silent(protocol, [15, 1])
+        assert not self._silent(protocol, [14, 2])
 
     def test_ciw_permutation_is_silent_below_the_cap(self):
         protocol = CaiIzumiWada(BaselineParams(n=32))
         permutation = np.ones(32, dtype=np.int64)
-        assert CountsSimulation(
-            protocol, init=CountVector(permutation), seed=0
-        ).configuration_is_silent()
+        assert self._silent(protocol, permutation)
         duplicated = permutation.copy()
         duplicated[0], duplicated[1] = 2, 0
-        assert not CountsSimulation(
-            protocol, init=CountVector(duplicated), seed=0
-        ).configuration_is_silent()
+        assert not self._silent(protocol, duplicated)
 
     def test_cap_returns_the_safe_answer(self):
-        from repro.sim.counts_backend import MAX_SILENCE_STATES
-
         n = MAX_SILENCE_STATES + 8
         protocol = CaiIzumiWada(BaselineParams(n=n))
-        sim = CountsSimulation(protocol, init=CountVector(np.ones(n, dtype=np.int64)), seed=0)
         # Genuinely silent, but above the occupied-state cap the check
         # declines (False is always safe — the sampler just runs).
-        assert not sim.configuration_is_silent()
+        assert not self._silent(protocol, np.ones(n, dtype=np.int64))
+
+    @pytest.mark.parametrize("protocol", _silence_cases())
+    def test_verdicts_match_the_brute_force_oracle(self, protocol):
+        size = protocol.num_states()
+        rng = np_generator(size)
+        supports = [1, 1, 2, 2, 3, 4, 6, MAX_SILENCE_STATES, MAX_SILENCE_STATES + 1, size]
+        clean = np.zeros(size, dtype=np.int64)
+        clean[protocol.encode_state(protocol.initial_state())] = 8
+        vectors = [clean]
+        for occupied in [min(support, size) for support in supports] * 6:
+            vector = np.zeros(size, dtype=np.int64)
+            codes = rng.choice(size, occupied, replace=False)
+            vector[codes] = rng.choice([1, 1, 2, 3], occupied)
+            if occupied == 1:
+                vector[codes] += 1  # a pair needs two agents
+            vectors.append(vector)
+        engine = CountsSimulation(protocol, init=CountVector(clean), seed=0)
+        engine._matrix = np.stack(vectors)
+        assert (engine._effectful is None) == (size > MAX_SILENCE_STATES)  # the path taken
+        expected = [
+            np.count_nonzero(vector) <= MAX_SILENCE_STATES
+            and _silence_oracle(engine.table, vector)
+            for vector in vectors
+        ]
+        silent = engine._silent_rows(list(range(len(vectors))))
+        assert [bool(verdict) for verdict in silent] == expected
 
     def test_silent_batches_skip_but_count(self):
         protocol = EpidemicProtocol()
@@ -429,6 +446,44 @@ class TestSilenceDetection:
         sim.run_batch(10)
         assert sim._generator.bit_generator.state != state_before
         assert sim.counts.tolist() == [[0, 16]]
+
+
+class TestSwapOnlyRowsAreSilent:
+    """A swap leaves the counts as they are, so rows whose only
+    transitions are swaps are silent.  Three states at n = 16 give
+    ``S(S-1) = 6 > √n``: two rows take the lockstep shuffle path, which
+    never jumps, so only retirement and freezing stop them sampling."""
+
+    @staticmethod
+    def _engine():
+        engine = CountsSimulation(
+            _SwapToy(), init=Replicated(CountVector([6, 5, 5]), 2), seed=4
+        )
+        assert not engine._matching and engine._lockstep(2)
+        return engine
+
+    def test_run_rows_until_retires_them_before_any_draw(self):
+        engine = self._engine()
+        before = engine._generator.bit_generator.state
+        outcomes = engine.run_rows_until(NEVER, max_interactions=1_000, check_interval=100)
+        assert engine._generator.bit_generator.state == before
+        assert [(row.converged, row.interactions) for row in outcomes] == [(False, 1_000)] * 2
+
+    def test_measure_rows_availability_freezes_them(self, monkeypatch):
+        engine = self._engine()
+        advanced = []
+        advance = engine._advance_rows
+
+        def recorded(rows, position, target, row_faults):
+            advanced.append(list(rows))
+            advance(rows, position, target, row_faults)
+
+        monkeypatch.setattr(engine, "_advance_rows", recorded)
+        engine.measure_rows_availability(
+            NEVER, total_interactions=1_000, checkpoint_every=100
+        )
+        # The first slice runs before the first checkpoint's verdict.
+        assert advanced == [[0, 1]] + [[]] * 9
 
 
 class TestModesAgree:

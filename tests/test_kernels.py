@@ -25,8 +25,8 @@ Contracts gated here:
 * **engine equivalence** — ``batch-jit`` vs ``batch`` agrees in law
   (KS over completion interactions), ``T = 1`` is bit-for-bit the
   counts engine, an instrumented engine (the fused kernel timed whole,
-  under ``apply``) is bit-identical to a plain one, silence verdicts
-  match the numpy scan, and fault burst schedules are bit-identical to
+  under ``apply``) is bit-identical to a plain one, silent rows retire
+  before any kernel call, and fault burst schedules are bit-identical to
   the per-trial :class:`~repro.sim.fault_engine.FaultEngine`;
 * **row-vectorized predicates** — the batch engines answer convergence
   through ``on_counts_rows`` (never the scalar form when the vector
@@ -439,16 +439,28 @@ class TestEngineEquivalence:
         assert set(timings) == set(BatchCountsEngine.STEP_PHASES)
         assert timings["apply"] > 0.0  # the fused kernel is timed whole
 
-    def test_silence_verdicts_match_the_numpy_scan(self, pure_ok):
+    def test_silent_rows_retire_before_any_kernel_call(self, pure_ok, monkeypatch):
+        # The numpy engine's silence verdicts retire rows 0 and 1 (one
+        # state each) before the first advance; only rows 2 and 3 ever
+        # reach the fused kernel.
         engine = _epidemic_batch(4, 50, seed=3)
         engine._matrix[:] = np.asarray(
             [[50, 0], [0, 50], [25, 25], [49, 1]], dtype=np.int64
         )
-        rows = [0, 1, 2, 3]
-        jit_verdicts = [bool(v) for v in engine._silent_rows(rows)]
-        base_verdicts = [bool(v) for v in BatchCountsEngine._silent_rows(engine, rows)]
-        assert jit_verdicts == base_verdicts
-        assert jit_verdicts == [True, True, False, False]
+        stepped = []
+        run_rows = kernels._k_run_rows
+
+        def recorded(counts, rows, *args):
+            stepped.append(rows.tolist())
+            run_rows(counts, rows, *args)
+
+        monkeypatch.setattr(kernels, "_k_run_rows", recorded)
+        never = counts_aware(lambda config: False, lambda counts: False)
+        outcomes = engine.run_rows_until(never, max_interactions=400, check_interval=100)
+        assert stepped and all(set(rows) <= {2, 3} for rows in stepped)
+        assert [(row.converged, row.interactions) for row in outcomes[:2]] == [(False, 400)] * 2
+        assert engine.counts[:2].tolist() == [[50, 0], [0, 50]]
+        assert engine._counters[:2].tolist() == [0, 0]
 
     def test_fault_schedules_match_the_per_trial_engine(self, pure_ok):
         n = 200

@@ -1,21 +1,10 @@
-"""Tests for ASCII charts and result serialization."""
+"""Tests for ASCII charts."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.reporting import (
-    ascii_chart,
-    dump_rows,
-    load_rows,
-    series_from_rows,
-)
-
-
-class TestSeriesExtraction:
-    def test_extracts_floats(self):
-        rows = [{"n": 16, "time": "2.5"}, {"n": 32, "time": 7}]
-        assert series_from_rows(rows, "n", "time") == [(16.0, 2.5), (32.0, 7.0)]
+from repro.analysis.reporting import ascii_chart
 
 
 class TestAsciiChart:
@@ -54,11 +43,3 @@ class TestAsciiChart:
         body = [line for line in chart.splitlines() if line.startswith("|")]
         assert sum(line.count("•") for line in body) == 2
 
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        rows = [{"n": 16, "time": 2.5}, {"n": 32, "time": 7.0}]
-        path = tmp_path / "rows.json"
-        dump_rows(rows, path, title="t")
-        loaded = load_rows(path)
-        assert loaded == [{"n": 16, "time": 2.5}, {"n": 32, "time": 7.0}]

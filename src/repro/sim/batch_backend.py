@@ -6,11 +6,12 @@ holds ``T`` trials as the rows of one ``(T, S)`` counts matrix;
 backend was introduced with.  Built from a
 :class:`~repro.sim.initial_state.Replicated` start it runs a cell's
 trials together through its row workloads (``run_rows_until`` /
-``measure_rows_availability``), picking the per-row or the lockstep
-sampler at every row advance (see
-:data:`~repro.sim.counts_backend.ROW_RUN_COST`); stragglers never pay for
-finished neighbours, because rows retire as they converge, go silent or
-exhaust their budget.
+``measure_rows_availability``).  Each row is checked at its own
+boundaries and retires as it converges, goes silent or exhausts its
+budget, while the rest keep stepping; the per-row or the lockstep
+sampler is picked at every iteration from the number of live rows (see
+:data:`~repro.sim.counts_backend.ROW_RUN_COST`), so a lockstep step
+always serves every live row, never a few stragglers alone.
 
 Construction goes through the backend registry
 (``make_simulation(backend="batch")``), which is how both

@@ -46,19 +46,20 @@ therefore *distribution*-identical to the object and array engines — and
 to this engine's own pair-at-a-time oracle (``batching="pair"``), which
 tests use to gate it.
 
-**Two samplers, one law.**  A row advance draws its runs with one of two
-samplers, chosen by :data:`ROW_RUN_COST` from ``S`` and the number of
-rows stepping:
+**Two samplers, one law.**  In the row loop each row stops at its own
+check boundaries and bursts (:meth:`CountsSimulation._drive_rows`), and
+each iteration steps the live rows with one of two samplers, chosen by
+:data:`ROW_RUN_COST` from ``S`` and the number of live rows:
 
-* the *per-row* sampler runs one row at a time, one C-level
+* the *per-row* sampler runs one row at a time to its stop, one C-level
   ``multivariate_hypergeometric`` over the occupied codes per run, and
   takes the collision from the run's own outputs; when the colliding pair
   has an unused member, that agent is one more drawn with the run — a run
   costs ``O(occupied codes + run length)``, however wide ``S`` is.
   One-row engines always use it, so a single trial is the same stream
   whichever registry name built it;
-* the *lockstep* sampler serves every stepping row with a fixed number of
-  numpy calls per run: one run-length block draw, a conditional
+* the *lockstep* sampler gives every live row one step with a fixed
+  number of numpy calls: one run-length block draw, a conditional
   hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
   own ``marginals`` decomposition), and the pairing either by pair-type
   counts or by a segmented shuffle (see :meth:`CountsSimulation._step_rows`).
@@ -87,13 +88,13 @@ distribution-identical to a one-row engine.
 
 **Faults.**  Each row may carry a :class:`~repro.sim.fault_engine
 .FaultSpec`; the row holds the :class:`~repro.sim.fault_engine.FaultEngine`
-it builds, row advances are sliced at every row's burst boundaries, and
+it builds, the row stops at each of its burst boundaries, and
 the row's engine fires its bursts through the same firing step it uses on
 a per-trial engine.  A row's burst schedule is therefore bit-identical to
 a per-trial ``FaultEngine`` under the same ``FaultSpec``.
 
 **Determinism.**  A run is a pure function of ``(protocol, initial
-counts, seed, batching mode, advance split sequence)``.  Unlike the array
+counts, seed, batching mode, check and burst boundaries)``.  Unlike the array
 scheduler there is **no** slicing-invariance guarantee: changing
 ``check_interval`` changes how runs are truncated and therefore the
 concrete sample path (never the law).  Checkpoint/resume stays
@@ -157,7 +158,7 @@ BATCHING_MODES = (BATCHING_RUN, BATCHING_PAIR)
 #: row just runs and is never called silent (correct either way).
 MAX_SILENCE_STATES = 64
 
-#: The sampler rule: ``R`` stepping rows take the lockstep sampler when
+#: The sampler rule: ``R`` live rows take the lockstep sampler when
 #: ``R * ROW_RUN_COST >= S - 1``, else the per-row sampler.  It is the
 #: cost of one per-row run in units of one lockstep chain call (a
 #: vectorized ``hypergeometric``, of which a lockstep run makes ``S - 1``).
@@ -170,9 +171,10 @@ MAX_SILENCE_STATES = 64
 #: thus leans towards the lockstep sampler for R between S - 1 and about
 #: 2(S - 1); a constant below 1 would remove that lean but would also send
 #: a lone two-state row to the per-row sampler.  Below S ≈ 10 the lockstep
-#: step's fixed cost (about ten per-row runs) dominates instead; the rule
-#: leaves it out, so two-state protocols keep the lockstep sampler at
-#: every R.
+#: step's fixed cost dominates instead (0.23–0.37 ms for one to five rows
+#: of the two-state epidemic at n = 10⁴, five to nine per-row runs); the
+#: rule leaves it out, so two-state protocols keep the lockstep sampler at
+#: every R, and the row loop never takes a step for stragglers alone.
 ROW_RUN_COST = 1
 
 
@@ -395,6 +397,8 @@ class CountsSimulation(_Engine):
         # The jump rule's E[L] = Σ P(L ≥ t), the mean collision-free run.
         self._mean_run = float(self._runs.survival.sum())
         self._driven = False
+        self._row_faults: list[Optional[FaultEngine]] = [None] * self.trials
+        self._faulted = np.zeros(self.trials, dtype=bool)
         self._row_events: list[list[FaultEvent]] = []
         # The lockstep sampler pairs runs by type counts (an S² chain)
         # when that beats materializing the Θ(√n)-length agent multiset;
@@ -490,42 +494,34 @@ class CountsSimulation(_Engine):
 
         Same check discipline as every engine — the predicate is
         evaluated per row before the first step and then every
-        ``check_interval`` interactions; a converged row retires with its
-        interaction count (a check boundary), a row that exhausts the
-        budget reports ``max_interactions`` unconverged.  A row that goes
-        *silent* without faults can never converge, so it retires
-        unconverged immediately (same outcome ``run_until`` reports after
-        idling out its budget).  ``faults`` gives each row an optional
-        :class:`FaultSpec`, sliced into the advances at that row's burst
-        boundaries.
+        ``check_interval`` interactions of that row; a converged row
+        retires with its interaction count (a check boundary), a row that
+        exhausts the budget reports ``max_interactions`` unconverged.  A
+        row that goes *silent* without faults can never converge, so it
+        retires unconverged immediately (same outcome ``run_until``
+        reports after idling out its budget).  ``faults`` gives each row
+        an optional :class:`FaultSpec`, whose bursts stop the row at their
+        boundaries (see :meth:`_drive_rows`).
         """
         if check_interval < 1:
             raise ValueError("check_interval must be positive")
-        row_faults = self._start_drive(faults)
-        outcomes: list[Optional[RowOutcome]] = [None] * self.trials
-        timings = self._timings
-        live = list(range(self.trials))
-        position = 0
-        checked = perf_counter() if timings is not None else 0.0
-        live = self._retire_converged(live, outcomes, predicate, position)
-        live = self._retire_silent(live, outcomes, row_faults, max_interactions)
-        if timings is not None:
-            timings["retire"] += perf_counter() - checked
-        while live and position < max_interactions:
-            target = min(position + check_interval, max_interactions)
-            self._advance_rows(live, position, target, row_faults)
-            position = target
-            checked = perf_counter() if timings is not None else 0.0
-            live = self._retire_converged(live, outcomes, predicate, position)
-            if position < max_interactions:
-                live = self._retire_silent(live, outcomes, row_faults, max_interactions)
-            if timings is not None:
-                timings["retire"] += perf_counter() - checked
-        for row in live:
-            outcomes[row] = RowOutcome(
-                row, False, max_interactions, max_interactions / self.n
-            )
-        return outcomes  # type: ignore[return-value]
+        self._start_drive(faults)
+        n = self.n
+        outcomes = [
+            RowOutcome(row, False, max_interactions, max_interactions / n)
+            for row in range(self.trials)
+        ]
+
+        def check(rows, positions):
+            held = self._rows_predicate(predicate, rows)
+            for row, position in zip(rows[held].tolist(), positions[held].tolist()):
+                outcomes[row] = RowOutcome(row, True, position, position / n)
+            keep = ~held
+            keep[keep] = ~self._frozen(rows[keep])
+            return keep
+
+        self._drive_rows(max_interactions, check_interval, check)
+        return outcomes
 
     def measure_rows_availability(
         self,
@@ -537,39 +533,47 @@ class CountsSimulation(_Engine):
     ) -> list[AvailabilityReport]:
         """Row-wise availability workload: inject, checkpoint, report per row.
 
-        Every row runs the full budget (availability has no early exit);
-        rows that go silent with no faults pending stop *sampling* — their
-        counts are provably frozen — but keep checkpointing.
+        Every row runs the full budget (availability has no early exit)
+        and is checkpointed every ``checkpoint_every`` of its
+        interactions.  A row that is silent with no faults — from the
+        start or at a checkpoint — stops *sampling*: its counts are
+        provably frozen, so every checkpoint it has left reads the verdict
+        it holds now.
         """
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
-        row_faults = self._start_drive(faults)
+        self._start_drive(faults)
+        total, every = total_interactions, checkpoint_every
         accounting = [AvailabilityAccounting() for _ in range(self.trials)]
-        frozen: set[int] = set()
-        position = 0
-        while position < total_interactions:
-            target = min(position + checkpoint_every, total_interactions)
-            active = [row for row in range(self.trials) if row not in frozen]
-            self._advance_rows(active, position, target, row_faults)
-            position = target
-            for row in range(self.trials):
-                accounting[row].note_events(self._row_events[row])
-                accounting[row].checkpoint(
-                    position, self._row_predicate(correct, self._matrix[row])
-                )
-            fault_free = [row for row in active if row_faults[row] is None]
-            if fault_free:
-                silent = self._silent_rows(fault_free)
-                frozen.update(row for row, holds in zip(fault_free, silent) if holds)
+
+        def check(rows, positions):
+            # A frozen row takes every checkpoint it has left now, with
+            # the verdict it holds now; there is no checkpoint at 0.
+            frozen = self._frozen(rows)
+            judged = (positions > 0) | frozen
+            held = self._np.zeros(rows.size, dtype=bool)
+            held[judged] = self._rows_predicate(correct, rows[judged])
+            for row, position, holds, still in zip(
+                rows.tolist(), positions.tolist(), held.tolist(), frozen.tolist()
+            ):
+                account = accounting[row]
+                account.note_events(self._row_events[row])
+                last = total if still else position
+                for mark in range(position or every, last, every):
+                    account.checkpoint(mark, holds)
+                if last:
+                    account.checkpoint(last, holds)
+            return ~frozen
+
+        self._drive_rows(total, every, check)
         return [
             accounting[row].report(
-                total_interactions=total_interactions,
-                fault_bursts=len(self._row_events[row]),
+                total_interactions=total, fault_bursts=len(self._row_events[row])
             )
             for row in range(self.trials)
         ]
 
-    def _start_drive(self, faults) -> list[Optional[FaultEngine]]:
+    def _start_drive(self, faults) -> None:
         """Claim the engine's one row workload; build each row's fault engine."""
         if faults is None:
             specs: list[Optional[FaultSpec]] = [None] * self.trials
@@ -590,15 +594,15 @@ class CountsSimulation(_Engine):
                 "this engine has already been driven; build a fresh engine per workload"
             )
         self._driven = True
-        row_faults = [
+        self._row_faults = [
             spec.make_engine(self.protocol, n=self.n) if spec is not None else None
             for spec in specs
         ]
-        self._row_events = [faults.events if faults else [] for faults in row_faults]
-        return row_faults
+        self._faulted = self._np.array([spec is not None for spec in specs], dtype=bool)
+        self._row_events = [faults.events if faults else [] for faults in self._row_faults]
 
     # ------------------------------------------------------------------
-    # Retirement and per-row checks
+    # Per-row checks
     # ------------------------------------------------------------------
 
     def _row_predicate(self, predicate, counts) -> bool:
@@ -607,35 +611,25 @@ class CountsSimulation(_Engine):
             return bool(on_counts(counts))
         return bool(predicate(configuration_from_counts(self.protocol, counts)))
 
-    def _retire_converged(self, live, outcomes, predicate, position):
-        if not live:
-            return []
-        held = self._rows_predicate(predicate, live)
-        survivors = []
-        for row, holds in zip(live, held):
-            if holds:
-                outcomes[row] = RowOutcome(row, True, position, position / self.n)
-            else:
-                survivors.append(row)
-        return survivors
-
-    def _rows_predicate(self, predicate, rows) -> list[bool]:
-        """``predicate`` over every row of ``rows`` — one array op when
-        the predicate carries a row-vectorized counts form.
+    def _rows_predicate(self, predicate, rows):
+        """``predicate`` over every row of ``rows``, as a boolean mask —
+        one array op when the predicate carries a row-vectorized counts
+        form.
 
         Predicates built by :func:`goal_counts_predicate` expose
         ``on_counts_rows`` (backed by
         :meth:`~repro.core.protocol.PopulationProtocol.goal_counts_rows`),
-        so the whole live set is answered by one ``(R, S)`` expression
-        instead of a Python loop over ``T``.  Plain predicates fall back
-        to the per-row check.
+        so a whole set of rows is answered by one ``(R, S)`` expression
+        instead of a Python loop.  Plain predicates fall back to the
+        per-row check.
         """
+        np = self._np
         on_rows = getattr(predicate, "on_counts_rows", None)
         if on_rows is not None:
-            np = self._np
-            sub = self._matrix[np.asarray(rows, dtype=np.int64)]
-            return [bool(holds) for holds in np.asarray(on_rows(sub)).reshape(-1)]
-        return [self._row_predicate(predicate, self._matrix[row]) for row in rows]
+            held = on_rows(self._matrix[rows])
+        else:
+            held = [self._row_predicate(predicate, self._matrix[row]) for row in rows]
+        return np.asarray(held, dtype=bool).reshape(-1)
 
     def _silent_rows(self, rows):
         """Whether each row of ``rows`` is silent: its jump weight ``W`` is
@@ -665,55 +659,76 @@ class CountsSimulation(_Engine):
         changes[:, diagonal, diagonal] &= sub > 1
         return ~changes.any(axis=(1, 2))
 
-    def _retire_silent(self, live, outcomes, row_faults, max_interactions):
-        # A silent row with no fault stream is frozen forever: its
-        # predicate stays False at every future check, so run_until would
-        # idle to the budget and report exactly this.  Rows with faults
-        # stay live — a burst can corrupt them awake.
-        candidates = [row for row in live if row_faults[row] is None]
-        if not candidates:
-            return list(live)
-        silent = dict(zip(candidates, self._silent_rows(candidates)))
-        survivors = []
-        for row in live:
-            if silent.get(row, False):
-                outcomes[row] = RowOutcome(
-                    row, False, max_interactions, max_interactions / self.n
-                )
-            else:
-                survivors.append(row)
-        return survivors
+    def _frozen(self, rows):
+        """The mask of the rows of ``rows`` whose counts never move again:
+        silent (:meth:`_silent_rows`), with no fault stream to corrupt
+        them awake."""
+        frozen = ~self._faulted[rows]
+        if frozen.any():
+            frozen[frozen] = self._silent_rows(rows[frozen])
+        return frozen
 
     # ------------------------------------------------------------------
-    # Row advances: burst slicing and the sampler choice
+    # The row driver: one event loop, each row at its own stops
     # ------------------------------------------------------------------
 
-    def _advance_rows(self, rows, position, target, row_faults) -> None:
-        """Advance every row in ``rows`` from ``position`` to ``target``,
-        firing each row's scheduled bursts at their interaction boundaries
-        (the row-wise form of :meth:`FaultEngine._advance_to`)."""
-        pos = {row: position for row in rows}
+    def _drive_rows(self, budget: int, interval: int, check) -> None:
+        """Step every row to its own stops until ``check`` retires it or
+        its ``budget`` runs out — the one loop behind both row workloads.
+
+        A row's *stop* is the nearer of its next check boundary (every
+        ``interval`` of its interactions, and ``budget``) and its next
+        burst.  Each iteration gives every live row one step: one lockstep
+        iteration (:meth:`_step_rows`) when the sampler rule picks it for
+        the live rows, else the per-row sampler to each row's stop.  Rows
+        at their stop are handled at once while the rest keep stepping:
+        due bursts fire (the row-wise :meth:`FaultEngine._advance_to`),
+        then ``check(rows, positions)``, one call over the rows at a check
+        boundary charged to ``retire``, says which go on.  It also runs
+        over every row before the first step; a row stops at its budget.
+        """
+        np = self._np
+        timings = self._timings
+
+        def checked(rows, positions):
+            start = perf_counter() if timings is not None else 0.0
+            keep = check(rows, positions) & (positions < budget)
+            if timings is not None:
+                timings["retire"] += perf_counter() - start
+            return keep
+
+        rows = np.arange(self.trials, dtype=np.int64)
+        rows = rows[checked(rows, np.zeros_like(rows))]
+        pos = np.zeros_like(rows)
+        boundary = np.full_like(rows, min(interval, budget))
+        burst = np.full_like(rows, budget)  # a fault-free row never bursts
+        faulted = self._faulted[rows]
+        arrived = np.arange(rows.size)
         while True:
-            stepping: list[int] = []
-            amounts: list[int] = []
-            for row in rows:
-                stop = target
-                faults = row_faults[row]
-                if faults is not None:
-                    apply = functools.partial(self._apply_row_fault, row)
-                    stop = min(stop, faults._fire_due(apply, pos[row]))
-                if pos[row] >= target:
-                    continue
-                stepping.append(row)
-                amounts.append(stop - pos[row])
-                pos[row] = stop
-            if not stepping:
+            for i in arrived[faulted[arrived]].tolist():
+                row = int(rows[i])
+                apply = functools.partial(self._apply_row_fault, row)
+                burst[i] = self._row_faults[row]._fire_due(apply, int(pos[i]))
+            due = arrived[pos[arrived] == boundary[arrived]]
+            if due.size:
+                keep = np.ones(rows.size, dtype=bool)
+                keep[due] = checked(rows[due], pos[due])
+                boundary[due] = np.minimum(boundary[due] + interval, budget)
+                if not keep.all():
+                    rows, pos, boundary, burst, faulted = (
+                        rows[keep], pos[keep], boundary[keep], burst[keep], faulted[keep]
+                    )
+            if not rows.size:
                 return
-            if self._lockstep(len(stepping)):
-                self._step_rows(stepping, amounts)
+            stop = np.minimum(boundary, burst)
+            if self._lockstep(rows.size):
+                pos = stop - self._step_rows(rows, stop - pos)
+                arrived = (pos == stop).nonzero()[0]
             else:
-                for row, amount in zip(stepping, amounts):
+                for row, amount in zip(rows.tolist(), (stop - pos).tolist()):
                     self._run_row(self._matrix[row], amount)
+                pos = stop
+                arrived = np.arange(rows.size)
 
     def _lockstep(self, stepping: int) -> bool:
         """The sampler rule for ``stepping`` rows (see :data:`ROW_RUN_COST`);
@@ -956,13 +971,13 @@ class CountsSimulation(_Engine):
     # The lockstep sampler
     # ------------------------------------------------------------------
 
-    def _step_rows(self, rows, amounts) -> None:
-        """Run ``amounts[i]`` interactions on each row of ``rows``, in
-        lockstep steps; rows leave the stepping set as their budget
-        empties (the straggler-retirement hot loop).
+    def _step_rows(self, idx, remaining):
+        """At least one step for each row of ``idx`` towards its stop,
+        ``remaining`` interactions away; returns the interactions each row
+        has left (the lockstep step of :meth:`_drive_rows`).
 
-        Each iteration gives every still-stepping row one step of one of
-        two kinds.  On the matching path (below) a row that expects fewer
+        One lockstep iteration gives every row one step of one of two
+        kinds.  On the matching path (below) a row that expects fewer
         than one count change per collision-free run takes a *jump step*
         (:meth:`_jump_rows`): it skips straight over the null
         interactions to the next effectful one.  Every other row takes a
@@ -973,8 +988,8 @@ class CountsSimulation(_Engine):
         A run step, for the R rows taking one: one run-length block draw,
         one row-wise hypergeometric sample of the ``2k`` agents' states,
         the uniform pairing of those agents, one aggregate delta — and a
-        vectorized collision interaction for every row whose run
-        completed inside its budget.
+        vectorized collision interaction for every row whose run ended
+        short of its stop.
 
         The pairing has two law-identical implementations.  A uniform
         shuffle of the ``2k``-agent multiset decomposes exactly: the
@@ -989,19 +1004,12 @@ class CountsSimulation(_Engine):
         multiset materialization + segmented-shuffle path (``O(R·√n)``
         elements but only a dozen numpy calls), and never jump.
         """
-        np = self._np
-        idx = np.asarray(rows, dtype=np.int64)
-        remaining = np.array(amounts, dtype=np.int64)
-        while idx.size:
-            run = self._jump_rows(idx, remaining) if self._matching else None
-            if run is None:
-                remaining = self._run_rows(idx, remaining)
-            elif run.any():
-                remaining[run] = self._run_rows(idx[run], remaining[run])
-            keep = remaining > 0
-            if not keep.all():
-                idx = idx[keep]
-                remaining = remaining[keep]
+        run = self._jump_rows(idx, remaining) if self._matching else None
+        if run is None:
+            return self._run_rows(idx, remaining)
+        if run.any():
+            remaining[run] = self._run_rows(idx[run], remaining[run])
+        return remaining
 
     def _jump_rows(self, idx, remaining):
         """One jump step for each row of ``idx`` that expects fewer than
@@ -1015,14 +1023,13 @@ class CountsSimulation(_Engine):
         with ``W·E[L] < n(n-1)`` (``E[L]`` the mean run length) jumps: it
         draws the number of interactions up to and including the next
         effectful one, ``τ ~ Geometric(W / n(n-1))``, and if ``τ`` fits
-        its budget applies one effectful pair, drawn in proportion to its
-        weight by one integer in ``[0, W)``, and advances ``τ``.  A row
-        whose ``τ`` overruns its budget ends the slice unchanged (the
-        geometric is memoryless, so restarting next slice is exact), and
-        a row with ``W = 0`` ends it without drawing at all.
+        before its stop applies one effectful pair, drawn in proportion to
+        its weight by one integer in ``[0, W)``, and advances ``τ``.  A row
+        whose ``τ`` overruns its stop reaches the stop unchanged (the
+        geometric is memoryless, so restarting there is exact), and a row
+        with ``W = 0`` reaches it without drawing at all.
         ``remaining`` is updated in place for the rows that jumped.
         """
-        np = self._np
         rng = self._generator
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
@@ -1042,7 +1049,8 @@ class CountsSimulation(_Engine):
         tau = rng.geometric(total[hit] / pairs)
         fits = tau <= remaining[hit]
         hit, tau = hit[fits], tau[fits]
-        pick = self._draw_state_rows(weights[hit], total[hit])
+        x = rng.integers(0, total[hit])
+        pick = (weights[hit].cumsum(axis=1) <= x[:, None]).sum(axis=1)
         if timings is not None:
             drawn = perf_counter()
             timings["draw"] += drawn - start
@@ -1070,7 +1078,7 @@ class CountsSimulation(_Engine):
 
     def _run_rows(self, idx, remaining):
         """One lockstep run step for each row of ``idx``; returns the
-        rows' budgets left (see :meth:`_step_rows`)."""
+        interactions each row has left (see :meth:`_step_rows`)."""
         np = self._np
         rng = self._generator
         size = self.num_states
@@ -1080,7 +1088,7 @@ class CountsSimulation(_Engine):
         start = perf_counter() if timings is not None else 0.0
         lengths = self._runs.next_run_lengths(int(idx.size))
         k = np.minimum(lengths, remaining)
-        collide = (remaining > k) & (k == lengths)
+        collide = remaining > lengths
         two_k = 2 * k
         sub = counts[idx]  # (R, S) snapshot of the pre-run counts
         sample = self._sample_rows(sub, two_k)
@@ -1121,7 +1129,7 @@ class CountsSimulation(_Engine):
             counts[idx] += delta.reshape(live, size)
         remaining = remaining - k
         if collide.any():
-            self._collision_rows(idx[collide], sub[collide] - sample[collide])
+            self._collision_rows(idx[collide], sub[collide] - sample[collide], two_k[collide])
             remaining[collide] -= 1
         if timings is not None:
             timings["apply"] += perf_counter() - paired
@@ -1153,17 +1161,15 @@ class CountsSimulation(_Engine):
         multivariate hypergeometric subsample of the responders not yet
         matched, so the chain over initiator codes (each step one
         :meth:`_sample_rows` call) samples the exact joint law; the last
-        code takes whatever remains.
+        code takes whatever remains.  ``responders`` is consumed.
         """
-        np = self._np
         size = self.num_states
-        matched = np.zeros((initiators.shape[0], size, size), dtype=np.int64)
-        remaining = responders.copy()
+        matched = self._np.empty((initiators.shape[0], size, size), dtype=initiators.dtype)
         for code in range(size - 1):
-            taken = self._sample_rows(remaining, initiators[:, code])
+            taken = self._sample_rows(responders, initiators[:, code])
             matched[:, code, :] = taken
-            remaining -= taken
-        matched[:, size - 1, :] = remaining
+            responders -= taken
+        matched[:, size - 1, :] = responders
         return matched
 
     def _sample_rows(self, sub, nsample):
@@ -1173,72 +1179,56 @@ class CountsSimulation(_Engine):
         The conditional chain over codes (numpy's own ``marginals``
         decomposition): code by code, a vectorized-over-rows scalar
         hypergeometric of the remaining draw against the remaining
-        population.  ``S - 1`` generator calls serve the whole batch.
+        population.  ``S - 1`` generator calls serve the whole batch.  A
+        row that has drawn all it needs meets an empty urn, from which
+        numpy's generator draws nothing and consumes no randomness.
         """
-        np = self._np
         rng = self._generator
-        out = np.zeros_like(sub)
-        population_rest = sub.sum(axis=1)
-        draw_rest = nsample.astype(np.int64)
+        out = self._np.empty_like(sub)
+        rest = sub.sum(axis=1)
+        draw = nsample.copy()
         for code in range(self.num_states - 1):
             good = sub[:, code]
-            population_rest = population_rest - good
-            # hypergeometric needs a non-empty urn; an exhausted row has
-            # draw_rest == 0, so a phantom bad ball never gets drawn.
-            bad = np.where(good + population_rest > 0, population_rest, 1)
-            taken = rng.hypergeometric(good, bad, draw_rest)
+            rest -= good
+            taken = rng.hypergeometric(good, rest, draw)
             out[:, code] = taken
-            draw_rest = draw_rest - taken
-        out[:, -1] = draw_rest
+            draw -= taken
+        out[:, -1] = draw
         return out
 
-    def _collision_rows(self, rows, avail) -> None:
+    def _collision_rows(self, rows, avail, used) -> None:
         """One colliding interaction per row, vectorized across rows.
 
-        ``avail`` holds each row's unused agents' states; ``counts -
-        avail`` (post-run) is the used agents' output multiset.  The
-        category weights ``U(U-1) : U·A : A·U`` are the per-row sampler's
-        (:meth:`_run_batched`); here each category's agents are drawn as
-        states from count-vector pools, one pool draw per agent.
+        ``avail`` holds each row's unused agents' states, ``used`` its
+        run's ``U = 2k``; ``counts - avail`` (post-run) is the used agents'
+        output multiset.  Agents ``0 … U-1`` are used, ``U … n-1`` unused,
+        and the pairs with a used member are ``U(n-1)`` with a used
+        initiator and ``A·U`` with an unused one (``A = n - U``): the
+        per-row sampler's ``U(U-1) + 2·U·A`` (:meth:`_run_batched`).  One
+        ``integers`` call picks each row's pair (a used initiator's partner
+        skips its position), and each agent's state is found by walking
+        its pool code by code.
         """
         np = self._np
-        rng = self._generator
+        n = self.n
         size = self.num_states
         counts = self._matrix
-        used = counts[rows] - avail
-        used_total = used.sum(axis=1)
-        avail_total = self.n - used_total
-        w_uu = used_total * (used_total - 1)
-        w_ua = used_total * avail_total
-        x = rng.random(rows.size) * (w_uu + 2 * w_ua)
-        uu = x < w_uu
-        ua = (~uu) & (x < w_uu + w_ua)
-        au = ~(uu | ua)
-        # Two category-merged draws instead of one pair per category:
-        # the initiator comes from the used pool except in (unused, used)
-        # rows; the responder from the used pool except in (used, unused)
-        # rows, with (used, used) rows' pool depleted by the initiator.
-        a_pool = np.where(au[:, None], avail, used)
-        a = self._draw_state_rows(a_pool, np.where(au, avail_total, used_total))
-        b_pool = np.where(ua[:, None], avail, used)
-        b_pool[uu, a[uu]] -= 1
-        b_total = np.where(ua, avail_total, used_total - uu)
-        b = self._draw_state_rows(b_pool, b_total)
-        pair_index = a * size + b
+        x = self._generator.integers(0, used * (n - 1 + n - used))
+        agents = np.stack(np.divmod(x, n - 1))  # initiator and responder positions
+        agents[1] += agents[1] >= agents[0]
+        over, under = np.divmod(x - used * (n - 1), used)
+        agents = np.where(x >= used * (n - 1), (used + over, under), agents)  # unused initiator
+        unused = agents >= used
+        agents -= used * unused
+        used_pool = counts[rows] - avail
+        states = np.zeros_like(agents)
+        for code in range(size - 1):
+            agents -= np.where(unused, avail[:, code], used_pool[:, code])
+            states += agents >= 0
+        a, b = states
+        pair = a * size + b
         u_flat, v_flat = self.table.flat
-        base = rows * size
-        flat = counts.reshape(-1)
-        flat += np.bincount(
-            np.concatenate((base + u_flat.take(pair_index), base + v_flat.take(pair_index))),
-            minlength=flat.size,
-        )
-        flat -= np.bincount(
-            np.concatenate((base + a, base + b)), minlength=flat.size
-        )
-
-    def _draw_state_rows(self, pools, totals):
-        """Row-wise: the state of one agent drawn uniformly from each pool
-        (an index drawn in proportion to each row's weights)."""
-        np = self._np
-        x = self._generator.integers(0, totals)
-        return (pools.cumsum(axis=1) <= x[:, None]).sum(axis=1).astype(np.int64)
+        counts[rows, a] -= 1
+        counts[rows, b] -= 1
+        counts[rows, u_flat.take(pair)] += 1
+        counts[rows, v_flat.take(pair)] += 1

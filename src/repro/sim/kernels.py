@@ -6,7 +6,7 @@ Python-level numpy dispatches: the run-length draw, ``S - 1``
 hypergeometric chain calls, the Fisher-MVH matching chain, the delta
 apply, the collision branch.  At small ``S`` (the sweep regime) that
 dispatch *is* the cost.  This module compiles the whole step: one
-nopython kernel advances every live row through its entire budget slice
+nopython kernel advances every live row all the way to its next stop
 — run-length draw, conditional multivariate-hypergeometric chain,
 initiator→responder matching, pair application and the colliding
 ``(L+1)``-th interaction all fused into one scalar loop per row.
@@ -32,8 +32,8 @@ proportion to its weight.  Streams differ, bits differ;
 distributions do not — ``batch-jit`` vs ``batch`` is *law-exact, not
 bit-exact* (gated by Monte-Carlo marginals + KS in
 ``tests/test_kernels.py`` and benchmark E24).  Only the lockstep
-sampler is compiled: advances the sampler rule sends to the per-row
-sampler — every advance of a one-row engine among them — run the numpy
+sampler is compiled: iterations the sampler rule sends to the per-row
+sampler — every one of a one-row engine among them — run the numpy
 counts loop, so single trials stay bit-for-bit the counts engine, and
 rows retire or freeze on the numpy engine's silence verdicts, which make
 no draws.
@@ -392,7 +392,7 @@ def _k_run_rows(
 ):
     """Advance each row of ``rows`` through ``amounts[r]`` interactions.
 
-    The whole budget slice of every row runs inside this one kernel —
+    Each row's whole advance to its stop runs inside this one kernel —
     run-length draw, composition chain, matching chain, apply, collision
     — a scalar loop per row on that row's counter-based stream.  With
     ``jump`` on (the numpy engine's matching path), each step is a jump
@@ -460,10 +460,11 @@ class JitBatchCountsEngine(BatchCountsEngine):
     """:class:`BatchCountsEngine` with the lockstep sampler run in
     compiled kernels on counter-based per-row streams.
 
-    Everything else is inherited: the ``init`` union, burst slicing,
-    retirement discipline and silence verdicts, the sampler rule and the
-    numpy per-row sampler (so single trials are bit-for-bit the counts
-    engine), the row-workload surface the sweep/fabric stack calls.
+    Everything else is inherited: the ``init`` union, the row loop that
+    stops each row at its own check boundaries and bursts, retirement
+    and silence verdicts, the sampler rule and the numpy per-row sampler
+    (so single trials are bit-for-bit the counts engine), the
+    row-workload surface the sweep/fabric stack calls.
     Lockstep draws come from this module's streams — same law as
     ``backend='batch'``, not the same bits (see the module docstring).
 
@@ -492,10 +493,10 @@ class JitBatchCountsEngine(BatchCountsEngine):
         self._u_out = np_mod.ascontiguousarray(self.table.u_out, dtype=np_mod.int64)
         self._v_out = np_mod.ascontiguousarray(self.table.v_out, dtype=np_mod.int64)
 
-    def _step_rows(self, rows, amounts) -> None:
+    def _step_rows(self, idx, remaining):
+        """The fused kernel takes every row of ``idx`` all the way to its
+        stop, so no row has interactions left."""
         np_mod = self._np
-        idx = np_mod.asarray(rows, dtype=np_mod.int64)
-        amt = np_mod.asarray(amounts, dtype=np_mod.int64)
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
         if self._matching:
@@ -505,12 +506,13 @@ class JitBatchCountsEngine(BatchCountsEngine):
             mean_run = 0.0
         with overflow_guard():
             _k_run_rows(
-                self._matrix, idx, amt, self._neg_survival,
+                self._matrix, idx, remaining, self._neg_survival,
                 self._u_out, self._v_out, self._keys, self._counters, self.n,
                 self._matching, initiators, responders, mean_run,
             )
         if timings is not None:
             timings["apply"] += perf_counter() - start
+        return np_mod.zeros_like(remaining)
 
 
 __all__ = [

@@ -19,10 +19,15 @@ Contracts gated here:
 * validation: mixed population sizes are rejected, ``Replicated`` starts
   are batch-engine-only, protocols without a finite encoding fail
   loudly, and an engine drives exactly one workload;
+* the row driver: each row is checked at its own boundaries, a row
+  that exhausts the budget reports it unconverged, and every lockstep
+  step serves every live row, never a few stragglers alone;
 * the ``T > 1`` law on both samplers: rows agree with independent
   one-row pair-at-a-time oracles by two-sample KS tests, on a cell the
   lockstep sampler serves and one the per-row sampler serves, and one-row
   engines agree with them on a wide, sparsely occupied state space;
+  lockstep availability rows under bursts agree with one-row engines
+  driven by a per-trial fault engine, burst schedules bit for bit;
 * the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
   matrix it does not read, and the per-row sampler's jumps build neither
   it nor the lockstep jump tables, and weigh no row above the
@@ -215,6 +220,63 @@ class TestBatchSemantics:
             assert [e.interaction for e in engine.fault_events(row)] == \
                 [e.interaction for e in twin.events]
             assert reports[row].fault_bursts == len(twin.events)
+
+
+class TestRowDriver:
+    """Each row is checked at its own boundaries, and every lockstep step
+    serves every live row."""
+
+    def test_rows_stop_at_their_own_boundaries_and_no_step_serves_stragglers(
+        self, monkeypatch
+    ):
+        # From 100 infected of n = 2000 every row is in the run regime at
+        # once, so row r takes run steps in the first runs[r] lockstep
+        # iterations and jump steps after; an iteration that serves only
+        # stragglers would draw one more block of run lengths.
+        n, rows, budget = 2_000, 200, 11_000
+        interval = n // 4
+        protocol = EpidemicProtocol()
+        goal = goal_counts_predicate(protocol)
+        checked = []
+
+        def on_rows(counts_rows):
+            checked.append(len(counts_rows))
+            return goal.on_counts_rows(counts_rows)
+
+        engine = BatchCountsEngine(
+            protocol, init=Replicated(CountVector([n - 100, 100]), rows), seed=5
+        )
+        assert engine._matching and engine._lockstep(1)
+        runs = np.zeros(rows, dtype=np.int64)
+        run_rows = engine._run_rows
+
+        def counted_runs(idx, remaining):
+            runs[idx] += 1
+            return run_rows(idx, remaining)
+
+        blocks = []
+        next_run_lengths = engine._runs.next_run_lengths
+
+        def counted_blocks(count):
+            blocks.append(count)
+            return next_run_lengths(count)
+
+        monkeypatch.setattr(engine, "_run_rows", counted_runs)
+        monkeypatch.setattr(engine._runs, "next_run_lengths", counted_blocks)
+        outcomes = engine.run_rows_until(
+            counts_aware(goal.on_config, goal.on_counts, on_rows),
+            max_interactions=budget,
+            check_interval=interval,
+        )
+        converged = [row for row in outcomes if row.converged]
+        exhausted = [row for row in outcomes if not row.converged]
+        assert converged and exhausted  # the budget splits the cell
+        assert all(row.interactions % interval == 0 for row in converged)
+        assert all(row.interactions == budget for row in exhausted)
+        assert not any(goal.on_counts(engine.counts[row.row]) for row in exhausted)
+        # Every row is checked once per boundary, from 0 to where it stopped.
+        assert sum(checked) == sum(row.interactions // interval + 1 for row in outcomes)
+        assert len(blocks) <= runs.max() + 1, (len(blocks), runs.max())
 
 
 class TestValidation:
@@ -455,6 +517,43 @@ class TestRowLaw:
         assert ks_statistic(batched, oracle) <= ks_threshold(trials, trials, KS_ALPHA)
 
 
+    def test_lockstep_availability_under_bursts_matches_per_trial_runs(self):
+        # Pairwise elimination at n = 32 from all leaders, with kill_leaders
+        # bursts every 640 interactions on average: the rows take the
+        # lockstep sampler and stop at their own bursts.  A burst that
+        # demotes the last leader leaves a row dead, but its fault stream
+        # keeps it stepping.  Statistic: the number of checkpoints with
+        # exactly one leader, against one-row counts engines driven by a
+        # per-trial FaultEngine under the same specs, whose burst
+        # schedules the rows must repeat bit for bit.
+        protocol = PairwiseElimination(32)
+        correct = goal_counts_predicate(protocol)
+        rows, total, every = 240, 4_000, 16
+        specs = [
+            FaultSpec(model="kill_leaders", rate=0.05, seed=derive_seed(8, row))
+            for row in range(rows)
+        ]
+        engine = BatchCountsEngine(protocol, init=Replicated(Clean(32), rows), seed=7)
+        assert engine._matching and engine._lockstep(rows)
+        reports = engine.measure_rows_availability(
+            correct, total_interactions=total, checkpoint_every=every, faults=specs
+        )
+        per_trial = []
+        for row, spec in enumerate(specs):
+            sim = CountsSimulation(protocol, init=Clean(32), seed=derive_seed(9, row))
+            twin = spec.make_engine(protocol, n=32)
+            per_trial.append(
+                twin.measure_availability(
+                    sim, correct, total_interactions=total, checkpoint_every=every
+                ).available_checkpoints
+            )
+            assert [event.interaction for event in engine.fault_events(row)] == \
+                [event.interaction for event in twin.events]
+        batched = [report.available_checkpoints for report in reports]
+        assert len(set(batched)) > 10  # not a degenerate statistic
+        assert ks_statistic(batched, per_trial) <= ks_threshold(rows, rows, KS_ALPHA)
+
+
 class TestWideStateMemory:
     def test_wide_state_engine_never_builds_the_pair_delta(self):
         # At S=334 the (S², S) int64 pair-delta matrix would be 298 MB;
@@ -469,7 +568,8 @@ class TestWideStateMemory:
             engine.run_rows_until(
                 goal_counts_predicate(protocol), max_interactions=1_500, check_interval=250
             )
-            engine._step_rows([0, 1], [200, 200])  # the lockstep shuffle path too
+            # One lockstep iteration takes the shuffle path too.
+            engine._step_rows(np.arange(2), np.full(2, 200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -19,8 +19,8 @@ the abstraction ladder (counts instead of per-agent codes):
   three interactions at ``n = 4–6`` match the law enumerated over every
   ordered agent-pair sequence (chi-square), jump steps, collision
   categories and initiator/responder roles included, and so do the
-  lockstep sampler's jump steps; rows with nothing left to change draw
-  nothing on either sampler;
+  lockstep sampler's jump steps and its colliding pair; rows with
+  nothing left to change draw nothing on either sampler;
 * **result snapshots** — ``run_until`` never expands a configuration
   nobody reads, and a late read still sees the configuration at return;
 * **three-way distribution equivalence** — object, array and counts
@@ -469,21 +469,15 @@ class TestSwapOnlyRowsAreSilent:
         assert engine._generator.bit_generator.state == before
         assert [(row.converged, row.interactions) for row in outcomes] == [(False, 1_000)] * 2
 
-    def test_measure_rows_availability_freezes_them(self, monkeypatch):
+    def test_measure_rows_availability_freezes_them(self):
         engine = self._engine()
-        advanced = []
-        advance = engine._advance_rows
-
-        def recorded(rows, position, target, row_faults):
-            advanced.append(list(rows))
-            advance(rows, position, target, row_faults)
-
-        monkeypatch.setattr(engine, "_advance_rows", recorded)
-        engine.measure_rows_availability(
+        before = engine._generator.bit_generator.state
+        reports = engine.measure_rows_availability(
             NEVER, total_interactions=1_000, checkpoint_every=100
         )
-        # The first slice runs before the first checkpoint's verdict.
-        assert advanced == [[0, 1]] + [[]] * 9
+        assert engine._generator.bit_generator.state == before
+        assert [(report.checkpoints, report.available_checkpoints) for report in reports] \
+            == [(10, 0)] * 2
 
 
 class TestModesAgree:
@@ -667,15 +661,21 @@ class TestExactSmallLaw:
         assert _chi2_pvalue(observed, law, LAW_DRAWS) >= CHI2_ALPHA
 
 
+def _drive_every_row(engine, budget):
+    """Every row of ``engine`` ``budget`` interactions through the row
+    driver, with no fault and no check retiring a row early."""
+    engine._drive_rows(budget, budget, lambda rows, positions: np.ones(rows.size, bool))
+
+
 class TestJumpStepLaw:
     """The lockstep sampler's jump step matches the agent-level law.
 
-    One ``_step_rows`` call advances ``LAW_DRAWS`` rows from the same
-    start.  At ``n = 4–6`` a collision-free run is expected to change
-    fewer than one pair, so the rows take jump steps.  The one-way
-    epidemic tells initiator from responder, and pairwise elimination's
-    one effectful pair is diagonal (two leaders meet), which only the
-    ``c_a·(c_b - 1)`` weight counts right.
+    The row driver advances ``LAW_DRAWS`` rows from the same start
+    (:func:`_drive_every_row`).  At ``n = 4–6`` a collision-free run is
+    expected to change fewer than one pair, so the rows take jump steps.
+    The one-way epidemic tells initiator from responder, and pairwise
+    elimination's one effectful pair is diagonal (two leaders meet),
+    which only the ``c_a·(c_b - 1)`` weight counts right.
     """
 
     @pytest.mark.parametrize("protocol, start, steps", _jump_law_cases())
@@ -696,7 +696,7 @@ class TestJumpStepLaw:
             return run
 
         monkeypatch.setattr(engine, "_jump_rows", counted)
-        engine._step_rows(range(LAW_DRAWS), [steps] * LAW_DRAWS)
+        _drive_every_row(engine, steps)
         assert jumped[0] == LAW_DRAWS, "every row's first step is a jump"
         codes = np.arange(size)
         observed = Counter(tuple(codes.repeat(row).tolist()) for row in engine.counts)
@@ -718,9 +718,72 @@ class TestJumpStepLaw:
             protocol, init=Replicated(CountVector(counts), trials), seed=2
         )
         before = engine._generator.bit_generator.state
-        engine._advance_rows(range(trials), 0, 10_000, [None] * trials)
+        _drive_every_row(engine, 10_000)
         assert engine._generator.bit_generator.state == before
         assert (engine.counts == counts).all()
+
+
+class _PairMarker(PopulationProtocol):
+    """Codes 0–2 are inputs, and a pair of inputs ``(a, b)`` turns both
+    agents into the marker ``3 + 3a + b``: one interaction's ordered
+    pair reads off the counts."""
+
+    name = "pair-marker"
+
+    def initial_state(self):
+        return [0]
+
+    def transition(self, u, v, rng):
+        if u[0] < 3 and v[0] < 3:
+            u[0] = v[0] = 3 + 3 * u[0] + v[0]
+
+    def output(self, state):
+        return state[0]
+
+    def num_states(self):
+        return 12
+
+    def encode_state(self, state):
+        return state[0]
+
+    def decode_state(self, code):
+        return [code]
+
+
+class TestCollisionLaw:
+    """The lockstep collision is uniform over the ordered pairs with a
+    used member: both used, a used initiator with an unused responder,
+    and the reverse."""
+
+    @pytest.mark.parametrize(
+        "post, unused",
+        [
+            pytest.param([5, 4, 3], [3, 1, 2], id="three-codes"),
+            pytest.param([1, 1, 0], [0, 0, 0], id="no-unused-agent"),
+        ],
+    )
+    def test_pair_states_match_the_exact_law(self, post, unused):
+        used = [total - left for total, left in zip(post, unused)]
+        agents = [(True, code) for code in range(3) for _ in range(used[code])]
+        agents += [(False, code) for code in range(3) for _ in range(unused[code])]
+        tally = Counter(
+            (a, b) for (a_used, a), (b_used, b) in itertools.permutations(agents, 2)
+            if a_used or b_used
+        )
+        law = {pair: count / sum(tally.values()) for pair, count in tally.items()}
+        draws = 20_000
+        start = np.zeros(12, dtype=np.int64)
+        start[:3] = post
+        engine = CountsSimulation(
+            _PairMarker(), init=Replicated(CountVector(start), draws), seed=3
+        )
+        avail = np.zeros((draws, 12), dtype=np.int64)
+        avail[:, :3] = unused
+        engine._collision_rows(np.arange(draws), avail, np.full(draws, sum(used)))
+        markers = engine.counts[:, 3:].argmax(axis=1).tolist()
+        observed = Counter(divmod(marker, 3) for marker in markers)
+        assert set(observed) <= set(law), "drew a pair with no used member"
+        assert _chi2_pvalue(observed, law, draws) >= CHI2_ALPHA
 
 
 # ---------------------------------------------------------------------------

@@ -375,7 +375,7 @@ class TestJumpKernel:
             protocol, init=Replicated(CountVector(start), rows), seed=11, backend="batch-jit"
         )
         assert engine._matching and engine._lockstep(rows)
-        engine._step_rows(range(rows), [3] * rows)
+        engine._drive_rows(3, 3, lambda idx, positions: np.ones(idx.size, bool))
         stayed = float((engine.counts == start).all(axis=1).mean())
         expected = (1 - p) ** 3
         assert abs(stayed - expected) <= 6 * math.sqrt(expected * (1 - expected) / rows), stayed

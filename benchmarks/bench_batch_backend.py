@@ -11,9 +11,9 @@ its regression gate, run by CI's ``bench-perf`` job:
   call on the per-trial counts backend (``workers=1`` — the honest
   same-substrate comparison; process fan-out buys wall-clock on both
   sides equally).  Both runs execute the identical interaction law; the
-  per-trial engine pays the per-collision-run Python dispatch once per
-  trial per run, the batch engine pays it once per lockstep step for all
-  1000 rows.  The FAST cell (64 trials at ``n = 2000``) reports the ratio
+  per-trial engine pays its Python dispatch once per trial per batch of
+  collision-free stretches, the batch engine once per lockstep step for
+  all 1000 rows.  The FAST cell (64 trials at ``n = 2000``) reports the ratio
   of the minimum of three alternating timings per engine and asserts
   only ``1 ≤ ratio ≤ 100``: the batch engine is not slower, and neither
   engine is 100× slower than the other (the parity bound for engines

@@ -15,11 +15,12 @@ with the array backend, run by CI's ``bench-perf`` job:
   checks convergence on the count vector, the array engine pays ``O(n)``
   conflict bookkeeping per block.  The array/counts wall-time ratio is a
   column of the table and of ``perf-summary.json``, not a gate: it
-  measured 4.3–4.6× at ``n = 10⁶`` and about 1.35× at the ``n = 10⁵``
-  smoke size (numpy 2.4, 2 vCPU) once the per-row sampler jumped over
-  null interactions, 2.2–3.1× and about 0.7× before.  Raw engine
-  throughput (``run_batch`` only, no convergence checks) is reported
-  alongside; its epidemic rows start half infected, where every engine
+  measured 4.8–4.9× at ``n = 10⁶`` and 1.7–1.8× at the ``n = 10⁵``
+  smoke size (numpy 2.4, 2 vCPU) once per-row batches went on through
+  their collisions, 3.8–4.9× and 1.35–1.4× just before, and 2.2–3.1× and
+  about 0.7× before the per-row sampler jumped over null interactions.
+  Raw engine throughput (``run_batch`` only, no convergence checks) is
+  reported alongside; its epidemic rows start half infected, where every engine
   takes collision-free runs — from one source the per-row sampler
   crosses the whole budget in a few dozen jump steps, which would time
   the jump rule instead of the run loop.

@@ -17,6 +17,7 @@ only other source of randomness, and it takes an explicit RNG).
 
 from __future__ import annotations
 
+import math
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
@@ -188,7 +189,20 @@ class CollisionRunSampler:
     ``next_run_length()`` is always ≥ 1 (a single interaction's two agents
     are distinct by construction) and never exceeds ``n // 2`` (after that
     many interactions every agent has been used).
+
+    A batch of the per-row sampler goes on past its collisions, so it also
+    needs the *stretch* law: the collision-free interactions that follow
+    once ``U`` agents are used, each of which must avoid them::
+
+        P(stretch >= t | U) = Π_{s<t} (n-U-2s)(n-U-2s-1) / (n(n-1))
+
+    (:meth:`stretch_length`; ``U = 0`` is the run law).  Its cumulative
+    ``-log`` survival is one chain per parity of ``U``, tabulated down to
+    survival 1e-30 past every ``U`` up to :attr:`max_used`.
     """
+
+    #: The survival down to which every stretch law is tabulated.
+    TAIL = 1e-30
 
     def __init__(self, n: int, generator):
         if n < 2:
@@ -213,6 +227,31 @@ class CollisionRunSampler:
         #: survival[t-1] = P(run length >= t), a non-increasing curve.
         self.survival = numpy.exp(numpy.cumsum(terms))
         self._neg_survival = -self.survival
+        # chains[p, j] = Σ_{i<j} -log P(an interaction avoids p + 2i used
+        # agents), built in place; ``inf`` once no unused pair is left.
+        # 7·√n entries a parity keep the 1e-30 tail past U ≈ 7.6·√n, where
+        # a batch's eight collisions almost never reach.
+        length = min(n // 2 + 2, int(7 * numpy.sqrt(n)) + 8)
+        chains = numpy.empty((2, length))
+        chains[:, 0] = 0.0
+        steps = chains[:, 1:]
+        steps[:] = numpy.arange(steps.size, dtype=numpy.float64).reshape(-1, 2).T
+        steps *= steps - (2 * n - 1)
+        steps /= n * (n - 1)
+        with numpy.errstate(divide="ignore"):
+            numpy.log1p(steps, out=steps)
+        numpy.negative(steps, out=steps)
+        numpy.cumsum(chains, axis=1, out=chains)
+        self._chains = tuple(chains)
+        # Per parity, the last chain index whose 1e-30 tail is tabulated
+        # (every index of a chain that runs out of unused pairs).
+        reach = [
+            int(chain.searchsorted(chain[-1] + math.log(self.TAIL), side="right")) - 1
+            for chain in self._chains
+        ]
+        #: The largest ``U`` whose stretch law :meth:`stretch_length`
+        #: holds whole (at least ``n`` when the chains reach exhaustion).
+        self.max_used = min(2 * reach[0], 2 * reach[1] + 1)
 
     def next_run_length(self) -> int:
         """Draw one run length: max t with ``P(run >= t) > u``, u ~ U(0,1)."""
@@ -224,6 +263,20 @@ class CollisionRunSampler:
         # progress.
         length = int(self._neg_survival.searchsorted(-u, side="right"))
         return max(1, length)
+
+    def stretch_length(self, used: int, exponential: float) -> int:
+        """The collision-free stretch once ``used`` agents are used: the
+        largest ``t`` with ``P(stretch >= t | U = used) >= e^-exponential``.
+
+        With ``exponential ~ Exp(1)`` the result has the stretch law exactly
+        (inverse transform on the ``-log`` survival chain of ``used``'s
+        parity), in ``[0, (n - used) // 2]``; callers that need the whole
+        law keep ``used <= max_used``.  The caller draws the exponential, so
+        a batch can draw all of its stretches' variates in one call.
+        """
+        chain = self._chains[used & 1]
+        start = used >> 1
+        return int(chain.searchsorted(chain[start] + exponential, side="right")) - start - 1
 
     def next_run_lengths(self, count: int):
         """Draw ``count`` i.i.d. run lengths as one ``int64`` vector.

@@ -36,28 +36,35 @@ recovers exactness through *collision-free runs*:
   already-used agent, whose current state is one of the run's outputs.
   Its ordered pair is uniform over the ``U(U-1) + 2·U·A`` pairs with a
   used member (``U = 2L`` used agents, ``A = n - U`` unused), so it is
-  applied individually, then the run machinery restarts.
+  applied individually;
+* the per-row sampler's *batch* goes on from there: the next stretch of
+  collision-free interactions follows the birthday law conditioned on
+  the ``U`` agents already used, and so on through up to
+  :data:`RUN_COLLISIONS` collisions.  Every agent the batch meets for the
+  first time is still a uniform draw from the counts at the batch's
+  start, so one multivariate hypergeometric gives them all; the lockstep
+  sampler restarts after its one collision.
 
 Agents in equal states are exchangeable, so the counts process is an
-exact lumping of the agent-level chain; truncating a run at a batch
-boundary and restarting fresh is likewise exact (the Markov property:
-the future law depends only on ``counts``).  The batched sampler is
-therefore *distribution*-identical to the object and array engines — and
-to this engine's own pair-at-a-time oracle (``batching="pair"``), which
-tests use to gate it.
+exact lumping of the agent-level chain; ending a batch at a stopping
+time — its last collision, an advance boundary — and restarting fresh
+is likewise exact (the Markov property: the future law depends only on
+``counts``).  The batched sampler is therefore *distribution*-identical
+to the object and array engines — and to this engine's own
+pair-at-a-time oracle (``batching="pair"``), which tests use to gate it.
 
 **Two samplers, one law.**  In the row loop each row stops at its own
 check boundaries and bursts (:meth:`CountsSimulation._drive_rows`), and
 each iteration steps the live rows with one of two samplers, chosen by
 :data:`ROW_RUN_COST` from ``S`` and the number of live rows:
 
-* the *per-row* sampler runs one row at a time to its stop, one C-level
-  ``multivariate_hypergeometric`` over the occupied codes per run, and
-  takes the collision from the run's own outputs; when the colliding pair
-  has an unused member, that agent is one more drawn with the run — a run
-  costs ``O(occupied codes + run length)``, however wide ``S`` is.
-  One-row engines always use it, so a single trial is the same stream
-  whichever registry name built it;
+* the *per-row* sampler runs one row at a time to its stop in batches,
+  one C-level ``multivariate_hypergeometric`` over the occupied codes per
+  batch; its collisions apply in time order to the batch's own outputs,
+  and an unused member of a colliding pair is one more fresh agent — a
+  batch costs ``O(occupied codes + batch length)``, however wide ``S``
+  is.  One-row engines always use it, so a single trial is the same
+  stream whichever registry name built it;
 * the *lockstep* sampler gives every live row one step with a fixed
   number of numpy calls: one run-length block draw, a conditional
   hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
@@ -159,23 +166,52 @@ BATCHING_MODES = (BATCHING_RUN, BATCHING_PAIR)
 MAX_SILENCE_STATES = 64
 
 #: The sampler rule: ``R`` live rows take the lockstep sampler when
-#: ``R * ROW_RUN_COST >= S - 1``, else the per-row sampler.  It is the
-#: cost of one per-row run in units of one lockstep chain call (a
+#: ``R * ROW_RUN_COST >= S - 1``, else the per-row sampler.  It stands
+#: for the cost of one per-row run in units of one lockstep chain call (a
 #: vectorized ``hypergeometric``, of which a lockstep run makes ``S - 1``).
-#: Measured by timing both samplers on R rows of the Cai-Izumi-Wada table
-#: over S ranks, 10³ agents per row spread uniformly over the ranks and
-#: 10³ interactions per row (numpy 2.4.6, Python 3.11, one Intel Xeon
-#: thread): the lockstep sampler wins from R ≈ 1.6–2.6 × (S - 1) for
-#: S = 17…65, and for S = 129…334 it stays 4–40 % slower from
-#: R = 2(S - 1) to 6(S - 1), so the two are near even there.  The rule
-#: thus leans towards the lockstep sampler for R between S - 1 and about
-#: 2(S - 1); a constant below 1 would remove that lean but would also send
-#: a lone two-state row to the per-row sampler.  Below S ≈ 10 the lockstep
-#: step's fixed cost dominates instead (0.23–0.37 ms for one to five rows
-#: of the two-state epidemic at n = 10⁴, five to nine per-row runs); the
-#: rule leaves it out, so two-state protocols keep the lockstep sampler at
-#: every R, and the row loop never takes a step for stragglers alone.
+#: Timed on R rows of Cai-Izumi-Wada from a clean start at n = S = 16 and
+#: 64 (400 and 2,000 interactions a row), each sampler forced, min of two
+#: alternating runs (numpy 2.4.6, Python 3.11, one Intel Xeon thread),
+#: lockstep time over per-row time reads
+#:
+#:     S     R ≈ 2(S-1)   3(S-1)   4(S-1)   8(S-1)
+#:     16    1.95         1.50     1.03     0.67
+#:     64    1.49         1.59     1.06     0.75
+#:
+#: so with per-row batches that go on through their collisions the
+#: lockstep sampler wins only from about 4–8 × (S - 1) rows, and the rule
+#: leans towards it below that.  A constant below 1 would remove the lean
+#: but would also send a lone two-state row to the per-row sampler, and
+#: any change moves the streams the rule picks.  Below S ≈ 10 the lockstep
+#: step's fixed cost dominates instead; the rule leaves it out, so
+#: two-state protocols keep the lockstep sampler at every R, and the row
+#: loop never takes a step for stragglers alone.
 ROW_RUN_COST = 1
+
+#: The colliding interactions a per-row batch goes on through: the batch
+#: ends at its ``RUN_COLLISIONS``-th (see :meth:`CountsSimulation
+#: ._run_batched`).  Each batch pays one fixed cost — the occupied-code
+#: scan, one hypergeometric draw, a dozen numpy calls — and each collision
+#: a few microseconds of Python.  On the n = 10⁶ reset epidemic (S = 1654,
+#: one Intel Xeon thread, numpy 2.4.6) the paced run took 2.70 s at 4 and
+#: 2.48–2.76 s from 6 to 24, a flat optimum within the host's noise; 8
+#: keeps a batch's used agents near 4·√n, well inside the stretch table.
+RUN_COLLISIONS = 8
+
+_WORD = 1 << 64
+
+
+def _below(word: int, bound: int, raw: Callable[[], Any]) -> int:
+    """A uniform integer in ``[0, bound)`` from a uniform 64-bit ``word``,
+    for ``bound <= 2⁶⁴``: Lemire's multiply-shift, made exact by drawing
+    a fresh word from ``raw()`` while the low half falls below ``2⁶⁴ mod
+    bound`` (a ``bound / 2⁶⁴`` chance)."""
+    product = word * bound
+    if product % _WORD < bound:
+        threshold = _WORD % bound
+        while product % _WORD < threshold:
+            product = int(raw()) * bound
+    return product >> 64
 
 
 # ---------------------------------------------------------------------------
@@ -754,10 +790,11 @@ class CountsSimulation(_Engine):
         jumping while the row expects fewer than one count change per
         collision-free run.  Once it expects more — or holds more than
         :data:`MAX_SILENCE_STATES` occupied codes, which are not weighed —
-        the rest of the advance is collision-free runs
-        (:meth:`_run_batched`).  A row that turns sparse mid-advance thus
-        keeps running until its next advance: a weight pass costs about as
-        much as a run, so runs are never re-weighed.  A row with no
+        the rest of the advance is batches of collision-free stretches
+        and collisions (:meth:`_run_batched`).  A row that turns sparse
+        mid-advance thus keeps running until its next advance: a weight
+        pass costs a sizeable share of a batch, so batches are never
+        re-weighed.  A row with no
         effectful pair — a silent protocol in its goal configuration, an
         epidemic at saturation — skips the whole advance with no draws:
         its counts trajectory is constant, so skipping changes nothing
@@ -846,72 +883,51 @@ class CountsSimulation(_Engine):
         return ((u != initiators) | (v != responders)) & ((u != responders) | (v != initiators))
 
     def _run_batched(self, counts, count: int) -> None:
-        """``count`` interactions as collision-free runs + collision steps.
+        """``count`` interactions as batches: collision-free stretches and
+        the colliding interactions between them.
 
-        Each loop iteration is one (possibly budget-truncated) run of
-        ``k`` interactions: draw its length from the birthday law, and if
-        the budget allows the colliding ``(k+1)``-th interaction, its
-        category and used agents — they depend only on ``k``.  Then draw
-        the ``2k`` distinct agents' states by one multivariate
-        hypergeometric over the occupied codes (a code with no agents can
-        only draw zero), pair them with a shuffle and take them out of
-        ``counts``, which then holds exactly the unused agents; one
-        ``bincount`` adds the run's ``outputs`` back.  Truncating a run at
-        the advance boundary and restarting fresh next call is exact (see
-        the module docstring).
-
-        The collision is one draw over the ``U(U-1) + 2·U·A`` ordered
-        pairs with a used member (``U = 2k``, ``A = n - U``), which picks
-        the category and the used agents at once; a used agent is an index
-        into ``outputs``.  An unused member is drawn with the run: the
-        hypergeometric takes ``2k + 1`` agents and the shuffle puts a
-        uniform one of them last, where it joins ``outputs`` unchanged —
-        so the collision is one pair of indices into ``outputs`` in every
-        category.
+        Each loop iteration is one batch (:meth:`_batch_schedule`): its
+        agent schedule first, which does not depend on the agents' states,
+        then the states.  Every agent the batch meets for the first time
+        is *fresh* — a uniform draw without replacement from the counts at
+        the batch's start, since nothing earlier in the batch touched it.
+        One multivariate hypergeometric over the occupied codes (a code
+        with no agents can only draw zero) gives all of them, a shuffle
+        orders them, and taking them out of ``counts`` leaves exactly the
+        agents the batch never meets.  The stretches' pairs (the *bulk*)
+        are all fresh, so they apply at once through the table, in place
+        in the agent array; then the collisions apply in time order to
+        their agents' current outputs, and one ``bincount`` adds the array
+        back.  A batch ends at its :data:`RUN_COLLISIONS`-th collision, at
+        the advance's budget or where the stretch table ends — each a
+        stopping time, so restarting fresh is exact (see the module
+        docstring).
 
         This is the engine's hot loop — ``Θ(√n)`` interactions per
-        iteration means tens of thousands of iterations per ``n·log n``
-        workload.  Every draw and every Python-level step is
-        ``O(occupied codes + run length)``; the only ``S``-length passes
-        are C scans (finding the occupied codes, the final ``bincount``).
-        The kernels are inlined against hoisted locals and ndarray
-        *methods* (``.repeat``/``.take``), skipping the ``numpy.*``
-        wrapper dispatch that would otherwise rival the kernels
-        themselves.  The clock is read only when instrumented.
+        collision means thousands of batches per ``n·log n`` workload.
+        Every draw and every Python-level step is ``O(occupied codes +
+        batch length)``; the only ``S``-length passes are C scans (finding
+        the occupied codes, the final ``bincount``).  The kernels are
+        inlined against hoisted locals and ndarray *methods*
+        (``.repeat``/``.take``), skipping the ``numpy.*`` wrapper dispatch
+        that would otherwise rival the kernels themselves.  The clock is
+        read only when instrumented.
         """
         np = self._np
         rng = self._generator
         size = self.num_states
-        n = self.n
         u_flat, v_flat = self.table.flat
         bincount = np.bincount
-        concatenate = np.concatenate
         draw_sample = rng.multivariate_hypergeometric
-        draw_pair = rng.integers
         shuffle = rng.shuffle
-        next_run_length = self._runs.next_run_length
+        schedule = self._batch_schedule
         timings = self._timings
         remaining = count
         while remaining > 0:
             if timings is not None:
                 start = perf_counter()
-            length = next_run_length()
-            k = min(length, remaining)
-            used = 2 * k
-            agents = used
-            collide = remaining > length
-            if collide:
-                unused = n - used
-                x = int(draw_pair(0, used * (used - 1 + 2 * unused)))
-                if x < used * (used - 1):  # (used, used)
-                    first, second = divmod(x, used - 1)
-                    second += second >= first
-                else:  # (used, unused) or (unused, used)
-                    unused_first, x = divmod(x - used * (used - 1), used * unused)
-                    first, second = x // unused, used  # outputs[used]: the unused agent
-                    if unused_first:
-                        first, second = second, first
-                    agents = used + 1
+            bulk, agents, collisions = schedule(remaining)
+            remaining -= bulk + len(collisions)
             # The occupied codes; nonzero on a bool array is numpy's fast path.
             support = counts.astype(bool).nonzero()[0]
             sample = draw_sample(counts[support], agents)
@@ -924,18 +940,93 @@ class CountsSimulation(_Engine):
                 matched_at = perf_counter()
                 timings["match"] += matched_at - drawn_at
             counts[support] -= sample
-            index = drawn[0:used:2] * size
-            index += drawn[1:used:2]
-            outputs = concatenate((u_flat.take(index), v_flat.take(index), drawn[used:]))
-            remaining -= k
-            if collide:
-                pair = int(outputs[first]) * size + int(outputs[second])
-                outputs[first] = u_flat[pair]
-                outputs[second] = v_flat[pair]
-                remaining -= 1
-            counts += bincount(outputs, minlength=size)
+            end = 2 * bulk
+            index = drawn[0:end:2] * size
+            index += drawn[1:end:2]
+            drawn[0:end:2] = u_flat.take(index)
+            drawn[1:end:2] = v_flat.take(index)
+            for first, second in collisions:
+                pair = int(drawn[first]) * size + int(drawn[second])
+                drawn[first] = u_flat[pair]
+                drawn[second] = v_flat[pair]
+            counts += bincount(drawn, minlength=size)
             if timings is not None:
                 timings["apply"] += perf_counter() - matched_at
+
+    def _batch_schedule(self, remaining: int):
+        """The agent schedule of one batch of at most ``remaining``
+        interactions, as ``(bulk, agents, collisions)``.
+
+        The batch is a first stretch of collision-free interactions
+        (:meth:`~repro.scheduler.scheduler.CollisionRunSampler
+        .next_run_length`), then up to :data:`RUN_COLLISIONS` colliding
+        interactions, each followed — unless it is the last — by the
+        stretch law given the ``U`` agents used so far
+        (:meth:`~repro.scheduler.scheduler.CollisionRunSampler
+        .stretch_length`).  A collision's ordered pair is uniform over the
+        ``U(U-1) + 2·U·A`` pairs with a used member (``A = n - U``), which
+        picks its category and its used agents at once; an unused member
+        is one more fresh agent.  The batch ends early at ``remaining``
+        (cutting a stretch short) and once ``U`` passes the sampler's
+        ``max_used``, where the stretch table ends.
+
+        ``bulk`` counts the stretches' interactions and ``agents`` the
+        fresh agents.  The batch's agent array holds the bulk pairs as
+        ``(2i, 2i + 1)`` in time order, then the unused members, the
+        ``j``-th (in time order) at index ``-1 - j``.  So the ``U`` agents
+        used before a collision — the ``2B`` of the ``B`` bulk pairs
+        before it, then the unused members — take the labels ``0 … U-1``,
+        and ``collisions`` lists each collision as the array indices of
+        its initiator and responder: a label ``x < 2B`` indexes the array
+        as is, a later label shifts to ``2B - 1 - x``.  The stretch
+        variates and the collisions' 64-bit words are each drawn in one
+        call, and a word maps to its pair exactly (:func:`_below`).
+        """
+        runs = self._runs
+        bulk = runs.next_run_length()
+        if bulk >= remaining:
+            return remaining, 2 * remaining, ()
+        rng = self._generator
+        raw = rng.bit_generator.random_raw
+        exponentials = rng.standard_exponential(RUN_COLLISIONS - 1).tolist()
+        words = raw(RUN_COLLISIONS).tolist()
+        stretch_length = runs.stretch_length
+        max_used = runs.max_used
+        n = self.n
+        remaining -= bulk
+        used = 2 * bulk
+        tail = 0
+        collisions = []
+        for index in range(RUN_COLLISIONS):
+            pairs = used * (used - 1)
+            unused = n - used
+            x = _below(words[index], pairs + 2 * used * unused, raw)
+            if x < pairs:  # (used, used)
+                first, second = divmod(x, used - 1)
+                second += second >= first
+            else:  # (used, unused) or (unused, used): label `used` is the unused one
+                unused_first, x = divmod(x - pairs, used * unused)
+                first, second = x // unused, used
+                if unused_first:
+                    first, second = second, first
+                used += 1
+                tail += 1
+            cut = 2 * bulk
+            collisions.append(
+                (first if first < cut else cut - 1 - first,
+                 second if second < cut else cut - 1 - second)
+            )
+            remaining -= 1
+            if index == RUN_COLLISIONS - 1 or not remaining or used > max_used:
+                break
+            length = stretch_length(used, exponentials[index])
+            if length >= remaining:
+                bulk += remaining
+                break
+            bulk += length
+            used += 2 * length
+            remaining -= length
+        return bulk, 2 * bulk + tail, collisions
 
     def _draw_state(self, pool, total: int) -> int:
         """The state of one agent drawn uniformly from a count-vector pool

@@ -10,17 +10,22 @@ the abstraction ladder (counts instead of per-agent codes):
   random count vectors, on the mask path and the per-row weight path), so
   rows whose only transitions are swaps retire and freeze without a draw;
 * **sampler law** — collision-run lengths stay in ``[1, n//2]`` with a
-  monotone survival curve; conservation and protocol invariants
-  (epidemic monotonicity, pairwise-elimination leader floors) hold along
-  batched runs; the batched sampler and the pair-at-a-time oracle agree
-  on verdicts, and degenerate populations (``n = 2``, every interaction
-  a collision) agree exactly across all engines;
-* **exact small-``n`` law** — the per-row sampler's counts after two or
-  three interactions at ``n = 4–6`` match the law enumerated over every
+  monotone survival curve; the stretch after ``U`` used agents follows
+  its product formula for every ``U`` at ``n = 6–12``, and the table
+  holds every stretch's tail up to ``max_used``; conservation and
+  protocol invariants (epidemic monotonicity, pairwise-elimination
+  leader floors) hold along batched runs; the batched sampler and the
+  pair-at-a-time oracle agree on verdicts, at ``n = 400`` it passes a
+  two-sample KS test against the object engine, and degenerate
+  populations (``n = 2``, every interaction a collision) agree exactly
+  across all engines;
+* **exact small-``n`` law** — the per-row sampler's counts after two to
+  four interactions at ``n = 4–6`` match the law enumerated over every
   ordered agent-pair sequence (chi-square), jump steps, collision
-  categories and initiator/responder roles included, and so do the
-  lockstep sampler's jump steps and its colliding pair; rows with
-  nothing left to change draw nothing on either sampler;
+  categories, initiator/responder roles and batches that reach a second
+  collision after a non-empty stretch included, and so do the lockstep
+  sampler's jump steps and its colliding pair; rows with nothing left
+  to change draw nothing on either sampler;
 * **result snapshots** — ``run_until`` never expands a configuration
   nobody reads, and a late read still sees the configuration at return;
 * **three-way distribution equivalence** — object, array and counts
@@ -48,7 +53,7 @@ from repro.adversary.initializers import (  # noqa: E402
     scrambled_codes,
     scrambled_counts,
 )
-from repro.analysis.stats import bootstrap_ci  # noqa: E402
+from repro.analysis.stats import bootstrap_ci, ks_statistic, ks_threshold  # noqa: E402
 from repro.baselines.cai_izumi_wada import CaiIzumiWada  # noqa: E402
 from repro.baselines.loosely_stabilizing import (  # noqa: E402
     LooselyStabilizingLeaderElection,
@@ -206,6 +211,42 @@ class TestCollisionRunSampler:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError, match="at least two"):
             CollisionRunSampler(1, np.random.Generator(np.random.PCG64(0)))
+
+    @pytest.mark.parametrize("n", [6, 9, 12])
+    def test_stretch_law_matches_the_product_formula(self, n):
+        # Every U from none used to all used, odd and even; U = 0 is the
+        # run law, which next_run_length draws too.
+        generator = np.random.Generator(np.random.PCG64(n))
+        sampler = CollisionRunSampler(n, generator)
+        assert sampler.max_used >= n  # the chains reach exhaustion
+        draws = 4_000
+        for used in range(n + 1):
+            exponentials = generator.standard_exponential(draws).tolist()
+            lengths = Counter(sampler.stretch_length(used, e) for e in exponentials)
+            assert min(lengths) >= 0 and max(lengths) <= (n - used) // 2, (used, lengths)
+            if used >= n - 1:
+                assert set(lengths) == {0}
+            law = _stretch_law(n, used)
+            assert set(lengths) <= set(law)
+            assert _chi2_pvalue(lengths, law, draws) >= CHI2_ALPHA, (used, lengths)
+        runs = Counter(sampler.next_run_length() for _ in range(draws))
+        assert _chi2_pvalue(runs, _stretch_law(n, 0), draws) >= CHI2_ALPHA
+
+    @pytest.mark.parametrize("n", [2_000, 10**6])
+    def test_table_holds_every_stretch_tail_up_to_max_used(self, n):
+        # Where the chains stop short of exhaustion, a stretch law is whole
+        # (its tail past the table below 1e-30) up to max_used, both
+        # parities, and not two agents further.
+        sampler = CollisionRunSampler(n, np.random.Generator(np.random.PCG64(0)))
+
+        def tail(used):
+            chain = sampler._chains[used & 1]
+            return math.exp(chain[used >> 1] - chain[-1])
+
+        assert len(sampler._chains[0]) < n // 2
+        assert tail(sampler.max_used - 1) <= CollisionRunSampler.TAIL
+        assert tail(sampler.max_used) <= CollisionRunSampler.TAIL
+        assert tail(sampler.max_used + 2) > CollisionRunSampler.TAIL
 
 
 # ---------------------------------------------------------------------------
@@ -511,6 +552,29 @@ class TestModesAgree:
                 outcomes.append(result.converged)
             assert outcomes[0] == outcomes[1] is True
 
+    def test_batches_match_the_object_engine_at_moderate_n(self):
+        # The one-way epidemic at n = 400 from 40 marked agents, 1,200
+        # interactions: about 30 batches a draw, each through up to eight
+        # collisions with stretches of about a dozen interactions between
+        # them.  Statistic: the number marked, against the object engine,
+        # which draws its pairs one at a time (the pair oracle would take
+        # ~30 s here).
+        protocol, start, budget, draws = OneWayEpidemicProtocol(), [360, 40], 1_200, 1_500
+        engine = CountsSimulation(protocol, init=CountVector(start), seed=9)
+        row = engine.counts[0]
+        batched = []
+        for _ in range(draws):
+            row[:] = start
+            engine.run_batch(budget)
+            batched.append(int(row[1]))
+        paired = []
+        for seed in range(draws):
+            sim = make_simulation(protocol, init=CountVector(start), seed=seed, backend="object")
+            sim.run_batch(budget)
+            paired.append(int(counts_from_configuration(protocol, sim.config)[1]))
+        statistic = ks_statistic(batched, paired)
+        assert statistic <= ks_threshold(draws, draws, KS_ALPHA), statistic
+
 
 # ---------------------------------------------------------------------------
 # The per-row sampler against the enumerated agent-level law
@@ -520,6 +584,8 @@ class TestModesAgree:
 #: fixed seeds, so a pass is reproducible; this is the rate at which a
 #: correct sampler would fail under a fresh seed).
 CHI2_ALPHA = 1e-3
+#: Two-sample KS false-alarm rate of the moderate-``n`` law test, likewise.
+KS_ALPHA = 1e-3
 #: Independent short runs per law test.
 LAW_DRAWS = 10_000
 
@@ -542,6 +608,20 @@ def _agent_level_law(protocol, start, steps):
         tally[tuple(sorted(agents))] += 1
     total = len(pairs) ** steps
     return {outcome: hits / total for outcome, hits in tally.items()}
+
+
+def _stretch_law(n, used):
+    """``P(stretch = t | U = used)`` from the product formula
+    ``P(stretch >= t | U) = Π_{s<t} (n-U-2s)(n-U-2s-1) / (n(n-1))``."""
+    survival = [1.0]
+    while True:
+        free = n - used - 2 * (len(survival) - 1)
+        if free < 2:
+            break
+        survival.append(survival[-1] * free * (free - 1) / (n * (n - 1)))
+    survival.append(0.0)
+    law = {t: survival[t] - survival[t + 1] for t in range(len(survival) - 1)}
+    return {t: p for t, p in law.items() if p > 0}
 
 
 def _chi2_survival(statistic: float, df: int) -> float:
@@ -643,6 +723,45 @@ class TestExactSmallLaw:
     def test_runs_alone_match_the_enumerated_law(self, protocol, start, steps):
         engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
         self._check_law(engine, start, steps, lambda row: engine._run_batched(row, steps))
+
+    @pytest.mark.parametrize("max_used", [None, 3], ids=["whole-table", "table-ends-at-3"])
+    def test_batches_through_collisions_match_the_enumerated_law(self, max_used, monkeypatch):
+        """Four interactions of the reset epidemic among five agents: about
+        one batch in eleven reaches a second collision after a non-empty
+        stretch, whose agents the first collision could not touch and the
+        second may.  Such batches are counted, so a sampler that ends its
+        batch at the first collision fails.  With ``max_used`` cut to 3,
+        batches also end where the stretch table would, which must keep
+        the law."""
+        protocol, start, _ = _small_law_cases()[-1].values
+        steps = 4
+        engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
+        if max_used is not None:
+            monkeypatch.setattr(engine._runs, "max_used", max_used)
+        stretches = []
+        stretch_length = engine._runs.stretch_length
+
+        def recorded(used, exponential):
+            assert used <= engine._runs.max_used
+            stretches.append(stretch_length(used, exponential))
+            return stretches[-1]
+
+        monkeypatch.setattr(engine._runs, "stretch_length", recorded)
+        schedule = engine._batch_schedule
+        spaced = 0
+
+        def counted(remaining):
+            nonlocal spaced
+            stretches.clear()
+            bulk, agents, collisions = schedule(remaining)
+            # stretches[j] follows collision j + 1 and, unless the budget
+            # cut it, precedes collision j + 2.
+            spaced += any(stretches[: len(collisions) - 1])
+            return bulk, agents, collisions
+
+        monkeypatch.setattr(engine, "_batch_schedule", counted)
+        self._check_law(engine, start, steps, lambda row: engine._run_batched(row, steps))
+        assert spaced > LAW_DRAWS // 20, spaced
 
     @staticmethod
     def _check_law(engine, start, steps, advance):

@@ -15,10 +15,12 @@ with the array backend, run by CI's ``bench-perf`` job:
   checks convergence on the count vector, the array engine pays ``O(n)``
   conflict bookkeeping per block.  The array/counts wall-time ratio is a
   column of the table and of ``perf-summary.json``, not a gate: it
-  measured 4.8–4.9× at ``n = 10⁶`` and 1.7–1.8× at the ``n = 10⁵``
-  smoke size (numpy 2.4, 2 vCPU) once per-row batches went on through
-  their collisions, 3.8–4.9× and 1.35–1.4× just before, and 2.2–3.1× and
-  about 0.7× before the per-row sampler jumped over null interactions.
+  measured 6.7–6.9× at ``n = 10⁶`` and 2.2–2.7× at the ``n = 10⁵``
+  smoke size (numpy 2.4, 2 vCPU) once per-row batches drew their
+  schedules a block at a time, 4.8–4.9× and 1.7–1.8× before, when they
+  first went on through their collisions, 3.8–4.9× and 1.35–1.4× before
+  that, and 2.2–3.1× and about 0.7× before the per-row sampler jumped
+  over null interactions.
   Raw engine throughput (``run_batch`` only, no convergence checks) is
   reported alongside; its epidemic rows start half infected, where every engine
   takes collision-free runs — from one source the per-row sampler
@@ -190,8 +192,9 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
     3 runs each — the null tracer is one attribute check per span).  The
     plain and spanned drives alternate, so a host speed change between
     runs lands on both sides instead of reading as overhead.  Every drive
-    must take collision-free runs (counted at the run sampler), so the
-    check times the hot loop rather than a few jump steps."""
+    must take collision-free runs, so the check times the hot loop rather
+    than a few jump steps: they are counted as the batch schedules the
+    per-row sampler draws, a block at a time, from ``next_run_lengths``."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     tracer = get_tracer()
     assert not tracer.enabled
@@ -204,14 +207,14 @@ def test_e20_tracing_disabled_overhead(benchmark, record_table, monkeypatch):
             protocol, init=CodeArray(_epidemic_codes(N, N // 2)), seed=11
         )
         taken = 0
-        next_run_length = sim._runs.next_run_length
+        next_run_lengths = sim._runs.next_run_lengths
 
-        def counted():
+        def counted(count):
             nonlocal taken
-            taken += 1
-            return next_run_length()
+            taken += count
+            return next_run_lengths(count)
 
-        sim._runs.next_run_length = counted
+        sim._runs.next_run_lengths = counted
         t0 = perf_counter()
         if spanned:
             for _ in range(TRACE_OVERHEAD_BATCHES):

@@ -196,9 +196,12 @@ class CollisionRunSampler:
 
         P(stretch >= t | U) = Π_{s<t} (n-U-2s)(n-U-2s-1) / (n(n-1))
 
-    (:meth:`stretch_length`; ``U = 0`` is the run law).  Its cumulative
+    (:meth:`stretch_lengths`; ``U = 0`` is the run law).  Its cumulative
     ``-log`` survival is one chain per parity of ``U``, tabulated down to
-    survival 1e-30 past every ``U`` up to :attr:`max_used`.
+    survival 1e-30 past every ``U`` up to :attr:`max_used`.  No batch's
+    agent schedule depends on the agents' states, so :meth:`next_batches`
+    draws the schedules of a whole block of batches in one vectorized
+    pass.
     """
 
     #: The survival down to which every stretch law is tabulated.
@@ -242,14 +245,14 @@ class CollisionRunSampler:
             numpy.log1p(steps, out=steps)
         numpy.negative(steps, out=steps)
         numpy.cumsum(chains, axis=1, out=chains)
-        self._chains = tuple(chains)
+        self._chains = chains
         # Per parity, the last chain index whose 1e-30 tail is tabulated
         # (every index of a chain that runs out of unused pairs).
         reach = [
             int(chain.searchsorted(chain[-1] + math.log(self.TAIL), side="right")) - 1
-            for chain in self._chains
+            for chain in chains
         ]
-        #: The largest ``U`` whose stretch law :meth:`stretch_length`
+        #: The largest ``U`` whose stretch law :meth:`stretch_lengths`
         #: holds whole (at least ``n`` when the chains reach exhaustion).
         self.max_used = min(2 * reach[0], 2 * reach[1] + 1)
 
@@ -264,19 +267,91 @@ class CollisionRunSampler:
         length = int(self._neg_survival.searchsorted(-u, side="right"))
         return max(1, length)
 
-    def stretch_length(self, used: int, exponential: float) -> int:
-        """The collision-free stretch once ``used`` agents are used: the
-        largest ``t`` with ``P(stretch >= t | U = used) >= e^-exponential``.
+    def stretch_lengths(self, used, exponentials):
+        """The collision-free stretch once ``used[i]`` agents are used, for
+        each ``i``: the largest ``t`` with ``P(stretch >= t | U = used[i])
+        >= e^-exponentials[i]``.
 
-        With ``exponential ~ Exp(1)`` the result has the stretch law exactly
-        (inverse transform on the ``-log`` survival chain of ``used``'s
-        parity), in ``[0, (n - used) // 2]``; callers that need the whole
-        law keep ``used <= max_used``.  The caller draws the exponential, so
-        a batch can draw all of its stretches' variates in one call.
+        With i.i.d. ``Exp(1)`` variates each entry has the stretch law
+        exactly (inverse transform on the ``-log`` survival chain of its
+        ``U``'s parity), in ``[0, (n - U) // 2]``; callers that need the
+        whole law keep every ``U <= max_used``.
         """
-        chain = self._chains[used & 1]
+        np = self._np
+        chains = self._chains
         start = used >> 1
-        return int(chain.searchsorted(chain[start] + exponential, side="right")) - start - 1
+        odd = used & 1
+        targets = chains[odd, start] + exponentials
+        ends = np.where(
+            odd,
+            chains[1].searchsorted(targets, side="right"),
+            chains[0].searchsorted(targets, side="right"),
+        )
+        return ends - start - 1
+
+    def next_batches(self, count: int, collisions: int):
+        """The agent schedules of ``count`` independent batches of the
+        per-row sampler, drawn for every batch at once; each is a first run
+        and up to ``collisions`` colliding interactions, each but the last
+        followed by a collision-free stretch.
+
+        The first runs come from :meth:`next_run_lengths` and leave ``U``
+        agents used.  Then, collision by collision across the block, one
+        call draws each batch's ordered pair, uniform over the ``U(U-1) +
+        2·U·A`` pairs with a used member (``A = n - U``), which picks its
+        category and its used agents at once; an unused member is one more
+        used agent.  The stretch after it follows the stretch law given
+        ``U`` (:meth:`stretch_lengths`).  A batch ends at its
+        ``collisions``-th collision, or at the first after which ``U``
+        passes :attr:`max_used`, where the stretch table ends.
+
+        Members are indices into the batch's agent array, which holds the
+        stretches' pairs as ``(2i, 2i + 1)`` in time order, then the unused
+        members, the ``j``-th (in time order) at index ``-1 - j``.  So the
+        ``U`` agents used before a collision — the ``2B`` of the ``B``
+        stretch pairs before it, then the unused members — take the labels
+        ``0 … U-1``: a label ``x < 2B`` indexes the array as is, a later
+        one as ``2B - 1 - x``.
+
+        Returns ``(first, stretches, members, used, taken)``: the first runs
+        ``(count,)``, then per collision ``k`` the stretch after it
+        ``stretches[k]`` (0 after a batch's last), its initiator's and
+        responder's indices ``members[k]`` ``(2, count)`` and the ``U``
+        right after it ``used[k]``, and each batch's number of collisions
+        ``taken``; rows past a batch's ``taken`` mean nothing.
+        """
+        np = self._np
+        rng = self._generator
+        n = self.n
+        first = self.next_run_lengths(count)
+        variates = rng.standard_exponential((collisions - 1, count))
+        stretches = np.zeros((collisions, count), dtype=np.int64)
+        members = np.empty((collisions, 2, count), dtype=np.int64)
+        used_after = np.empty((collisions, count), dtype=np.int64)
+        used = 2 * first
+        for k in range(collisions):
+            # x = m·U + u < U(2n-1-U) = U(U-1) + 2·U·A, u a used agent:
+            # while m < n - 1, u initiates with the m-th of the other n - 1
+            # agents, unused from U on; above, an unused agent initiates
+            # with u.  Label U stands for the unused member.
+            m, u = np.divmod(rng.integers(0, used * (2 * n - 1 - used)), used)
+            partner = m + (m >= u)
+            initiates = m < n - 1
+            members[k, 0] = np.where(initiates, u, used)
+            members[k, 1] = np.where(initiates, np.minimum(partner, used), u)
+            used += partner >= used
+            used_after[k] = used
+            if k + 1 < collisions:
+                live = used <= self.max_used
+                stretch = stretches[k]
+                np.multiply(self.stretch_lengths(used * live, variates[k]), live, out=stretch)
+                used += 2 * stretch
+        # Labels to indices: a label from 2B on is an unused member.
+        cuts = 2 * (first + stretches.cumsum(axis=0) - stretches)[:, None]
+        np.subtract(cuts - 1, members, out=members, where=members >= cuts)
+        # U never falls, so a batch is live after collision k while U <= max_used.
+        taken = 1 + (used_after[:-1] <= self.max_used).sum(axis=0)
+        return first, stretches, members, used_after, taken
 
     def next_run_lengths(self, count: int):
         """Draw ``count`` i.i.d. run lengths as one ``int64`` vector.

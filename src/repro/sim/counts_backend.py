@@ -43,7 +43,13 @@ recovers exactness through *collision-free runs*:
   :data:`RUN_COLLISIONS` collisions.  Every agent the batch meets for the
   first time is still a uniform draw from the counts at the batch's
   start, so one multivariate hypergeometric gives them all; the lockstep
-  sampler restarts after its one collision.
+  sampler restarts after its one collision;
+* a batch's agent schedule — its stretches and which agents its
+  collisions reuse — never reads the agents' states, so the per-row
+  sampler draws the schedules of :data:`BATCH_BLOCK` batches in one
+  vectorized pass and serves them one batch at a time; an advance's
+  last batch is cut at its budget and the rest of its schedule is
+  discarded.
 
 Agents in equal states are exchangeable, so the counts process is an
 exact lumping of the agent-level chain; ending a batch at a stopping
@@ -60,11 +66,12 @@ each iteration steps the live rows with one of two samplers, chosen by
 
 * the *per-row* sampler runs one row at a time to its stop in batches,
   one C-level ``multivariate_hypergeometric`` over the occupied codes per
-  batch; its collisions apply in time order to the batch's own outputs,
-  and an unused member of a colliding pair is one more fresh agent — a
-  batch costs ``O(occupied codes + batch length)``, however wide ``S``
-  is.  One-row engines always use it, so a single trial is the same
-  stream whichever registry name built it;
+  batch, with the batches' schedules drawn a block at a time and shared
+  by every row it steps; its collisions apply in time order to the
+  batch's own outputs, and an unused member of a colliding pair is one
+  more fresh agent — a batch costs ``O(occupied codes + batch length)``,
+  however wide ``S`` is.  One-row engines always use it, so a single
+  trial is the same stream whichever registry name built it;
 * the *lockstep* sampler gives every live row one step with a fixed
   number of numpy calls: one run-length block draw, a conditional
   hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
@@ -175,12 +182,12 @@ MAX_SILENCE_STATES = 64
 #: lockstep time over per-row time reads
 #:
 #:     S     R ≈ 2(S-1)   3(S-1)   4(S-1)   8(S-1)
-#:     16    1.95         1.50     1.03     0.67
-#:     64    1.49         1.59     1.06     0.75
+#:     16    3.18         2.57     1.94     1.11
+#:     64    3.26         2.48     2.05     1.67
 #:
-#: so with per-row batches that go on through their collisions the
-#: lockstep sampler wins only from about 4–8 × (S - 1) rows, and the rule
-#: leans towards it below that.  A constant below 1 would remove the lean
+#: so with per-row batches drawn a block of schedules at a time the
+#: lockstep sampler loses even at 8 × (S - 1) rows, and the rule leans
+#: towards it far below that.  A constant below 1 would remove the lean
 #: but would also send a lone two-state row to the per-row sampler, and
 #: any change moves the streams the rule picks.  Below S ≈ 10 the lockstep
 #: step's fixed cost dominates instead; the rule leaves it out, so
@@ -192,26 +199,25 @@ ROW_RUN_COST = 1
 #: ends at its ``RUN_COLLISIONS``-th (see :meth:`CountsSimulation
 #: ._run_batched`).  Each batch pays one fixed cost — the occupied-code
 #: scan, one hypergeometric draw, a dozen numpy calls — and each collision
-#: a few microseconds of Python.  On the n = 10⁶ reset epidemic (S = 1654,
-#: one Intel Xeon thread, numpy 2.4.6) the paced run took 2.70 s at 4 and
-#: 2.48–2.76 s from 6 to 24, a flat optimum within the host's noise; 8
-#: keeps a batch's used agents near 4·√n, well inside the stretch table.
-RUN_COLLISIONS = 8
+#: under a microsecond to draw (in blocks of :data:`BATCH_BLOCK`) and
+#: about one to apply.  On the n = 10⁶ reset epidemic (S = 1654, one Intel
+#: Xeon thread, numpy 2.4.6) four paced runs each took 2.25–2.33 s at 8,
+#: 2.09–2.25 s at 16, 2.06–2.23 s at 24 and 1.98–2.13 s at 32.  Past 16
+#: the gain is within the host's noise while a batch's arrays grow: the
+#: traced peak of a 20,000-interaction n = 10⁶ epidemic run reads 176,
+#: 229, 278 and 324 KB, and the engine keeps it under n/4 bytes (see
+#: ``TestResultSnapshot``).  At 16 a batch's used agents stay near
+#: 5.7·√n, inside the stretch table's ``max_used`` ≈ 7.7·√n.
+RUN_COLLISIONS = 16
 
-_WORD = 1 << 64
-
-
-def _below(word: int, bound: int, raw: Callable[[], Any]) -> int:
-    """A uniform integer in ``[0, bound)`` from a uniform 64-bit ``word``,
-    for ``bound <= 2⁶⁴``: Lemire's multiply-shift, made exact by drawing
-    a fresh word from ``raw()`` while the low half falls below ``2⁶⁴ mod
-    bound`` (a ``bound / 2⁶⁴`` chance)."""
-    product = word * bound
-    if product % _WORD < bound:
-        threshold = _WORD % bound
-        while product % _WORD < threshold:
-            product = int(raw()) * bound
-    return product >> 64
+#: The batch schedules :meth:`CountsSimulation._batch_schedule` draws at
+#: once (:meth:`~repro.scheduler.scheduler.CollisionRunSampler
+#: .next_batches`): each of the draw's ~30 numpy calls a collision costs
+#: a few microseconds whether it serves one schedule or 128, and a block
+#: stays alive while it is served (four ``RUN_COLLISIONS × 128`` int64
+#: tables and the batches' sizes, ~100 KB at 16), inside the same traced
+#: peak.
+BATCH_BLOCK = 128
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +436,10 @@ class CountsSimulation(_Engine):
         self._codes = np.arange(size, dtype=np.int64)
         self._generator = np_stream(seed, 0)
         self._runs = CollisionRunSampler(self.n, self._generator)
+        # The per-row sampler's block of batch schedules, and how many of
+        # them it has served (see _batch_schedule).
+        self._block = None
+        self._served = BATCH_BLOCK
         # The jump rule's E[L] = Σ P(L ≥ t), the mean collision-free run.
         self._mean_run = float(self._runs.survival.sum())
         self._driven = False
@@ -440,12 +450,6 @@ class CountsSimulation(_Engine):
         # when that beats materializing the Θ(√n)-length agent multiset;
         # both pairings sample the identical law (see _step_rows).
         self._matching = size * (size - 1) <= math.isqrt(self.n)
-        # (S, S) mask of the pairs that change the counts, for the
-        # row-vectorized silence check (None above the O(S²) memory bar).
-        if size <= MAX_SILENCE_STATES:
-            self._effectful = self._changes_counts(self._codes[:, None], self._codes)
-        else:
-            self._effectful = None
 
     # ------------------------------------------------------------------
     # Views
@@ -671,14 +675,17 @@ class CountsSimulation(_Engine):
         """Whether each row of ``rows`` is silent: its jump weight ``W`` is
         0, so no ordered pair of two distinct agents changes its counts.
 
-        Up to :data:`MAX_SILENCE_STATES` states, one ``(R, S, S)`` mask
-        against the effectful pairs, where a diagonal pair needs two
-        agents in its code.  Wider protocols weigh each row with the
-        per-row jump step's :meth:`_pair_weights`, and call no row with
-        more than :data:`MAX_SILENCE_STATES` occupied codes silent.
+        Up to :data:`MAX_SILENCE_STATES` states, ``W`` is summed over the
+        list of effectful pairs the lockstep jump step reads, through its
+        count matrix (:attr:`_effectful_matrix`) — ``O(R·S²)`` arithmetic
+        in ``O(R·S)`` memory, where weighing each pair would hold
+        ``(R, pairs)`` arrays.  Wider protocols weigh
+        each row with the per-row jump step's :meth:`_pair_weights`, and
+        call no row with more than :data:`MAX_SILENCE_STATES` occupied codes
+        silent.
         """
         np = self._np
-        if self._effectful is None:
+        if self.num_states > MAX_SILENCE_STATES:
             silent = []
             for row in rows:
                 counts = self._matrix[row]
@@ -689,11 +696,8 @@ class CountsSimulation(_Engine):
                 )
             return silent
         sub = self._matrix[np.asarray(rows, dtype=np.int64)]
-        occupied = sub > 0
-        changes = occupied[:, :, None] & occupied[:, None, :] & self._effectful
-        diagonal = np.arange(self.num_states)
-        changes[:, diagonal, diagonal] &= sub > 1
-        return ~changes.any(axis=(1, 2))
+        pairs, loops = self._effectful_matrix
+        return ((sub @ pairs) * sub).sum(axis=1) == sub[:, loops].sum(axis=1)
 
     def _frozen(self, rows):
         """The mask of the rows of ``rows`` whose counts never move again:
@@ -886,11 +890,12 @@ class CountsSimulation(_Engine):
         """``count`` interactions as batches: collision-free stretches and
         the colliding interactions between them.
 
-        Each loop iteration is one batch (:meth:`_batch_schedule`): its
-        agent schedule first, which does not depend on the agents' states,
-        then the states.  Every agent the batch meets for the first time
-        is *fresh* — a uniform draw without replacement from the counts at
-        the batch's start, since nothing earlier in the batch touched it.
+        Each loop iteration is one batch: its agent schedule first, which
+        does not depend on the agents' states and so comes from a block
+        drawn ahead (:meth:`_batch_schedule`), then the states.  Every
+        agent the batch meets for the first time is *fresh* — a uniform
+        draw without replacement from the counts at the batch's start,
+        since nothing earlier in the batch touched it.
         One multivariate hypergeometric over the occupied codes (a code
         with no agents can only draw zero) gives all of them, a shuffle
         orders them, and taking them out of ``counts`` leaves exactly the
@@ -901,7 +906,9 @@ class CountsSimulation(_Engine):
         back.  A batch ends at its :data:`RUN_COLLISIONS`-th collision, at
         the advance's budget or where the stretch table ends — each a
         stopping time, so restarting fresh is exact (see the module
-        docstring).
+        docstring); the block's schedules are independent of each other
+        and of every state, so the next batch, in this advance or a later
+        one, takes the next schedule.
 
         This is the engine's hot loop — ``Θ(√n)`` interactions per
         collision means thousands of batches per ``n·log n`` workload.
@@ -954,79 +961,54 @@ class CountsSimulation(_Engine):
                 timings["apply"] += perf_counter() - matched_at
 
     def _batch_schedule(self, remaining: int):
-        """The agent schedule of one batch of at most ``remaining``
-        interactions, as ``(bulk, agents, collisions)``.
+        """The agent schedule of the next batch, cut to at most
+        ``remaining`` interactions, as ``(bulk, agents, collisions)``.
 
-        The batch is a first stretch of collision-free interactions
+        Schedules do not depend on the agents' states, so they come a
+        block of :data:`BATCH_BLOCK` at a time, each up to
+        :data:`RUN_COLLISIONS` collisions long
         (:meth:`~repro.scheduler.scheduler.CollisionRunSampler
-        .next_run_length`), then up to :data:`RUN_COLLISIONS` colliding
-        interactions, each followed — unless it is the last — by the
-        stretch law given the ``U`` agents used so far
-        (:meth:`~repro.scheduler.scheduler.CollisionRunSampler
-        .stretch_length`).  A collision's ordered pair is uniform over the
-        ``U(U-1) + 2·U·A`` pairs with a used member (``A = n - U``), which
-        picks its category and its used agents at once; an unused member
-        is one more fresh agent.  The batch ends early at ``remaining``
-        (cutting a stretch short) and once ``U`` passes the sampler's
-        ``max_used``, where the stretch table ends.
+        .next_batches`, which also lays out the agent array), and every
+        call serves the next one; the first call, and the one after the
+        block's last, draws a new block.  A schedule longer than
+        ``remaining`` is cut there — inside a stretch or right after a
+        collision — and the rest of it is discarded, the same stopping time
+        as a batch drawn for this budget alone.
 
-        ``bulk`` counts the stretches' interactions and ``agents`` the
-        fresh agents.  The batch's agent array holds the bulk pairs as
-        ``(2i, 2i + 1)`` in time order, then the unused members, the
-        ``j``-th (in time order) at index ``-1 - j``.  So the ``U`` agents
-        used before a collision — the ``2B`` of the ``B`` bulk pairs
-        before it, then the unused members — take the labels ``0 … U-1``,
-        and ``collisions`` lists each collision as the array indices of
-        its initiator and responder: a label ``x < 2B`` indexes the array
-        as is, a later label shifts to ``2B - 1 - x``.  The stretch
-        variates and the collisions' 64-bit words are each drawn in one
-        call, and a word maps to its pair exactly (:func:`_below`).
+        ``bulk`` counts the stretches' interactions, ``agents`` the fresh
+        agents (the used ones, ``U``), and ``collisions`` lists each
+        collision as the array indices of its initiator and responder.
         """
-        runs = self._runs
-        bulk = runs.next_run_length()
-        if bulk >= remaining:
-            return remaining, 2 * remaining, ()
-        rng = self._generator
-        raw = rng.bit_generator.random_raw
-        exponentials = rng.standard_exponential(RUN_COLLISIONS - 1).tolist()
-        words = raw(RUN_COLLISIONS).tolist()
-        stretch_length = runs.stretch_length
-        max_used = runs.max_used
-        n = self.n
-        remaining -= bulk
-        used = 2 * bulk
-        tail = 0
-        collisions = []
-        for index in range(RUN_COLLISIONS):
-            pairs = used * (used - 1)
-            unused = n - used
-            x = _below(words[index], pairs + 2 * used * unused, raw)
-            if x < pairs:  # (used, used)
-                first, second = divmod(x, used - 1)
-                second += second >= first
-            else:  # (used, unused) or (unused, used): label `used` is the unused one
-                unused_first, x = divmod(x - pairs, used * unused)
-                first, second = x // unused, used
-                if unused_first:
-                    first, second = second, first
-                used += 1
-                tail += 1
-            cut = 2 * bulk
-            collisions.append(
-                (first if first < cut else cut - 1 - first,
-                 second if second < cut else cut - 1 - second)
+        np = self._np
+        served = self._served
+        if served == BATCH_BLOCK:
+            first, stretches, members, used, taken = self._runs.next_batches(
+                BATCH_BLOCK, RUN_COLLISIONS
             )
+            bulk = first + stretches.sum(axis=0)
+            agents = used[taken - 1, np.arange(BATCH_BLOCK)]  # no stretch after the last
+            sizes = np.stack((bulk + taken, bulk, agents, taken, first), axis=1).tolist()
+            self._block = sizes, stretches, members, used
+            served = 0
+        self._served = served + 1
+        sizes, stretches, members, used = self._block
+        length, bulk, agents, taken, first = sizes[served]
+        collisions = members[:taken, :, served].tolist()
+        if length <= remaining:
+            return bulk, agents, collisions
+        if first >= remaining:
+            return remaining, 2 * remaining, ()
+        # The budget ends after some collision k, or inside its stretch.
+        bulk = first
+        remaining -= first
+        for k, stretch in enumerate(stretches[:taken, served].tolist()):
             remaining -= 1
-            if index == RUN_COLLISIONS - 1 or not remaining or used > max_used:
-                break
-            length = stretch_length(used, exponentials[index])
-            if length >= remaining:
-                bulk += remaining
-                break
-            bulk += length
-            used += 2 * length
-            remaining -= length
-        return bulk, 2 * bulk + tail, collisions
+            if remaining <= stretch:
+                agents = int(used[k, served]) + 2 * remaining
+                return bulk + remaining, agents, collisions[: k + 1]
+            bulk += stretch
+            remaining -= stretch
+        raise AssertionError("a schedule longer than the budget ends inside it")
 
     def _draw_state(self, pool, total: int) -> int:
         """The state of one agent drawn uniformly from a count-vector pool
@@ -1154,16 +1136,32 @@ class CountsSimulation(_Engine):
         return ~jump
 
     @functools.cached_property
-    def _jump_pairs(self):
-        """The jump step's tables, built on the first matching step: the
-        ordered pairs ``(a, b)`` that change the counts
+    def _effectful_pairs(self):
+        """The ordered pairs ``(a, b)`` that change the counts
         (:meth:`_changes_counts`), as initiator codes, responder codes and
-        ``[a = b]`` flags, their rows of :attr:`_pair_delta`, and the mean
-        run length ``E[L] = Σ P(L ≥ t)``."""
-        np = self._np
+        ``[a = b]`` flags — the one list behind the lockstep jump weights
+        and the row-wise silence verdicts, built on first use."""
         codes = self._codes
         initiators, responders = self._changes_counts(codes[:, None], codes).nonzero()
-        diagonal = (initiators == responders).astype(np.int64)
+        return initiators, responders, (initiators == responders).astype(self._np.int64)
+
+    @functools.cached_property
+    def _effectful_matrix(self):
+        """The effectful pairs as an ``(S, S)`` 0/1 matrix ``M`` and the
+        codes ``a`` of the diagonal ones: a row's ``W = Σ c_a·(c_b - [a =
+        b])`` over them is ``c·(M c)`` less those codes' counts."""
+        initiators, responders, diagonal = self._effectful_pairs
+        matrix = self._np.zeros((self.num_states, self.num_states), dtype=self._np.int64)
+        matrix[initiators, responders] = 1
+        return matrix, initiators[diagonal == 1]
+
+    @functools.cached_property
+    def _jump_pairs(self):
+        """The jump step's tables, built on the first matching step: the
+        effectful pairs (:attr:`_effectful_pairs`), their rows of
+        :attr:`_pair_delta`, and the mean run length ``E[L] = Σ P(L ≥
+        t)``."""
+        initiators, responders, diagonal = self._effectful_pairs
         deltas = self._pair_delta[initiators * self.num_states + responders]
         return initiators, responders, diagonal, deltas, self._mean_run
 

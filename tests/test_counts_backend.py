@@ -214,15 +214,18 @@ class TestCollisionRunSampler:
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_stretch_law_matches_the_product_formula(self, n):
-        # Every U from none used to all used, odd and even; U = 0 is the
-        # run law, which next_run_length draws too.
+        # Every U from none used to all used, odd and even, in one call
+        # that reads both chains; U = 0 is the run law, which
+        # next_run_length draws too.
         generator = np.random.Generator(np.random.PCG64(n))
         sampler = CollisionRunSampler(n, generator)
         assert sampler.max_used >= n  # the chains reach exhaustion
         draws = 4_000
+        every_used = np.arange(n + 1).repeat(draws)
+        exponentials = generator.standard_exponential(every_used.size)
+        drawn = sampler.stretch_lengths(every_used, exponentials).reshape(n + 1, draws)
         for used in range(n + 1):
-            exponentials = generator.standard_exponential(draws).tolist()
-            lengths = Counter(sampler.stretch_length(used, e) for e in exponentials)
+            lengths = Counter(drawn[used].tolist())
             assert min(lengths) >= 0 and max(lengths) <= (n - used) // 2, (used, lengths)
             if used >= n - 1:
                 assert set(lengths) == {0}
@@ -461,7 +464,6 @@ class TestSilenceDetection:
             vectors.append(vector)
         engine = CountsSimulation(protocol, init=CountVector(clean), seed=0)
         engine._matrix = np.stack(vectors)
-        assert (engine._effectful is None) == (size > MAX_SILENCE_STATES)  # the path taken
         expected = [
             np.count_nonzero(vector) <= MAX_SILENCE_STATES
             and _silence_oracle(engine.table, vector)
@@ -469,6 +471,8 @@ class TestSilenceDetection:
         ]
         silent = engine._silent_rows(list(range(len(vectors))))
         assert [bool(verdict) for verdict in silent] == expected
+        # The path taken: the effectful pairs' matrix, or the per-row weights.
+        assert ("_effectful_matrix" in vars(engine)) == (size <= MAX_SILENCE_STATES)
 
     def test_silent_batches_skip_but_count(self):
         protocol = EpidemicProtocol()
@@ -732,36 +736,69 @@ class TestExactSmallLaw:
         second may.  Such batches are counted, so a sampler that ends its
         batch at the first collision fails.  With ``max_used`` cut to 3,
         batches also end where the stretch table would, which must keep
-        the law."""
+        the law.  Both are read from the drawn blocks."""
         protocol, start, _ = _small_law_cases()[-1].values
         steps = 4
         engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
+        runs = engine._runs
         if max_used is not None:
-            monkeypatch.setattr(engine._runs, "max_used", max_used)
-        stretches = []
-        stretch_length = engine._runs.stretch_length
+            monkeypatch.setattr(runs, "max_used", max_used)
+        next_batches = runs.next_batches
+        block_stretches = []
 
-        def recorded(used, exponential):
-            assert used <= engine._runs.max_used
-            stretches.append(stretch_length(used, exponential))
-            return stretches[-1]
+        def recorded(count, collisions):
+            block = next_batches(count, collisions)
+            _, stretches, _, used, taken = block
+            for batch, last in enumerate((taken - 1).tolist()):
+                # A stretch follows each collision before the last, drawn
+                # at U <= max_used; a batch ends short only past it.
+                assert (used[:last, batch] <= runs.max_used).all()
+                assert last + 1 == collisions or used[last, batch] > runs.max_used
+                assert stretches[last, batch] == 0
+            block_stretches[:] = [stretches]
+            return block
 
-        monkeypatch.setattr(engine._runs, "stretch_length", recorded)
+        monkeypatch.setattr(runs, "next_batches", recorded)
         schedule = engine._batch_schedule
         spaced = 0
 
         def counted(remaining):
             nonlocal spaced
-            stretches.clear()
             bulk, agents, collisions = schedule(remaining)
-            # stretches[j] follows collision j + 1 and, unless the budget
-            # cut it, precedes collision j + 2.
-            spaced += any(stretches[: len(collisions) - 1])
+            # The stretch after collision j precedes collision j + 1 unless
+            # the budget cut the batch there.
+            stretches = block_stretches[0][:, engine._served - 1]
+            spaced += bool(stretches[: len(collisions) - 1].any())
             return bulk, agents, collisions
 
         monkeypatch.setattr(engine, "_batch_schedule", counted)
         self._check_law(engine, start, steps, lambda row: engine._run_batched(row, steps))
         assert spaced > LAW_DRAWS // 20, spaced
+
+    def test_advances_in_pieces_match_the_enumerated_law(self, monkeypatch):
+        """The same four interactions as ``1 + 1 + 2`` advances: each piece
+        cuts its batch short and discards the rest, and one block of
+        schedules serves many pieces, so a remainder that leaked into the
+        next advance would show in the law."""
+        protocol, start, _ = _small_law_cases()[-1].values
+        engine = CountsSimulation(protocol, init=CodeArray(start), seed=1)
+        next_batches = engine._runs.next_batches
+        blocks = 0
+
+        def counted(count, collisions):
+            nonlocal blocks
+            blocks += 1
+            return next_batches(count, collisions)
+
+        monkeypatch.setattr(engine._runs, "next_batches", counted)
+        pieces = (1, 1, 2)
+
+        def advance(row):
+            for piece in pieces:
+                engine._run_batched(row, piece)
+
+        self._check_law(engine, start, sum(pieces), advance)
+        assert blocks < LAW_DRAWS * len(pieces), "no block served more than one advance"
 
     @staticmethod
     def _check_law(engine, start, steps, advance):

@@ -81,13 +81,14 @@ class CaiIzumiWada(RankingProtocol):
         """Closed-form ``n × n`` table: identity off the diagonal, rank
         bump on it — the generic S² enumeration would make 16.7M Python δ
         calls at n=4096 where two vectorized lines suffice."""
-        from repro.sim.array_backend import TransitionTable, require_numpy
+        from repro.sim.array_backend import TransitionTable, require_numpy, table_buffers
 
         np = require_numpy()
         size = self.n
-        codes = np.arange(size, dtype=np.int32)
-        u_out = np.broadcast_to(codes[:, None], (size, size)).copy()
-        v_out = np.broadcast_to(codes[None, :], (size, size)).copy()
+        codes = np.arange(size)
+        u_out, v_out = table_buffers(size)
+        u_out[:] = codes[:, None]
+        v_out[:] = codes
         # δ(i, i) = (i, i mod n + 1): in code space, (k, k) -> (k, (k+1) mod n).
         v_out[codes, codes] = (codes + 1) % size
         return TransitionTable(num_states=size, u_out=u_out, v_out=v_out)

@@ -232,21 +232,21 @@ class ResetEpidemicProtocol(PopulationProtocol):
           delay to ``D_max`` (if its count just became 0) or ticks it
           down, awakening when the new delay hits 0.
 
-        **How it is filled.**  ``u_out`` / ``v_out`` are allocated once as
-        ``(S, S)`` int32 and each case is written straight into its own
-        region: the awake row and column (code 0), then the resetter ×
-        resetter region one initiator count block at a time (the
-        ``D_max + 1`` rows of count ``c``), so no temporary is larger than
-        one ``(D_max + 1) × S`` block.  Why: at the ``n = 10⁶`` frontier
-        (``S = 1654``) the outputs take 22 MB, and full ``S × S`` case
-        arrays would take several times that — enough to set the run's
-        peak memory — and the table is built once per protocol instance,
-        so once per trial under a process pool.
+        **How it is filled.**  ``u_out`` / ``v_out`` are allocated once
+        (:func:`~repro.sim.array_backend.table_buffers`) and each case is
+        written straight into its own region: the awake row and column
+        (code 0), then the resetter × resetter region one initiator count
+        block at a time (the ``D_max + 1`` rows of count ``c``), so no
+        temporary is larger than one ``(D_max + 1) × S`` block.  Why: at
+        the ``n = 10⁶`` frontier (``S = 1654``) the outputs take 11 MB, and
+        full ``S × S`` case arrays would take several times that — enough
+        to set the run's peak memory — and the table is built once per
+        protocol instance, so once per trial under a process pool.
 
         A regression test checks this table equals the generic builder's
         entry for entry.
         """
-        from repro.sim.array_backend import TransitionTable, require_numpy
+        from repro.sim.array_backend import TransitionTable, require_numpy, table_buffers
 
         np = require_numpy()
         d_max = self.params.delay_timer_max
@@ -271,8 +271,7 @@ class ResetEpidemicProtocol(PopulationProtocol):
             )
             return np.where(merged > 0, resetter(merged, own_delay), dormant)
 
-        u_out = np.empty((size, size), dtype=np.int32)
-        v_out = np.empty((size, size), dtype=np.int32)
+        u_out, v_out = table_buffers(size)
 
         # Awake × awake: no-op.
         u_out[0, 0] = v_out[0, 0] = 0

@@ -75,10 +75,11 @@ except ImportError:  # pragma: no cover - container images bake numpy in
 #: are capped so block buffers stay a few MB even at n ≥ 10⁶.
 MAX_BLOCK = 1 << 16
 
-#: Refuse tables above this many entries (two int32 arrays ≈ 8 bytes per
+#: Refuse tables above this many entries (two int16 arrays, 4 bytes per
 #: entry): the dense representation is the point of the backend, and a
 #: protocol large enough to blow this limit should not pretend to be
-#: "finite-state" in the tractable sense.
+#: "finite-state" in the tractable sense.  The cap keeps ``S ≤ 5,792``, so
+#: every state code fits in int16.
 MAX_TABLE_ENTRIES = 1 << 25
 
 
@@ -118,14 +119,19 @@ class _TableRNG:
 class TransitionTable:
     """Dense encoding of δ: ``(u_out[a, b], v_out[a, b]) = δ(a, b)``.
 
-    Both tables are ``(S, S)`` int32 arrays over state codes; ``S`` is
-    :attr:`num_states`.  Int32 halves the footprint of the natural int64
-    (the Cai–Izumi–Wada table at n=4096 is 2 × 64 MB as int32).
+    Both tables are ``(S, S)`` int16 arrays over state codes, allocated by
+    :func:`table_buffers`; ``S`` is :attr:`num_states`.  Int16 takes a
+    quarter of the natural int64's bytes (the Cai–Izumi–Wada table at
+    n=4096 is 2 × 32 MB), and :data:`MAX_TABLE_ENTRIES` keeps every code
+    in its range.  Readers only index with the entries, compare them or
+    store them into int64 arrays; numpy keeps int16 for an int16 array
+    times a Python int, so a ``code · S`` product is formed from int64
+    codes, never from the entries themselves.
     """
 
     num_states: int
-    u_out: Any  # np.ndarray, shape (S, S), dtype int32
-    v_out: Any  # np.ndarray, shape (S, S), dtype int32
+    u_out: Any  # np.ndarray, shape (S, S), dtype int16
+    v_out: Any  # np.ndarray, shape (S, S), dtype int16
 
     def __post_init__(self) -> None:
         np = require_numpy()
@@ -135,6 +141,10 @@ class TransitionTable:
                 raise ArrayBackendError(
                     f"{name} must be a numpy array of shape {expected}, "
                     f"got {getattr(table, 'shape', type(table))}"
+                )
+            if table.dtype != np.int16:
+                raise ArrayBackendError(
+                    f"{name} must hold int16 codes (see table_buffers), got {table.dtype}"
                 )
             if table.size and (table.min() < 0 or table.max() >= self.num_states):
                 raise ArrayBackendError(f"{name} contains codes outside range(S)")
@@ -181,6 +191,13 @@ def _require_table_size(protocol: PopulationProtocol) -> int:
     return protocol.num_states()
 
 
+def table_buffers(size: int):
+    """``(u_out, v_out)``: the two empty ``(size, size)`` int16 arrays of a
+    :class:`TransitionTable`, which every table builder fills in place."""
+    np = require_numpy()
+    return np.empty((size, size), dtype=np.int16), np.empty((size, size), dtype=np.int16)
+
+
 def build_transition_table(protocol: PopulationProtocol) -> TransitionTable:
     """Generic table builder: enumerate all ``S × S`` pairs through δ.
 
@@ -192,10 +209,8 @@ def build_transition_table(protocol: PopulationProtocol) -> TransitionTable:
     override :meth:`PopulationProtocol.transition_table` with a closed
     form instead.
     """
-    np = require_numpy()
     size = _require_table_size(protocol)
-    u_out = np.empty((size, size), dtype=np.int32)
-    v_out = np.empty((size, size), dtype=np.int32)
+    u_out, v_out = table_buffers(size)
     rng = _TableRNG()
     decode = protocol.decode_state
     encode = protocol.encode_state

@@ -29,7 +29,6 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional, TypeVar
@@ -199,6 +198,10 @@ def _stream_ordered(
         for item in items:
             yield fn(item)
         return
+    # Imported here, so a process that never starts a pool never loads
+    # multiprocessing and the thirty-odd modules behind it.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
     if window is None:
         window = worker_count * 4
     # With tracing on, the worker call is wrapped so each item's span

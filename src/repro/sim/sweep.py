@@ -368,14 +368,6 @@ class ScenarioSpec:
             self.fault_rate, self.fault_model, self.burst_size,
         )
 
-    @property
-    def scenario_id(self) -> str:
-        return (
-            f"{self.protocol}/n={self.n}/r={self.r}"
-            f"/adv={self.adversary}/fault={self.fault_rate:g}"
-            f"/model={self.fault_model}/burst={self.burst_size}"
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioOutcome:

@@ -45,6 +45,7 @@ from repro.sim.array_backend import (  # noqa: E402
     TransitionTable,
     apply_pair_block,
     build_transition_table,
+    encode_configuration,
     reachable_state_codes,
     replay_array,
     transition_table_for,
@@ -54,6 +55,12 @@ from repro.sim.backends import (  # noqa: E402
     make_simulation,
     resolve_backend,
 )
+from repro.sim.counts_backend import (  # noqa: E402
+    CountsSimulation,
+    counts_from_configuration,
+    goal_counts_predicate,
+)
+from repro.sim.initial_state import CountVector, Replicated  # noqa: E402
 from repro.sim.replay import replay  # noqa: E402
 from repro.sim.simulation import run_until  # noqa: E402
 from repro.sim.sweep import GridSpec, SweepError, run_sweep  # noqa: E402
@@ -230,9 +237,119 @@ class TestTableBuilder:
             ArraySimulation(protocol, n=16, seed=0)
 
     def test_table_codes_validated(self):
-        bad = np.full((2, 2), 7, dtype=np.int32)
+        bad = np.full((2, 2), 7, dtype=np.int16)
         with pytest.raises(ArrayBackendError, match="outside range"):
             TransitionTable(num_states=2, u_out=bad, v_out=bad)
+        wide = np.zeros((2, 2), dtype=np.int32)
+        with pytest.raises(ArrayBackendError, match="int16"):
+            TransitionTable(num_states=2, u_out=wide, v_out=wide)
+
+
+def _int64_flat(table):
+    """``TransitionTable.flat`` as int64 copies: the reference reading."""
+    return table.u_out.ravel().astype(np.int64), table.v_out.ravel().astype(np.int64)
+
+
+def _triggered(protocol, sources):
+    """The reset epidemic at n = 300 with ``sources`` fresh resetters."""
+    config = protocol.triggered_configuration(300, sources=sources)
+    return CountVector(counts_from_configuration(protocol, config).tolist())
+
+
+class TestInt16TableReaders:
+    """Every path that reads a table ends where int64 copies of its entries
+    lead, under the same seed.  The reset epidemic at n = 300 has S = 313
+    codes, so a ``code · S`` product formed in int16 would wrap (from
+    S = 182 on); each run is compared along its trajectory, because the
+    epidemic ends all-awake whatever happened on the way."""
+
+    PROTOCOL = ResetEpidemicProtocol(ProtocolParams(n=300, r=1))
+
+    @staticmethod
+    def _same_with_int64_flat(monkeypatch, run):
+        built = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(TransitionTable, "flat", property(_int64_flat))
+            assert np.array_equal(run(), built)
+        return built
+
+    def test_per_row_jumps_batches_and_collisions(self, monkeypatch):
+        # One source: each advance starts with jump steps, and batches go
+        # through their collisions until the reset cycle ends.
+        start = _triggered(self.PROTOCOL, 1)
+
+        def run():
+            sim = CountsSimulation(self.PROTOCOL, init=start, seed=3)
+            trajectory = []
+            for _ in range(50):
+                sim.run_batch(300)
+                trajectory.append(sim.counts[0].copy())
+            return np.stack(trajectory)
+
+        trajectory = self._same_with_int64_flat(monkeypatch, run)
+        assert trajectory[-1, 0] == 300 > trajectory[10, 0]
+
+    def test_per_row_jump_weights(self, monkeypatch):
+        # Cai–Izumi–Wada at n = 200 (S = 200) changes the counts only on
+        # its diagonal, so a weight read at a wrapped index would count
+        # pairs that change nothing.  Five agents on each of the top 40
+        # ranks: few occupied codes, so the row weighs them and jumps.
+        protocol = CaiIzumiWada(BaselineParams(n=200))
+        start = CountVector([0] * 160 + [5] * 40)
+
+        def run():
+            sim = CountsSimulation(protocol, init=start, seed=3)
+            trajectory = []
+            for _ in range(20):
+                sim.run_batch(100)
+                trajectory.append(sim.counts[0].copy())
+            return np.stack(trajectory)
+
+        self._same_with_int64_flat(monkeypatch, run)
+
+    def test_lockstep_shuffle_steps_and_collisions(self, monkeypatch):
+        rows = self.PROTOCOL.num_states() - 1
+        start = Replicated(_triggered(self.PROTOCOL, 30), rows)
+
+        def run():
+            sim = CountsSimulation(self.PROTOCOL, init=start, seed=3)
+            assert sim._lockstep(rows) and not sim._matching
+            sim.run_rows_until(
+                goal_counts_predicate(self.PROTOCOL), max_interactions=200, check_interval=200
+            )
+            return sim.counts.copy()
+
+        self._same_with_int64_flat(monkeypatch, run)
+
+    def test_one_matching_step(self, monkeypatch):
+        # S = 183 keeps the (S², S) pair deltas near 50 MB; the engine
+        # takes the matching path by itself only from n = (S(S-1))².  Row 0
+        # jumps, row 1 runs and collides.
+        protocol = ResetEpidemicProtocol(ProtocolParams(n=300, r=1, c_delay=2.2))
+        assert protocol.num_states() == 183
+        start = Replicated([_triggered(protocol, 1), _triggered(protocol, 30)], 2)
+
+        def run():
+            sim = CountsSimulation(protocol, init=start, seed=3)
+            sim._matching = True
+            left = sim._step_rows(np.arange(2), np.full(2, 200))
+            return np.column_stack((sim.counts, left))
+
+        self._same_with_int64_flat(monkeypatch, run)
+
+    def test_array_block_apply(self, monkeypatch):
+        config = self.PROTOCOL.triggered_configuration(300, sources=30)
+        codes = encode_configuration(self.PROTOCOL, config)
+
+        def run():
+            sim = ArraySimulation(self.PROTOCOL, codes=codes, seed=3)
+            trajectory = []
+            for _ in range(20):
+                sim.run_batch(1_000)
+                trajectory.append(sim.codes.copy())
+            return np.stack(trajectory)
+
+        self._same_with_int64_flat(monkeypatch, run)
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,13 @@ The two contracts under test:
 
 from __future__ import annotations
 
+import concurrent.futures
+
 import pytest
 
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.scheduler.rng import derive_seed, make_rng
 from repro.scheduler.scheduler import RandomScheduler
-from repro.sim import parallel
 from repro.sim.initial_state import ObjectConfig
 from repro.sim.parallel import TrialSpec, resolve_workers, run_trial, stream_ordered
 from repro.sim.simulation import Simulation
@@ -321,7 +322,7 @@ class TestRunTrialsWorkers:
         def no_pool(*args, **kwargs):
             raise AssertionError("a one-trial run must not start a process pool")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         summary = run_trials(
             protocol,
             protocol.is_goal_configuration,

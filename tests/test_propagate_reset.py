@@ -183,7 +183,7 @@ class TestClosedFormTable:
             assert numpy.array_equal(closed.v_out, generic.v_out), params
 
     def test_closed_form_builds_at_the_frontier(self):
-        pytest.importorskip("numpy")
+        numpy = pytest.importorskip("numpy")
         from repro.core.propagate_reset import ResetEpidemicProtocol
 
         # The generic builder needs S² ≈ 2.7M Python δ calls here, too
@@ -196,7 +196,10 @@ class TestClosedFormTable:
         finally:
             tracemalloc.stop()
         assert table.num_states == protocol.num_states() == 1654
-        digest = hashlib.sha256(table.u_out.tobytes() + table.v_out.tobytes())
+        assert table.u_out.dtype == table.v_out.dtype == numpy.int16
+        # Hashed as int32 values, so the pin predates int16 tables.
+        wide = [side.astype(numpy.int32).tobytes() for side in (table.u_out, table.v_out)]
+        digest = hashlib.sha256(b"".join(wide))
         assert digest.hexdigest() == (
             "5bd2c1d4fc39ae1e2d1a774f1d303fb8fe99e62034e59ad3485a65a5948191ce"
         )

@@ -61,9 +61,6 @@ class PowerLawFit:
     coefficient: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        return self.coefficient * x**self.exponent
-
 
 def fit_power_law(xs: Sequence[float], ys: Sequence[float]) -> PowerLawFit:
     """Least-squares power-law fit; requires ≥ 2 positive points."""

@@ -77,7 +77,6 @@ from repro.sim.initial_state import (
     Replicated,
     SampledStart,
 )
-from repro.sim.kernels import JitBackendError, jit_available
 from repro.sim.parallel import stream_ordered
 from repro.sim.simulation import Simulation, SimulationResult, run_until
 from repro.sim.sweep import (
@@ -112,11 +111,9 @@ __all__ = [
     "Replicated",
     "SampledStart",
     # single executions
-    "JitBackendError",
     "Simulation",
     "SimulationResult",
     "backend_names",
-    "jit_available",
     "make_simulation",
     "resolve_backend",
     "run_until",

@@ -172,14 +172,6 @@ class ProtocolParams:
         """Interactions between signature refreshes, ``c log r_u`` (Prot. 13)."""
         return max(2, math.ceil(self.c_sig * _log(max(2, group_size))))
 
-    # ------------------------------------------------------------------
-
-    def with_updates(self, **changes: object) -> "ProtocolParams":
-        """Return a copy with the given fields replaced."""
-        from dataclasses import replace
-
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class BaselineParams:

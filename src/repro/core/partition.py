@@ -16,7 +16,6 @@ one shared immutable :class:`RankPartition`.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 
 class RankPartition:
@@ -95,9 +94,3 @@ class RankPartition:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RankPartition(n={self.n}, r={self.r}, sizes={self._sizes})"
-
-
-@lru_cache(maxsize=256)
-def cached_partition(n: int, r: int) -> RankPartition:
-    """A memoized partition; the partition is pure data shared by all agents."""
-    return RankPartition(n, r)

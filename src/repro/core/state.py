@@ -239,10 +239,6 @@ class SVState:
     probation_timer: int = 0  #: in {0..P_max}
     dc: "DCState | Top" = field(default_factory=DCState)
 
-    @property
-    def has_error(self) -> bool:
-        return self.dc is TOP
-
     def clone(self) -> "SVState":
         dc = self.dc if self.dc is TOP else self.dc.clone()
         return SVState(self.generation, self.probation_timer, dc)

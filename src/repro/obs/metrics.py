@@ -14,7 +14,8 @@ def step_breakdown_rows(timings: Mapping[str, float]) -> list[dict]:
 
     Returns ``{"phase", "seconds", "share"}`` rows in canonical
     :data:`STEP_PHASES` order (extra phases follow, in input order) —
-    the one formatter behind the E22/E24 benchmark tables.
+    the one formatter behind the E22 benchmark table and the trace
+    summary's phase table.
     """
     ordered = [phase for phase in STEP_PHASES if phase in timings]
     ordered += [phase for phase in timings if phase not in STEP_PHASES]

@@ -1,6 +1,6 @@
 """The execution-backend registry — one place that knows every engine.
 
-Five registry entries run ``Simulation``-shaped workloads today:
+Four registry entries run ``Simulation``-shaped workloads today:
 
 * ``object`` — the per-interaction reference engine
   (:class:`repro.sim.simulation.Simulation`): state objects, Python
@@ -22,12 +22,6 @@ Five registry entries run ``Simulation``-shaped workloads today:
   per-row or the lockstep sampler by ``S`` and the number of rows
   stepping.  The engine of choice when a sweep cell or a ``run_trials``
   call runs many trials of one protocol.
-* ``batch-jit`` — the batch engine with its lockstep sampler compiled
-  (:class:`repro.sim.kernels.JitBatchCountsEngine`): the same ``(T, S)``
-  matrix and law, lockstep runs drawn by numba-jitted kernels on
-  counter-based per-row streams — law-exact vs ``batch``, not bit-exact.
-  Requires the optional ``[jit]`` extra; construction without numba
-  raises a pointed install hint.
 
 Every dispatch site in the repository — :func:`make_simulation`,
 :func:`repro.sim.simulation.run_until`, :func:`repro.sim.trials
@@ -35,9 +29,7 @@ Every dispatch site in the repository — :func:`make_simulation`,
 --backend`` CLI choices — derives from this registry; none of them name a
 backend in an ``if``/``elif`` chain.  Adding an engine is therefore one
 new module that calls :func:`register_backend` (plus its registration
-line below), and every entry point picks it up — the jitted leg below
-is exactly that: a factory and ``batch_cells=True``; zero name
-conditionals anywhere.
+line below), and every entry point picks it up.
 
 **The registry contract.**  A :class:`Backend` bundles:
 
@@ -100,7 +92,6 @@ BACKEND_OBJECT = "object"
 BACKEND_ARRAY = "array"
 BACKEND_COUNTS = "counts"
 BACKEND_BATCH = "batch"
-BACKEND_BATCH_JIT = "batch-jit"
 
 #: The engine used when neither the caller nor the environment names one.
 DEFAULT_BACKEND = BACKEND_OBJECT
@@ -168,9 +159,8 @@ def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
     Registering a name twice is an error unless ``replace=True`` —
     accidental shadowing of a built-in engine should be loud.
     """
-    # A simple identifier, with dashes allowed as word separators
-    # ("batch-jit"): names double as CLI choices and registry keys.
-    if not backend.name or not backend.name.replace("-", "_").isidentifier():
+    # A simple identifier: names double as CLI choices and registry keys.
+    if not backend.name.isidentifier():
         raise ValueError(f"backend name must be a simple identifier, got {backend.name!r}")
     if backend.name in _REGISTRY and not replace:
         raise ValueError(f"backend '{backend.name}' is already registered")
@@ -306,18 +296,6 @@ def _batch_factory(
     return BatchCountsEngine(protocol, init=init, n=n, seed=seed)
 
 
-def _batch_jit_factory(
-    protocol: PopulationProtocol,
-    *,
-    init: Optional[InitialState] = None,
-    n: Optional[int] = None,
-    seed: int = 0,
-) -> Any:
-    from repro.sim.kernels import JitBatchCountsEngine
-
-    return JitBatchCountsEngine(protocol, init=init, n=n, seed=seed)
-
-
 register_backend(
     Backend(
         name=BACKEND_OBJECT,
@@ -353,19 +331,6 @@ register_backend(
         description=(
             "the counts engine over a (T, S) matrix — a whole trial batch "
             "per engine, per-row or lockstep sampling (finite-state protocols)"
-        ),
-        native_form=NATIVE_COUNTS,
-        batch_cells=True,
-    )
-)
-register_backend(
-    Backend(
-        name=BACKEND_BATCH_JIT,
-        factory=_batch_jit_factory,
-        supports=_finite_state_supports,
-        description=(
-            "the batch engine's lockstep sampler compiled with numba "
-            "(optional [jit] extra; law-exact vs 'batch', not bit-exact)"
         ),
         native_form=NATIVE_COUNTS,
         batch_cells=True,

@@ -1106,12 +1106,12 @@ class CountsSimulation(_Engine):
         rng = self._generator
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
-        initiators, responders, diagonal, deltas, mean_run = self._jump_pairs
+        initiators, responders, diagonal, deltas = self._jump_pairs
         sub = self._matrix[idx]
         weights = sub[:, initiators] * (sub[:, responders] - diagonal)
         total = weights.sum(axis=1)
         pairs = self.n * (self.n - 1)
-        jump = total * mean_run < pairs
+        jump = total * self._mean_run < pairs
         if not jump.any():
             if timings is not None:
                 timings["draw"] += perf_counter() - start
@@ -1158,12 +1158,11 @@ class CountsSimulation(_Engine):
     @functools.cached_property
     def _jump_pairs(self):
         """The jump step's tables, built on the first matching step: the
-        effectful pairs (:attr:`_effectful_pairs`), their rows of
-        :attr:`_pair_delta`, and the mean run length ``E[L] = Σ P(L ≥
-        t)``."""
+        effectful pairs (:attr:`_effectful_pairs`) and their rows of
+        :attr:`_pair_delta`."""
         initiators, responders, diagonal = self._effectful_pairs
         deltas = self._pair_delta[initiators * self.num_states + responders]
-        return initiators, responders, diagonal, deltas, self._mean_run
+        return initiators, responders, diagonal, deltas
 
     def _run_rows(self, idx, remaining):
         """One lockstep run step for each row of ``idx``; returns the

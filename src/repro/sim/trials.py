@@ -72,10 +72,6 @@ class TrialSummary:
         rank = min(len(ordered), math.ceil(0.95 * len(ordered)))
         return ordered[rank - 1]
 
-    @property
-    def mean_time(self) -> float:
-        return statistics.fmean(self.parallel_times) if self.parallel_times else float("nan")
-
     def as_row(self) -> dict[str, object]:
         return {
             "label": self.label,

@@ -44,12 +44,3 @@ def medium_protocol(medium_params: ProtocolParams) -> ElectLeader:
 @pytest.fixture
 def baseline_params() -> BaselineParams:
     return BaselineParams(n=16)
-
-
-@pytest.fixture
-def pure_ok(monkeypatch):
-    """Allow batch-jit's uncompiled escape hatch when numba is absent."""
-    from repro.sim.kernels import PURE_PYTHON_ENV, jit_available
-
-    if not jit_available():
-        monkeypatch.setenv(PURE_PYTHON_ENV, "1")

@@ -2,9 +2,9 @@
 
 Contracts gated here:
 
-* the registry knows the three built-in engines (object first), rejects
-  unknown names with the known list, and supports one-file extension via
-  :func:`register_backend`;
+* the registry knows exactly the four built-in engines (object first),
+  rejects unknown names with the known list, and supports one-file
+  extension via :func:`register_backend`;
 * resolution (``None`` → ``$REPRO_BENCH_BACKEND`` → default) happens only
   in :func:`resolve_backend`; :func:`get_backend` and
   ``make_simulation(backend=<resolved name>)`` are pure lookups that never
@@ -68,11 +68,12 @@ class TestRegistry:
     def test_register_rejects_duplicates_and_bad_names(self):
         with pytest.raises(ValueError, match="already registered"):
             register_backend(get_backend("object"))
-        with pytest.raises(ValueError, match="simple identifier"):
-            register_backend(
-                Backend(name="not a name", factory=lambda *a, **k: None,
-                        supports=lambda p: None)
-            )
+        for bad in ("not a name", "dashed-name", ""):
+            with pytest.raises(ValueError, match="simple identifier"):
+                register_backend(
+                    Backend(name=bad, factory=lambda *a, **k: None,
+                            supports=lambda p: None)
+                )
 
     def test_fifth_backend_is_one_registration(self):
         """The extension contract: register → every entry point sees it."""
@@ -109,20 +110,27 @@ class TestRegistry:
         assert get_backend("array").native_form == NATIVE_CODES
 
     def test_batch_entry_hooks(self):
-        # The batch engines are the only ones with the whole-batch hook
-        # that run_trials and cell-grouped sweeps both read.
-        for name in ("batch", "batch-jit"):
-            assert get_backend(name).batch_cells
+        # The batch engine is the only one with the whole-batch hook that
+        # run_trials and cell-grouped sweeps both read.
+        assert get_backend("batch").batch_cells
         for name in ("object", "array", "counts"):
             assert not get_backend(name).batch_cells
 
-    def test_batch_jit_registered_as_sixth_backend(self):
-        # A dashed name is a legal registry entry, and the jit leg routes
-        # counts-native like the engine it compiles.
-        assert "batch-jit" in backend_names()
-        entry = get_backend("batch-jit")
-        assert entry.native_form == NATIVE_COUNTS
-        assert "numba" in entry.description
+    def test_exactly_four_builtin_backends(self, capsys):
+        # The compiled twin of the batch engine is gone: neither the
+        # library nor the sweep CLI accepts its name.
+        from repro.cli import build_parser
+
+        assert sorted(backend_names()) == ["array", "batch", "counts", "object"]
+        with pytest.raises(ValueError) as excinfo:
+            make_simulation(PairwiseElimination(8), n=8, backend="batch-jit")
+        assert str(excinfo.value) == (
+            "unknown backend 'batch-jit' (known: array, batch, counts, object)"
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["sweep", "--backend", "batch-jit"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'batch-jit'" in capsys.readouterr().err
 
 
 class TestResolution:

@@ -6,9 +6,9 @@ Contracts gated here:
   from an explicit start, and under fault injection — so the row workloads
   are anchored to the per-trial surface the equivalence suite already
   trusts;
-* ``run_trials`` on a batch engine (``batch`` or ``batch-jit``) is
-  exactly one registry-built engine over a ``Replicated`` start, trial
-  by trial, and agrees with ``backend="counts"`` exactly at one trial;
+* ``run_trials`` on the batch engine is exactly one registry-built
+  engine over a ``Replicated`` start, trial by trial, and agrees with
+  ``backend="counts"`` exactly at one trial;
 * structural batch semantics: rows converged at step 0 retire with zero
   interactions and consume no randomness (so a batch's stragglers are
   bit-identical with or without already-converged neighbours), silent
@@ -31,7 +31,11 @@ Contracts gated here:
 * the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
   matrix it does not read, and the per-row sampler's jumps build neither
   it nor the lockstep jump tables, and weigh no row above the
-  occupied-code cap.
+  occupied-code cap;
+* row-vectorized predicates: the batch engine answers convergence
+  through ``on_counts_rows`` (never the scalar form when the vector form
+  is present), and every protocol's ``goal_counts_rows`` override agrees
+  with its per-row ``goal_counts``.
 """
 
 from __future__ import annotations
@@ -43,12 +47,14 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.analysis.stats import ks_statistic, ks_threshold
+from repro.baselines.cai_izumi_wada import CaiIzumiWada
 from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
 from repro.baselines.nonss_leader import PairwiseElimination
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import BaselineParams, ProtocolParams
 from repro.core.propagate_reset import ResetEpidemicProtocol
-from repro.scheduler.rng import derive_seed
+from repro.core.protocol import PopulationProtocol
+from repro.scheduler.rng import derive_seed, np_generator
 from repro.sim.array_backend import transition_table_for
 from repro.sim.backends import make_simulation
 from repro.sim.batch_backend import BatchCountsEngine
@@ -334,11 +340,11 @@ class TestTrialRunnerHook:
     """``run_trials`` on a ``batch_cells`` engine is one registry-built
     engine whose rows are the trials."""
 
-    @pytest.mark.parametrize("backend", ["batch", "batch-jit"])
-    def test_run_trials_is_one_registry_built_batch(self, backend, pure_ok):
-        # Exact, not in law: these 24 rows take the lockstep sampler, where
-        # batch and batch-jit draw different streams, so run_trials building
-        # any engine but the named one fails here.
+    @pytest.mark.parametrize("backend", ["batch"])
+    def test_run_trials_is_one_registry_built_batch(self, backend):
+        # Exact, not in law: these 24 rows take the lockstep sampler, so
+        # run_trials building anything but one engine over the whole
+        # Replicated start fails here.
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
         rows = [seeded_counts(64)] * 24
@@ -624,3 +630,68 @@ class TestWideStateMemory:
         engine.run_batch(300)
         assert not weighed
         assert (engine.counts[0] != start).any()
+
+
+def _predicate_protocols():
+    return [
+        EpidemicProtocol(),
+        PairwiseElimination(32),
+        LooselyStabilizingLeaderElection(BaselineParams(n=32)),
+        CaiIzumiWada(BaselineParams(n=8)),
+        ResetEpidemicProtocol(ProtocolParams(n=32, r=2)),
+    ]
+
+
+class TestRowPredicates:
+    """``on_counts_rows`` answers whole live sets in one array op."""
+
+    def test_vectorized_form_is_preferred_over_the_scalar_form(self):
+        protocol = EpidemicProtocol()
+        calls = {"rows": 0, "scalar": 0}
+
+        def on_counts(row):
+            calls["scalar"] += 1
+            return protocol.goal_counts(row)
+
+        def on_counts_rows(sub):
+            calls["rows"] += 1
+            return protocol.goal_counts_rows(sub)
+
+        predicate = counts_aware(
+            protocol.is_goal_configuration, on_counts, on_counts_rows
+        )
+        engine = make_simulation(
+            protocol, init=Replicated(seeded_counts(100), 6), seed=5, backend="batch"
+        )
+        engine.run_rows_until(predicate, max_interactions=3000, check_interval=100)
+        assert calls["rows"] > 0
+        assert calls["scalar"] == 0
+
+    def test_goal_counts_predicate_carries_the_rows_form(self):
+        protocol = EpidemicProtocol()
+        predicate = goal_counts_predicate(protocol)
+        assert predicate.on_counts_rows is not None
+        rows = np.asarray([[0, 5], [3, 2]], dtype=np.int64)
+        assert [bool(v) for v in predicate.on_counts_rows(rows)] == [True, False]
+
+    def test_base_default_is_the_per_row_loop(self):
+        protocol = EpidemicProtocol()
+        rows = np.asarray([[0, 5], [3, 2]], dtype=np.int64)
+        assert PopulationProtocol.goal_counts_rows(protocol, rows) == [True, False]
+
+    @pytest.mark.parametrize(
+        "protocol", _predicate_protocols(), ids=lambda p: type(p).__name__
+    )
+    def test_overrides_agree_with_the_scalar_form(self, protocol):
+        size = protocol.num_states()
+        rng = np_generator(derive_seed(17, size))
+        blocks = [
+            rng.integers(0, 5, size=(8, size)),
+            rng.integers(0, 2, size=(8, size)),
+            np.zeros((1, size), dtype=np.int64),
+            np.eye(size, dtype=np.int64)[[0, size - 1]],
+        ]
+        rows = np.concatenate(blocks).astype(np.int64)
+        vectorized = [bool(v) for v in np.asarray(protocol.goal_counts_rows(rows)).reshape(-1)]
+        scalar = [bool(protocol.goal_counts(row)) for row in rows]
+        assert vectorized == scalar

@@ -183,8 +183,7 @@ class TestBitIdentity:
     the observability invariant, per backend."""
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
-    def test_instrumented_run_matches_plain(self, backend, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
+    def test_instrumented_run_matches_plain(self, backend):
         epidemic = EpidemicProtocol()
         _, predicate, build = engine_case(
             backend, epidemic, goal_counts_predicate(epidemic), CountVector([63, 1])
@@ -203,11 +202,10 @@ class TestBitIdentity:
         assert sum(timings.values()) > 0.0
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
-    def test_instrumented_fault_drivers_match_plain(self, backend, monkeypatch):
+    def test_instrumented_fault_drivers_match_plain(self, backend):
         # Bursts land between run_batch calls, so the fault drivers are
         # where an instrumented loop that reorders its draws would show;
         # Cai-Izumi-Wada keeps moving under bursts (an epidemic absorbs).
-        monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
         protocol, predicate, build = engine_case(
             backend, *PROTOCOLS["cai_izumi_wada"].build(64, 2)
         )
@@ -239,10 +237,7 @@ class TestBitIdentity:
             assert sum(traced[3].values()) > 0.0
 
     @pytest.mark.parametrize("backend", sorted(backend_names()))
-    def test_traced_sweep_checkpoint_is_byte_identical(
-        self, backend, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_JIT_PURE_PYTHON", "1")
+    def test_traced_sweep_checkpoint_is_byte_identical(self, backend, tmp_path):
         grid = grid_for(backend)
         plain_out = tmp_path / "plain.jsonl"
         run_sweep(grid, jsonl_path=plain_out)

@@ -119,17 +119,7 @@ class TestDerivedQuantities:
 
 
 class TestWithUpdates:
-    def test_with_updates_replaces_field(self):
-        params = ProtocolParams(n=16, r=2)
-        bigger = params.with_updates(c_prob=12.0)
-        assert bigger.c_prob == 12.0
-        assert bigger.n == 16
-        assert params.c_prob == 6.0  # original untouched
-
-    def test_with_updates_validates(self):
-        params = ProtocolParams(n=16, r=2)
-        with pytest.raises(ValueError):
-            params.with_updates(r=100)
+    """Parameters never change in place; ``dataclasses.replace`` copies."""
 
     def test_frozen(self):
         params = ProtocolParams(n=16, r=2)

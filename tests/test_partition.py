@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition import RankPartition, cached_partition
+from repro.core.partition import RankPartition
 
 
 class TestConstruction:
@@ -109,11 +109,3 @@ class TestPaperRequirements:
         for group in range(partition.group_count):
             covered.extend(partition.group_ranks(group))
         assert sorted(covered) == list(range(1, n + 1))
-
-
-class TestCache:
-    def test_cached_partition_identity(self):
-        assert cached_partition(20, 4) is cached_partition(20, 4)
-
-    def test_cached_partition_distinct_keys(self):
-        assert cached_partition(20, 4) is not cached_partition(20, 5)

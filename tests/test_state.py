@@ -28,7 +28,6 @@ class TestTop:
     def test_identity_checks(self):
         state = SVState(dc=TOP)
         assert state.dc is TOP
-        assert state.has_error
 
 
 class TestClones:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.fabric.merge import merge_checkpoints
 from repro.sim.sweep import (
     CLEAN,
     NO_FAULTS,
@@ -24,6 +25,7 @@ from repro.sim.sweep import (
     aggregate_rows,
     expand_grid,
     load_checkpoint,
+    read_checkpoint_grid,
     run_scenario,
     run_sweep,
 )
@@ -295,6 +297,24 @@ class TestResume:
         result = run_sweep(grid, workers=1, jsonl_path=path, resume=True)
         assert result.resumed_trials == 2  # legacy meta + 2 legacy trials
         assert format_table(result.rows) == full_table
+
+    def test_checkpoint_naming_an_unregistered_backend_is_refused(
+        self, finished, tmp_path
+    ):
+        # The one checkpoint-format consequence of deleting the compiled
+        # twin of the batch engine: its files no longer parse, so neither
+        # a resume nor a merge can read them.
+        _, _, full_bytes, _ = finished
+        meta, rest = full_bytes.split(b"\n", 1)
+        record = json.loads(meta)
+        record["grid"]["backend"] = "batch-jit"
+        path = tmp_path / "deleted-backend.jsonl"
+        path.write_bytes(json.dumps(record, separators=(",", ":")).encode() + b"\n" + rest)
+        refusal = "metadata grid does not parse: unknown backend 'batch-jit'"
+        with pytest.raises(SweepError, match=refusal):
+            read_checkpoint_grid(path)
+        with pytest.raises(SweepError, match=refusal):
+            merge_checkpoints([path], tmp_path / "merged.jsonl")
 
     def test_corrupt_interior_line_is_rejected(self, finished, tmp_path):
         grid, _, full_bytes, _ = finished

@@ -40,10 +40,6 @@ class TestPowerLawFit:
         assert fit.coefficient == pytest.approx(3.0, rel=1e-9)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_predict(self):
-        fit = fit_power_law([1.0, 2.0, 4.0], [2.0, 4.0, 8.0])
-        assert fit.predict(8.0) == pytest.approx(16.0, rel=1e-6)
-
     def test_noisy_data_r_squared_below_one(self):
         xs = [2.0, 4.0, 8.0, 16.0, 32.0]
         ys = [x**2 * (1.3 if i % 2 else 0.7) for i, x in enumerate(xs)]

@@ -96,7 +96,6 @@ class TestSummaryStatistics:
         )
         assert summary.median_time == 3.0
         assert summary.p95_time == 5.0
-        assert summary.mean_time == 3.0
         assert summary.median_interactions == 30
 
     def test_p95_is_nearest_rank_not_maximum(self):

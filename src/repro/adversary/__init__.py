@@ -15,7 +15,6 @@ from repro.adversary.initializers import (
     random_soup,
     scrambled_observations,
     single_agent_scrambler,
-    validate_configuration,
 )
 
 __all__ = [
@@ -33,5 +32,4 @@ __all__ = [
     "random_soup",
     "scrambled_observations",
     "single_agent_scrambler",
-    "validate_configuration",
 ]

@@ -42,7 +42,7 @@ configuration in ``Q^n``".
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 from repro.core.assign_ranks import initial_ar_state
 from repro.core.elect_leader import ElectLeader
@@ -474,8 +474,3 @@ ADVERSARIES: dict[str, Adversary] = {
     "mid_ranking": lambda p, rng: mid_ranking(p, rng),
     "random_soup": lambda p, rng: random_soup(p, rng),
 }
-
-
-def validate_configuration(config: Sequence[AgentState]) -> bool:
-    """Sanity check: every agent populates exactly its role's sub-state."""
-    return all(agent.consistent() for agent in config)

@@ -311,8 +311,3 @@ def is_dormant(state: AgentState) -> bool:
 def fully_dormant(config: list[AgentState]) -> bool:
     """True iff every agent is dormant (Appendix C terminology)."""
     return all(is_dormant(s) for s in config)
-
-
-def partially_computing(config: list[AgentState]) -> bool:
-    """True iff some agent is computing (non-resetting)."""
-    return any(s.role is not Role.RESETTING for s in config)

@@ -37,8 +37,3 @@ def generation_ahead(own: int, other: int, modulus: int = 6) -> bool:
     other difference is illegal and forces a hard reset (line 13).
     """
     return (own + 1) % modulus == other % modulus
-
-
-def generations_equal(own: int, other: int, modulus: int = 6) -> bool:
-    """True iff the two agents are in the same generation (mod m)."""
-    return own % modulus == other % modulus

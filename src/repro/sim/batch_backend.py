@@ -9,9 +9,10 @@ trials together through its row workloads (``run_rows_until`` /
 ``measure_rows_availability``).  Each row is checked at its own
 boundaries and retires as it converges, goes silent or exhausts its
 budget, while the rest keep stepping; the per-row or the lockstep
-sampler is picked at every iteration from the number of live rows (see
-:data:`~repro.sim.counts_backend.ROW_RUN_COST`), so a lockstep step
-always serves every live row, never a few stragglers alone.
+sampler is picked at every iteration from ``S``, ``n`` and the number of
+live rows (see :meth:`~repro.sim.counts_backend.CountsSimulation
+._lockstep`), so a lockstep step always serves every live row, never a
+few stragglers alone.
 
 Construction goes through the backend registry
 (``make_simulation(backend="batch")``), which is how both

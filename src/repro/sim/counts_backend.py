@@ -56,13 +56,15 @@ exact lumping of the agent-level chain; ending a batch at a stopping
 time — its last collision, an advance boundary — and restarting fresh
 is likewise exact (the Markov property: the future law depends only on
 ``counts``).  The batched sampler is therefore *distribution*-identical
-to the object and array engines — and to this engine's own
-pair-at-a-time oracle (``batching="pair"``), which tests use to gate it.
+to the object and array engines — and to a pair-at-a-time oracle that
+draws each interaction's two states in turn, which the law tests keep
+beside them to gate it.
 
 **Two samplers, one law.**  In the row loop each row stops at its own
 check boundaries and bursts (:meth:`CountsSimulation._drive_rows`), and
 each iteration steps the live rows with one of two samplers, chosen by
-:data:`ROW_RUN_COST` from ``S`` and the number of live rows:
+:meth:`CountsSimulation._lockstep` from ``S``, ``n`` and the number of
+live rows:
 
 * the *per-row* sampler runs one row at a time to its stop in batches,
   one C-level ``multivariate_hypergeometric`` over the occupied codes per
@@ -72,19 +74,21 @@ each iteration steps the live rows with one of two samplers, chosen by
   more fresh agent — a batch costs ``O(occupied codes + batch length)``,
   however wide ``S`` is.  One-row engines always use it, so a single
   trial is the same stream whichever registry name built it;
-* the *lockstep* sampler gives every live row one step with a fixed
-  number of numpy calls: one run-length block draw, a conditional
-  hypergeometric chain over the ``S`` codes vectorized across rows (numpy's
-  own ``marginals`` decomposition), and the pairing either by pair-type
-  counts or by a segmented shuffle (see :meth:`CountsSimulation._step_rows`).
-  It costs ``S - 1`` generator calls per step, whatever the number of rows.
+* the *lockstep* sampler gives every live row one step with numpy calls
+  vectorized across the rows: one run-length block draw, and conditional
+  hypergeometric chains over the ``S`` codes (numpy's own ``marginals``
+  decomposition) for the run's states and its pair-type counts (see
+  :meth:`CountsSimulation._step_rows`).  A step costs ``O(S²)``
+  generator calls whatever the number of rows, so the sampler serves
+  only protocols with ``S(S-1) ≤ √n``, and only once at least ``S - 1``
+  rows step; every other engine runs each row per row.
 
 Either sampler may *jump* instead of running: a row that expects fewer
 than one count change per run (near the start or the end of an epidemic)
 draws the geometric number of null interactions up to the next effectful
 one and applies that one pair — Gillespie's idea on the discrete-time
-chain, still the exact law.  The lockstep sampler weighs its rows'
-effectful pairs on the pair-type path only; the per-row sampler weighs
+chain, still the exact law.  The lockstep sampler weighs its rows over
+one list of the effectful pairs; the per-row sampler weighs
 its row's occupied codes straight from the table, up to
 :data:`MAX_SILENCE_STATES` of them.
 
@@ -108,7 +112,7 @@ a per-trial engine.  A row's burst schedule is therefore bit-identical to
 a per-trial ``FaultEngine`` under the same ``FaultSpec``.
 
 **Determinism.**  A run is a pure function of ``(protocol, initial
-counts, seed, batching mode, check and burst boundaries)``.  Unlike the array
+counts, seed, check and burst boundaries)``.  Unlike the array
 scheduler there is **no** slicing-invariance guarantee: changing
 ``check_interval`` changes how runs are truncated and therefore the
 concrete sample path (never the law).  Checkpoint/resume stays
@@ -160,40 +164,12 @@ class CountsBackendError(ArrayBackendError):
     """
 
 
-#: The two sampling modes of :class:`CountsSimulation`.
-BATCHING_RUN = "run"
-BATCHING_PAIR = "pair"
-BATCHING_MODES = (BATCHING_RUN, BATCHING_PAIR)
-
 #: The cap on weighing effectful pairs: up to this many states the silence
 #: check reads one (S, S) mask; wider protocols weigh a row's occupied codes
 #: straight from the table (jump weights and silence alike), and above this
 #: many occupied codes the O(occupied²) read stops paying for itself — the
 #: row just runs and is never called silent (correct either way).
 MAX_SILENCE_STATES = 64
-
-#: The sampler rule: ``R`` live rows take the lockstep sampler when
-#: ``R * ROW_RUN_COST >= S - 1``, else the per-row sampler.  It stands
-#: for the cost of one per-row run in units of one lockstep chain call (a
-#: vectorized ``hypergeometric``, of which a lockstep run makes ``S - 1``).
-#: Timed on R rows of Cai-Izumi-Wada from a clean start at n = S = 16 and
-#: 64 (400 and 2,000 interactions a row), each sampler forced, min of two
-#: alternating runs (numpy 2.4.6, Python 3.11, one Intel Xeon thread),
-#: lockstep time over per-row time reads
-#:
-#:     S     R ≈ 2(S-1)   3(S-1)   4(S-1)   8(S-1)
-#:     16    3.18         2.57     1.94     1.11
-#:     64    3.26         2.48     2.05     1.67
-#:
-#: so with per-row batches drawn a block of schedules at a time the
-#: lockstep sampler loses even at 8 × (S - 1) rows, and the rule leans
-#: towards it far below that.  A constant below 1 would remove the lean
-#: but would also send a lone two-state row to the per-row sampler, and
-#: any change moves the streams the rule picks.  Below S ≈ 10 the lockstep
-#: step's fixed cost dominates instead; the rule leaves it out, so
-#: two-state protocols keep the lockstep sampler at every R, and the row
-#: loop never takes a step for stragglers alone.
-ROW_RUN_COST = 1
 
 #: The colliding interactions a per-row batch goes on through: the batch
 #: ends at its ``RUN_COLLISIONS``-th (see :meth:`CountsSimulation
@@ -353,10 +329,7 @@ class CountsSimulation(_Engine):
     Every row must describe the same population size (the collision-run
     law and the fault clock are per-``n``).  All randomness comes from one
     PCG64 stream seeded ``derive_seed(seed, 0)`` (table protocols are
-    deterministic, so no transition stream is needed).  ``batching``
-    selects the sampler family: ``"run"`` (default) the collision-run
-    samplers, ``"pair"`` the pair-at-a-time oracle — same law, wildly
-    different speed; tests run both and compare.
+    deterministic, so no transition stream is needed).
 
     A one-row engine is a per-trial engine: it defines ``run_batch`` /
     ``predicate_holds`` / ``apply_fault`` / ``config`` and inherits ``run``
@@ -388,12 +361,8 @@ class CountsSimulation(_Engine):
         init: Optional[InitialState] = None,
         n: Optional[int] = None,
         seed: int = 0,
-        batching: str = BATCHING_RUN,
     ):
         np = require_numpy()
-        if batching not in BATCHING_MODES:
-            known = ", ".join(BATCHING_MODES)
-            raise ValueError(f"unknown batching mode '{batching}' (known: {known})")
         size = _require_num_states(protocol)
         if init is None:
             if n is None:
@@ -429,11 +398,9 @@ class CountsSimulation(_Engine):
         self.num_states = size
         self.trials = len(rows)
         self.seed = seed
-        self.batching = batching
         self.table = transition_table_for(protocol)
         self.metrics = Metrics(n=self.n)
         self._np = np
-        self._codes = np.arange(size, dtype=np.int64)
         self._generator = np_stream(seed, 0)
         self._runs = CollisionRunSampler(self.n, self._generator)
         # The per-row sampler's block of batch schedules, and how many of
@@ -446,9 +413,9 @@ class CountsSimulation(_Engine):
         self._row_faults: list[Optional[FaultEngine]] = [None] * self.trials
         self._faulted = np.zeros(self.trials, dtype=bool)
         self._row_events: list[list[FaultEvent]] = []
-        # The lockstep sampler pairs runs by type counts (an S² chain)
-        # when that beats materializing the Θ(√n)-length agent multiset;
-        # both pairings sample the identical law (see _step_rows).
+        # The lockstep sampler pairs runs by type counts, an S² chain of
+        # generator calls per step, so it serves only protocols where
+        # that is at most √n (see _lockstep).
         self._matching = size * (size - 1) <= math.isqrt(self.n)
 
     # ------------------------------------------------------------------
@@ -719,13 +686,14 @@ class CountsSimulation(_Engine):
         A row's *stop* is the nearer of its next check boundary (every
         ``interval`` of its interactions, and ``budget``) and its next
         burst.  Each iteration gives every live row one step: one lockstep
-        iteration (:meth:`_step_rows`) when the sampler rule picks it for
-        the live rows, else the per-row sampler to each row's stop.  Rows
-        at their stop are handled at once while the rest keep stepping:
-        due bursts fire (the row-wise :meth:`FaultEngine._advance_to`),
-        then ``check(rows, positions)``, one call over the rows at a check
-        boundary charged to ``retire``, says which go on.  It also runs
-        over every row before the first step; a row stops at its budget.
+        iteration (:meth:`_step_rows`) when the sampler rule
+        (:meth:`_lockstep`) picks it for the live rows, else the per-row
+        sampler to each row's stop.  Rows at their stop are handled at
+        once while the rest keep stepping: due bursts fire (the row-wise
+        :meth:`FaultEngine._advance_to`), then ``check(rows, positions)``,
+        one call over the rows at a check boundary charged to ``retire``,
+        says which go on.  It also runs over every row before the first
+        step; a row stops at its budget.
         """
         np = self._np
         timings = self._timings
@@ -771,13 +739,13 @@ class CountsSimulation(_Engine):
                 arrived = np.arange(rows.size)
 
     def _lockstep(self, stepping: int) -> bool:
-        """The sampler rule for ``stepping`` rows (see :data:`ROW_RUN_COST`);
-        one-row engines and the pair oracle always run per row."""
-        return (
-            self.trials > 1
-            and self.batching == BATCHING_RUN
-            and stepping * ROW_RUN_COST >= self.num_states - 1
-        )
+        """The sampler rule: ``stepping`` live rows take one lockstep step
+        each when the engine pairs runs by type counts (``S(S-1) ≤ √n``)
+        and at least ``S - 1`` rows step, else the per-row sampler.  So
+        two-state protocols (from ``n = 4``) step in lockstep and wide-``S``
+        ones run per row at any row count, and one-row engines always run
+        per row."""
+        return self.trials > 1 and self._matching and stepping >= self.num_states - 1
 
     def _apply_row_fault(self, row: int, model, burst_size: int, generator) -> None:
         model.apply_counts(self.protocol, self._matrix[row], burst_size, generator)
@@ -802,12 +770,8 @@ class CountsSimulation(_Engine):
         effectful pair — a silent protocol in its goal configuration, an
         epidemic at saturation — skips the whole advance with no draws:
         its counts trajectory is constant, so skipping changes nothing
-        but the wall clock.  The pair-at-a-time oracle never jumps or
-        skips (its job is to be obviously correct).
+        but the wall clock.
         """
-        if self.batching == BATCHING_PAIR:
-            self._run_pairwise(counts, count)
-            return
         while count:
             jumped = self._jump_row(counts, count)
             if jumped is None:
@@ -1010,35 +974,12 @@ class CountsSimulation(_Engine):
             remaining -= stretch
         raise AssertionError("a schedule longer than the budget ends inside it")
 
-    def _draw_state(self, pool, total: int) -> int:
-        """The state of one agent drawn uniformly from a count-vector pool
-        (the pair oracle's draw)."""
-        x = int(self._generator.integers(0, total))
-        # ndarray methods, not numpy.* wrappers: the oracle makes two
-        # draws per interaction.
-        return int(pool.cumsum().searchsorted(x, side="right"))
-
     def _apply_one(self, counts, a: int, b: int) -> None:
         out_u, out_v = self.table.lookup(a, b)
         counts[a] -= 1
         counts[b] -= 1
         counts[out_u] += 1
         counts[out_v] += 1
-
-    def _run_pairwise(self, counts, count: int) -> None:
-        """Exact sequential sampling over counts (the gating oracle).
-
-        Per interaction: the initiator's state is drawn uniformly over
-        all ``n`` agents (i.e. from ``counts``), the responder's over the
-        remaining ``n - 1``, and the pair is applied immediately.  Scalar
-        and slow — its job is to be obviously correct.
-        """
-        for _ in range(count):
-            a = self._draw_state(counts, self.n)
-            counts[a] -= 1  # the responder is one of the other n-1 agents
-            b = self._draw_state(counts, self.n - 1)
-            counts[a] += 1
-            self._apply_one(counts, a, b)
 
     # ------------------------------------------------------------------
     # The lockstep sampler
@@ -1050,34 +991,29 @@ class CountsSimulation(_Engine):
         has left (the lockstep step of :meth:`_drive_rows`).
 
         One lockstep iteration gives every row one step of one of two
-        kinds.  On the matching path (below) a row that expects fewer
-        than one count change per collision-free run takes a *jump step*
-        (:meth:`_jump_rows`): it skips straight over the null
-        interactions to the next effectful one.  Every other row takes a
-        *run step* (:meth:`_run_rows`).  Which kind a row takes depends
-        only on its counts, so by the Markov property the mixture samples
-        the same law as runs alone.
+        kinds.  A row that expects fewer than one count change per
+        collision-free run takes a *jump step* (:meth:`_jump_rows`): it
+        skips straight over the null interactions to the next effectful
+        one.  Every other row takes a *run step* (:meth:`_run_rows`).
+        Which kind a row takes depends only on its counts, so by the
+        Markov property the mixture samples the same law as runs alone.
 
         A run step, for the R rows taking one: one run-length block draw,
         one row-wise hypergeometric sample of the ``2k`` agents' states,
-        the uniform pairing of those agents, one aggregate delta — and a
-        vectorized collision interaction for every row whose run ended
-        short of its stop.
-
-        The pairing has two law-identical implementations.  A uniform
-        shuffle of the ``2k``-agent multiset decomposes exactly: the
-        initiator (odd-position) states are a size-``k`` multivariate
+        the uniform pairing of those agents by pair-type counts, one
+        aggregate delta — and a vectorized collision interaction for
+        every row whose run ended short of its stop.  A uniform shuffle of
+        the ``2k``-agent multiset decomposes exactly: the initiator
+        (odd-position) states are a size-``k`` multivariate
         hypergeometric subsample of the drawn composition, and the
         initiator→responder assignment is a uniform matching, whose
         pair-type counts follow the multivariate Fisher hypergeometric —
         both samplable by the same conditional chain that already draws
-        the composition.  That *matching* path costs ``O(S²)`` generator
-        calls per step, independent of the run length, so it is used
-        whenever ``S(S-1) ≤ √n``; wider protocols keep the explicit
-        multiset materialization + segmented-shuffle path (``O(R·√n)``
-        elements but only a dozen numpy calls), and never jump.
+        the composition.  That costs ``O(S²)`` generator calls per step,
+        independent of the run length, hence the sampler rule's
+        ``S(S-1) ≤ √n`` (:meth:`_lockstep`).
         """
-        run = self._jump_rows(idx, remaining) if self._matching else None
+        run = self._jump_rows(idx, remaining)
         if run is None:
             return self._run_rows(idx, remaining)
         if run.any():
@@ -1141,7 +1077,7 @@ class CountsSimulation(_Engine):
         (:meth:`_changes_counts`), as initiator codes, responder codes and
         ``[a = b]`` flags — the one list behind the lockstep jump weights
         and the row-wise silence verdicts, built on first use."""
-        codes = self._codes
+        codes = self._np.arange(self.num_states, dtype=self._np.int64)
         initiators, responders = self._changes_counts(codes[:, None], codes).nonzero()
         return initiators, responders, (initiators == responders).astype(self._np.int64)
 
@@ -1157,7 +1093,7 @@ class CountsSimulation(_Engine):
 
     @functools.cached_property
     def _jump_pairs(self):
-        """The jump step's tables, built on the first matching step: the
+        """The jump step's tables, built on the first lockstep step: the
         effectful pairs (:attr:`_effectful_pairs`) and their rows of
         :attr:`_pair_delta`."""
         initiators, responders, diagonal = self._effectful_pairs
@@ -1168,10 +1104,8 @@ class CountsSimulation(_Engine):
         """One lockstep run step for each row of ``idx``; returns the
         interactions each row has left (see :meth:`_step_rows`)."""
         np = self._np
-        rng = self._generator
         size = self.num_states
         counts = self._matrix
-        u_flat, v_flat = self.table.flat
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
         lengths = self._runs.next_run_lengths(int(idx.size))
@@ -1180,41 +1114,16 @@ class CountsSimulation(_Engine):
         two_k = 2 * k
         sub = counts[idx]  # (R, S) snapshot of the pre-run counts
         sample = self._sample_rows(sub, two_k)
-        live = int(idx.size)
         if timings is not None:
             drawn = perf_counter()
             timings["draw"] += drawn - start
-        if self._matching:
-            # Run applied by pair-type counts: no per-agent arrays.
-            initiators = self._sample_rows(sample, k)
-            matched = self._match_rows(initiators, sample - initiators)
-            if timings is not None:
-                paired = perf_counter()
-                timings["match"] += paired - drawn
-            counts[idx] += matched.reshape(live, size * size) @ self._pair_delta
-        else:
-            # Pair the drawn states with one segmented shuffle: random
-            # keys offset by the local row index sort row-major with a
-            # uniform order inside each row; segments have even length,
-            # so the global even/odd split never pairs across rows.
-            flat_codes = np.repeat(np.tile(self._codes, live), sample.reshape(-1))
-            row_local = np.repeat(np.arange(live, dtype=np.int64), two_k)
-            order = np.argsort(row_local + rng.random(flat_codes.size))
-            shuffled = flat_codes[order]
-            initiators = shuffled[0::2]
-            responders = shuffled[1::2]
-            pair_rows = np.repeat(np.arange(live, dtype=np.int64), k)
-            pair_index = initiators * size + responders
-            if timings is not None:
-                paired = perf_counter()
-                timings["match"] += paired - drawn
-            outputs = np.concatenate(
-                (u_flat.take(pair_index), v_flat.take(pair_index))
-            )
-            out_rows = np.concatenate((pair_rows, pair_rows))
-            delta = np.bincount(out_rows * size + outputs, minlength=live * size)
-            delta -= np.bincount(row_local * size + flat_codes, minlength=live * size)
-            counts[idx] += delta.reshape(live, size)
+        # The run applies by pair-type counts: no per-agent arrays.
+        initiators = self._sample_rows(sample, k)
+        matched = self._match_rows(initiators, sample - initiators)
+        if timings is not None:
+            paired = perf_counter()
+            timings["match"] += paired - drawn
+        counts[idx] += matched.reshape(int(idx.size), size * size) @ self._pair_delta
         remaining = remaining - k
         if collide.any():
             self._collision_rows(idx[collide], sub[collide] - sample[collide], two_k[collide])
@@ -1228,7 +1137,7 @@ class CountsSimulation(_Engine):
         """Per-ordered-pair aggregate delta: row ``i*S + j`` is the counts
         change of one ``(i, j)`` interaction, so a whole run applies as
         ``pair-type counts @ delta``.  ``(S², S)`` int64 — built on the
-        first matching step only, never for wide-``S`` protocols."""
+        first lockstep step only, never for wide-``S`` protocols."""
         np = self._np
         size = self.num_states
         u_flat, v_flat = self.table.flat

@@ -58,7 +58,6 @@ from repro.sim.backends import (  # noqa: E402
 from repro.sim.counts_backend import (  # noqa: E402
     CountsSimulation,
     counts_from_configuration,
-    goal_counts_predicate,
 )
 from repro.sim.initial_state import CountVector, Replicated  # noqa: E402
 from repro.sim.replay import replay  # noqa: E402
@@ -307,31 +306,17 @@ class TestInt16TableReaders:
 
         self._same_with_int64_flat(monkeypatch, run)
 
-    def test_lockstep_shuffle_steps_and_collisions(self, monkeypatch):
-        rows = self.PROTOCOL.num_states() - 1
-        start = Replicated(_triggered(self.PROTOCOL, 30), rows)
-
-        def run():
-            sim = CountsSimulation(self.PROTOCOL, init=start, seed=3)
-            assert sim._lockstep(rows) and not sim._matching
-            sim.run_rows_until(
-                goal_counts_predicate(self.PROTOCOL), max_interactions=200, check_interval=200
-            )
-            return sim.counts.copy()
-
-        self._same_with_int64_flat(monkeypatch, run)
-
     def test_one_matching_step(self, monkeypatch):
         # S = 183 keeps the (S², S) pair deltas near 50 MB; the engine
-        # takes the matching path by itself only from n = (S(S-1))².  Row 0
-        # jumps, row 1 runs and collides.
+        # takes the lockstep sampler by itself only from n = (S(S-1))², so
+        # the test calls its step directly.  Row 0 jumps, row 1 runs and
+        # collides.
         protocol = ResetEpidemicProtocol(ProtocolParams(n=300, r=1, c_delay=2.2))
         assert protocol.num_states() == 183
         start = Replicated([_triggered(protocol, 1), _triggered(protocol, 30)], 2)
 
         def run():
             sim = CountsSimulation(protocol, init=start, seed=3)
-            sim._matching = True
             left = sim._step_rows(np.arange(2), np.full(2, 200))
             return np.column_stack((sim.counts, left))
 

@@ -22,14 +22,17 @@ Contracts gated here:
 * the row driver: each row is checked at its own boundaries, a row
   that exhausts the budget reports it unconverged, and every lockstep
   step serves every live row, never a few stragglers alone;
+* the sampler rule: ``R`` live rows step in lockstep exactly when
+  ``S(S-1) ≤ √n`` and ``R ≥ S - 1``, for every finite-state sweep
+  protocol at ``n`` = 16, 10³ and 10⁴;
 * the ``T > 1`` law on both samplers: rows agree with independent
   one-row pair-at-a-time oracles by two-sample KS tests, on a cell the
   lockstep sampler serves and one the per-row sampler serves, and one-row
   engines agree with them on a wide, sparsely occupied state space;
   lockstep availability rows under bursts agree with one-row engines
   driven by a per-trial fault engine, burst schedules bit for bit;
-* the wide-``S`` lockstep path never builds the ``(S², S)`` pair-delta
-  matrix it does not read, and the per-row sampler's jumps build neither
+* a wide-``S`` engine never builds the ``(S², S)`` pair-delta matrix,
+  even with ``S - 1`` rows, and the per-row sampler's jumps build neither
   it nor the lockstep jump tables, and weigh no row above the
   occupied-code cap;
 * row-vectorized predicates: the batch engine answers convergence
@@ -40,12 +43,14 @@ Contracts gated here:
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from pair_oracle import PairOracle
 from repro.analysis.stats import ks_statistic, ks_threshold
 from repro.baselines.cai_izumi_wada import CaiIzumiWada
 from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
@@ -66,6 +71,7 @@ from repro.sim.counts_backend import (
 )
 from repro.sim.fault_engine import FaultSpec, make_fault_engine
 from repro.sim.initial_state import Clean, CountVector, Replicated
+from repro.sim.sweep import PROTOCOLS
 from repro.sim.trials import run_trials
 from repro.substrates.epidemics import EpidemicProtocol
 
@@ -285,6 +291,36 @@ class TestRowDriver:
         assert len(blocks) <= runs.max() + 1, (len(blocks), runs.max())
 
 
+class TestSamplerRule:
+    """The lockstep sampler pairs runs by type counts, ``O(S²)`` generator
+    calls a step, so ``R`` live rows take it exactly when ``S(S-1) ≤ √n``
+    and ``R ≥ S - 1``; every other multi-row engine runs per row, at any
+    ``R``."""
+
+    @pytest.mark.parametrize("n", [16, 1_000, 10_000])
+    @pytest.mark.parametrize(
+        "name", [name for name, kind in PROTOCOLS.items() if kind.finite_state]
+    )
+    def test_lockstep_iff_pairing_by_type_counts_and_enough_rows(
+        self, name, n, monkeypatch
+    ):
+        # The rule reads S, n and the row count only, so the engines skip
+        # their tables (Cai-Izumi-Wada's at n = 10⁴ is over the table cap).
+        monkeypatch.setattr(
+            "repro.sim.counts_backend.transition_table_for", lambda protocol: None
+        )
+        protocol = PROTOCOLS[name].build(n, 1)[0]
+        engine = BatchCountsEngine(protocol, init=Replicated(Clean(n), 2), seed=0)
+        size = engine.num_states
+        matching = size * (size - 1) <= math.sqrt(n)
+        wrong = [
+            rows
+            for rows in range(1, 10 * size + 1)
+            if engine._lockstep(rows) != (matching and rows >= size - 1)
+        ]
+        assert not wrong, (size, wrong[:5])
+
+
 class TestValidation:
     def test_mixed_population_sizes_rejected(self):
         protocol = EpidemicProtocol()
@@ -439,15 +475,13 @@ NEVER = counts_aware(lambda config: False, lambda counts: False)
 
 class TestRowLaw:
     """Rows follow the law of independent one-row pair-at-a-time oracles
-    (``batching="pair"``): ``T > 1`` rows on both samplers, and one-row
+    (:class:`PairOracle`): ``T > 1`` rows on both samplers, and one-row
     engines where most of a wide state space is empty."""
 
     def _oracle(self, protocol, init, budget, trials, statistic, fault=None):
         values = []
         for trial in range(trials):
-            oracle = CountsSimulation(
-                protocol, init=init, seed=derive_seed(2, trial), batching="pair"
-            )
+            oracle = PairOracle(protocol, init=init, seed=derive_seed(2, trial))
             faults = None if fault is None else [fault(derive_seed(3, trial))]
             oracle.run_rows_until(
                 NEVER, max_interactions=budget, check_interval=budget, faults=faults
@@ -563,19 +597,20 @@ class TestRowLaw:
 class TestWideStateMemory:
     def test_wide_state_engine_never_builds_the_pair_delta(self):
         # At S=334 the (S², S) int64 pair-delta matrix would be 298 MB;
-        # only the lockstep sampler's matching path (S(S-1) <= sqrt(n))
-        # reads it, so a wide-S engine must never allocate it.
+        # only the lockstep sampler (S(S-1) <= sqrt(n)) reads it, so a
+        # wide-S engine must never allocate it, even with the S - 1 rows
+        # that would step in lockstep on a narrow protocol.
         protocol = LooselyStabilizingLeaderElection(BaselineParams(n=1000))
         assert protocol.num_states() == 334
+        rows = 333
         transition_table_for(protocol)  # the cached table is not the engine's
         tracemalloc.start()
         try:
-            engine = BatchCountsEngine(protocol, init=Replicated(Clean(1000), 2), seed=3)
+            engine = BatchCountsEngine(protocol, init=Replicated(Clean(1000), rows), seed=3)
+            assert not engine._lockstep(rows)
             engine.run_rows_until(
                 goal_counts_predicate(protocol), max_interactions=1_500, check_interval=250
             )
-            # One lockstep iteration takes the shuffle path too.
-            engine._step_rows(np.arange(2), np.full(2, 200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -46,6 +46,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from pair_oracle import PairOracle  # noqa: E402
 from repro.adversary.initializers import (  # noqa: E402
     code_rng,
     planted_codes,
@@ -170,8 +171,9 @@ class TestConstruction:
             CountsSimulation(protocol, init=CountVector([1, 1, 1]))
         with pytest.raises(CountsBackendError, match="non-negative"):
             CountsSimulation(protocol, init=CountVector([-1, 3]))
-        with pytest.raises(ValueError, match="batching mode"):
-            CountsSimulation(protocol, n=8, batching="magic")
+        # The pair-at-a-time oracle lives with the tests, not behind an option.
+        with pytest.raises(TypeError, match="batching"):
+            CountsSimulation(protocol, n=8, batching="pair")
 
     def test_elect_leader_rejected_loudly(self):
         protocol = ElectLeader(ProtocolParams(n=16, r=2))
@@ -258,10 +260,10 @@ class TestCollisionRunSampler:
 
 
 class TestCountsSimulation:
-    @pytest.mark.parametrize("batching", ["run", "pair"])
-    def test_conservation_and_accounting(self, batching):
+    @pytest.mark.parametrize("engine", [CountsSimulation, PairOracle], ids=["run", "pair"])
+    def test_conservation_and_accounting(self, engine):
         protocol = LooselyStabilizingLeaderElection(BaselineParams(n=32), tau=1.0)
-        sim = CountsSimulation(protocol, n=32, seed=9, batching=batching)
+        sim = engine(protocol, n=32, seed=9)
         for burst in (1, 7, 250, 1000):
             sim.run_batch(burst)
             assert int(sim.counts.sum()) == 32
@@ -486,7 +488,7 @@ class TestSilenceDetection:
 
     def test_pair_oracle_never_skips(self):
         protocol = EpidemicProtocol()
-        sim = CountsSimulation(protocol, init=CountVector([0, 16]), seed=7, batching="pair")
+        sim = PairOracle(protocol, init=CountVector([0, 16]), seed=7)
         state_before = sim._generator.bit_generator.state
         sim.run_batch(10)
         assert sim._generator.bit_generator.state != state_before
@@ -496,15 +498,15 @@ class TestSilenceDetection:
 class TestSwapOnlyRowsAreSilent:
     """A swap leaves the counts as they are, so rows whose only
     transitions are swaps are silent.  Three states at n = 16 give
-    ``S(S-1) = 6 > √n``: two rows take the lockstep shuffle path, which
-    never jumps, so only retirement and freezing stop them sampling."""
+    ``S(S-1) = 6 > √n``, so two rows run per row; retirement and freezing
+    stop them sampling before any advance could weigh them."""
 
     @staticmethod
     def _engine():
         engine = CountsSimulation(
             _SwapToy(), init=Replicated(CountVector([6, 5, 5]), 2), seed=4
         )
-        assert not engine._matching and engine._lockstep(2)
+        assert not engine._lockstep(2)
         return engine
 
     def test_run_rows_until_retires_them_before_any_draw(self):
@@ -528,11 +530,12 @@ class TestSwapOnlyRowsAreSilent:
 class TestModesAgree:
     def test_n2_forced_collisions_exact(self):
         # With two agents every run is one interaction and every second
-        # interaction is a collision: both modes and both other engines
-        # must land on the absorbing (L, F) configuration immediately.
+        # interaction is a collision: the engine, the pair oracle and both
+        # other engines must land on the absorbing (L, F) configuration
+        # immediately.
         protocol = PairwiseElimination(2)
-        for batching in ("run", "pair"):
-            sim = CountsSimulation(protocol, n=2, seed=4, batching=batching)
+        for engine in (CountsSimulation, PairOracle):
+            sim = engine(protocol, n=2, seed=4)
             sim.run_batch(25)
             assert sim.counts.tolist() == [[1, 1]]
         for backend in ("object", "array"):
@@ -544,10 +547,8 @@ class TestModesAgree:
         protocol = EpidemicProtocol()
         for seed in range(4):
             outcomes = []
-            for batching in ("run", "pair"):
-                sim = CountsSimulation(
-                    protocol, init=CodeArray(_epidemic_codes(40, 2)), seed=seed, batching=batching
-                )
+            for engine in (CountsSimulation, PairOracle):
+                sim = engine(protocol, init=CodeArray(_epidemic_codes(40, 2)), seed=seed)
                 result = sim.run_until(
                     goal_counts_predicate(protocol),
                     max_interactions=20_000,

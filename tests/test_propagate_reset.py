@@ -12,7 +12,6 @@ from repro.core.params import ProtocolParams
 from repro.core.propagate_reset import (
     fully_dormant,
     is_dormant,
-    partially_computing,
     propagate_reset,
     trigger_reset,
 )
@@ -155,10 +154,10 @@ class TestPredicates:
             assert agent.pr is not None
             agent.pr.reset_count = 0
         assert fully_dormant(config)
-        assert not partially_computing(config)
+        assert not any(agent.role is not Role.RESETTING for agent in config)
         small_protocol.reset_agent(config[0])
         assert not fully_dormant(config)
-        assert partially_computing(config)
+        assert any(agent.role is not Role.RESETTING for agent in config)
 
 
 class TestClosedFormTable:

@@ -6,7 +6,6 @@ from repro.core.roles import (
     Role,
     generation_ahead,
     generation_successor,
-    generations_equal,
 )
 from repro.core.state import (
     TOP,
@@ -125,6 +124,8 @@ class TestGenerationArithmetic:
         assert not generation_ahead(3, 3)
 
     def test_equality_mod(self):
-        assert generations_equal(0, 6)
-        assert generations_equal(7, 1)
-        assert not generations_equal(1, 2)
+        # Generations live in Z_6: equal residues are one generation.
+        assert generation_successor(0, 6) == generation_successor(6, 6)
+        assert generation_ahead(7, 2)
+        assert generation_ahead(1, 8)
+        assert not generation_ahead(1, 7)

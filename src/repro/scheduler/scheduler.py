@@ -369,7 +369,8 @@ class CollisionRunSampler:
         np = self._np
         u = self._generator.random(count)
         lengths = self._neg_survival.searchsorted(-u, side="right")
-        return np.maximum(lengths, 1).astype(np.int64)
+        np.maximum(lengths, 1, out=lengths)
+        return lengths.astype(np.int64, copy=False)  # a no-op where intp is int64
 
 
 class RecordedSchedule:

@@ -78,7 +78,10 @@ live rows:
   vectorized across the rows: one run-length block draw, and conditional
   hypergeometric chains over the ``S`` codes (numpy's own ``marginals``
   decomposition) for the run's states and its pair-type counts (see
-  :meth:`CountsSimulation._step_rows`).  A step costs ``O(S²)``
+  :meth:`CountsSimulation._step_rows`).  The live rows' ``(R, S)`` block
+  is read out of the matrix once a step and written back once, and each
+  chain starts from its rows' known totals (``n``, ``2k``, ``k``) rather
+  than summing them.  A step costs ``O(S²)``
   generator calls whatever the number of rows, so the sampler serves
   only protocols with ``S(S-1) ≤ √n``, and only once at least ``S - 1``
   rows step; every other engine runs each row per row.
@@ -990,13 +993,15 @@ class CountsSimulation(_Engine):
         ``remaining`` interactions away; returns the interactions each row
         has left (the lockstep step of :meth:`_drive_rows`).
 
-        One lockstep iteration gives every row one step of one of two
-        kinds.  A row that expects fewer than one count change per
-        collision-free run takes a *jump step* (:meth:`_jump_rows`): it
-        skips straight over the null interactions to the next effectful
-        one.  Every other row takes a *run step* (:meth:`_run_rows`).
-        Which kind a row takes depends only on its counts, so by the
-        Markov property the mixture samples the same law as runs alone.
+        The rows' ``(R, S)`` block is gathered from the counts matrix once,
+        goes through the step in place and is written back once.  One
+        lockstep iteration gives every row one step of one of two kinds.
+        A row that expects fewer than one count change per collision-free
+        run takes a *jump step* (:meth:`_jump_rows`): it skips straight
+        over the null interactions to the next effectful one.  Every other
+        row takes a *run step* (:meth:`_run_rows`).  Which kind a row takes
+        depends only on its counts, so by the Markov property the mixture
+        samples the same law as runs alone.
 
         A run step, for the R rows taking one: one run-length block draw,
         one row-wise hypergeometric sample of the ``2k`` agents' states,
@@ -1013,15 +1018,28 @@ class CountsSimulation(_Engine):
         independent of the run length, hence the sampler rule's
         ``S(S-1) ≤ √n`` (:meth:`_lockstep`).
         """
-        run = self._jump_rows(idx, remaining)
+        timings = self._timings
+        start = perf_counter() if timings is not None else 0.0
+        block = self._matrix.take(idx, axis=0)
+        if timings is not None:
+            timings["draw"] += perf_counter() - start
+        run = self._jump_rows(block, remaining)
         if run is None:
-            return self._run_rows(idx, remaining)
-        if run.any():
-            remaining[run] = self._run_rows(idx[run], remaining[run])
+            remaining = self._run_rows(block, remaining)
+        elif run.any():
+            runs = run.nonzero()[0]
+            stepping = block.take(runs, axis=0)
+            remaining[runs] = self._run_rows(stepping, remaining.take(runs))
+            block[runs] = stepping
+        if timings is not None:
+            start = perf_counter()
+        self._matrix[idx] = block
+        if timings is not None:
+            timings["apply"] += perf_counter() - start
         return remaining
 
-    def _jump_rows(self, idx, remaining):
-        """One jump step for each row of ``idx`` that expects fewer than
+    def _jump_rows(self, block, remaining):
+        """One jump step for each row of ``block`` that expects fewer than
         one count change per run; returns the mask of the rows that take a
         run step instead, or ``None`` when that is every row.
 
@@ -1036,16 +1054,18 @@ class CountsSimulation(_Engine):
         its weight by one integer in ``[0, W)``, and advances ``τ``.  A row
         whose ``τ`` overruns its stop reaches the stop unchanged (the
         geometric is memoryless, so restarting there is exact), and a row
-        with ``W = 0`` reaches it without drawing at all.
-        ``remaining`` is updated in place for the rows that jumped.
+        with ``W = 0`` reaches it without drawing at all.  The weights are
+        held pair-major, ``(pairs, R)``, so the rows' ``W`` are one sum of
+        contiguous rows.  ``block`` and ``remaining`` are updated in place
+        for the rows that jumped.
         """
         rng = self._generator
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
         initiators, responders, diagonal, deltas = self._jump_pairs
-        sub = self._matrix[idx]
-        weights = sub[:, initiators] * (sub[:, responders] - diagonal)
-        total = weights.sum(axis=1)
+        columns = block.T
+        weights = columns[initiators] * (columns[responders] - diagonal)
+        total = weights.sum(axis=0)
         pairs = self.n * (self.n - 1)
         jump = total * self._mean_run < pairs
         if not jump.any():
@@ -1059,14 +1079,14 @@ class CountsSimulation(_Engine):
         fits = tau <= remaining[hit]
         hit, tau = hit[fits], tau[fits]
         x = rng.integers(0, total[hit])
-        pick = (weights[hit].cumsum(axis=1) <= x[:, None]).sum(axis=1)
+        pick = (weights.take(hit, axis=1).cumsum(axis=0) <= x).sum(axis=0)
         if timings is not None:
             drawn = perf_counter()
             timings["draw"] += drawn - start
         left = remaining[hit] - tau
         remaining[rows] = 0
         remaining[hit] = left
-        self._matrix[idx[hit]] += deltas[pick]
+        block[hit] += deltas.take(pick, axis=0)
         if timings is not None:
             timings["apply"] += perf_counter() - drawn
         return ~jump
@@ -1094,40 +1114,42 @@ class CountsSimulation(_Engine):
     @functools.cached_property
     def _jump_pairs(self):
         """The jump step's tables, built on the first lockstep step: the
-        effectful pairs (:attr:`_effectful_pairs`) and their rows of
-        :attr:`_pair_delta`."""
+        effectful pairs (:attr:`_effectful_pairs`), their ``[a = b]`` flags
+        as a column and their rows of :attr:`_pair_delta`."""
         initiators, responders, diagonal = self._effectful_pairs
         deltas = self._pair_delta[initiators * self.num_states + responders]
-        return initiators, responders, diagonal, deltas
+        return initiators, responders, diagonal[:, None], deltas
 
-    def _run_rows(self, idx, remaining):
-        """One lockstep run step for each row of ``idx``; returns the
-        interactions each row has left (see :meth:`_step_rows`)."""
+    def _run_rows(self, block, remaining):
+        """One lockstep run step for each row of ``block``, in place;
+        returns the interactions each row has left (see
+        :meth:`_step_rows`)."""
         np = self._np
         size = self.num_states
-        counts = self._matrix
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
-        lengths = self._runs.next_run_lengths(int(idx.size))
+        lengths = self._runs.next_run_lengths(block.shape[0])
         k = np.minimum(lengths, remaining)
         collide = remaining > lengths
         two_k = 2 * k
-        sub = counts[idx]  # (R, S) snapshot of the pre-run counts
-        sample = self._sample_rows(sub, two_k)
+        sample = self._sample_rows(block, self.n, two_k)
         if timings is not None:
             drawn = perf_counter()
             timings["draw"] += drawn - start
         # The run applies by pair-type counts: no per-agent arrays.
-        initiators = self._sample_rows(sample, k)
-        matched = self._match_rows(initiators, sample - initiators)
+        initiators = self._sample_rows(sample, two_k, k)
+        matched = self._match_rows(initiators, sample - initiators, k)
         if timings is not None:
             paired = perf_counter()
             timings["match"] += paired - drawn
-        counts[idx] += matched.reshape(int(idx.size), size * size) @ self._pair_delta
+        delta = matched.reshape(-1, size * size) @ self._pair_delta
+        block += delta
         remaining = remaining - k
         if collide.any():
-            self._collision_rows(idx[collide], sub[collide] - sample[collide], two_k[collide])
-            remaining[collide] -= 1
+            rows = collide.nonzero()[0]
+            outputs = (sample + delta).take(rows, axis=0)  # the used agents' states
+            self._collision_rows(block, rows, outputs, two_k.take(rows))
+            remaining[rows] -= 1
         if timings is not None:
             timings["apply"] += perf_counter() - paired
         return remaining
@@ -1149,7 +1171,7 @@ class CountsSimulation(_Engine):
         np.subtract.at(delta, (pairs, pairs % size), 1)
         return delta
 
-    def _match_rows(self, initiators, responders):
+    def _match_rows(self, initiators, responders, total):
         """Row-wise pair-type counts of a uniform initiator→responder
         matching: ``[r, i, j]`` counts run pairs with initiator code
         ``i`` and responder code ``j``.
@@ -1158,20 +1180,24 @@ class CountsSimulation(_Engine):
         multivariate hypergeometric subsample of the responders not yet
         matched, so the chain over initiator codes (each step one
         :meth:`_sample_rows` call) samples the exact joint law; the last
-        code takes whatever remains.  ``responders`` is consumed.
+        code takes whatever remains.  ``total`` is each row's number of
+        responders, ``k``; ``responders`` is consumed.
         """
         size = self.num_states
         matched = self._np.empty((initiators.shape[0], size, size), dtype=initiators.dtype)
         for code in range(size - 1):
-            taken = self._sample_rows(responders, initiators[:, code])
+            taken = self._sample_rows(responders, total, initiators[:, code])
             matched[:, code, :] = taken
             responders -= taken
+            total = total - initiators[:, code]
         matched[:, size - 1, :] = responders
         return matched
 
-    def _sample_rows(self, sub, nsample):
+    def _sample_rows(self, sub, total, nsample):
         """Row-wise multivariate hypergeometric: the states of ``nsample``
-        distinct agents drawn from each row of ``sub``.
+        distinct agents drawn from each row of ``sub``, whose rows hold
+        ``total`` agents each (a scalar or one total per row, which the
+        caller knows: ``n``, ``2k`` or the responders left).
 
         The conditional chain over codes (numpy's own ``marginals``
         decomposition): code by code, a vectorized-over-rows scalar
@@ -1182,50 +1208,59 @@ class CountsSimulation(_Engine):
         """
         rng = self._generator
         out = self._np.empty_like(sub)
-        rest = sub.sum(axis=1)
-        draw = nsample.copy()
+        draw = nsample
         for code in range(self.num_states - 1):
             good = sub[:, code]
-            rest -= good
-            taken = rng.hypergeometric(good, rest, draw)
+            total = total - good
+            taken = rng.hypergeometric(good, total, draw)
             out[:, code] = taken
-            draw -= taken
+            draw = draw - taken
         out[:, -1] = draw
         return out
 
-    def _collision_rows(self, rows, avail, used) -> None:
-        """One colliding interaction per row, vectorized across rows.
+    def _collision_rows(self, block, rows, pool, used) -> None:
+        """One colliding interaction for each row of ``block`` in ``rows``,
+        vectorized across rows, in place.
 
-        ``avail`` holds each row's unused agents' states, ``used`` its
-        run's ``U = 2k``; ``counts - avail`` (post-run) is the used agents'
-        output multiset.  Agents ``0 … U-1`` are used, ``U … n-1`` unused,
-        and the pairs with a used member are ``U(n-1)`` with a used
-        initiator and ``A·U`` with an unused one (``A = n - U``): the
-        per-row sampler's ``U(U-1) + 2·U·A`` (:meth:`_run_batched`).  One
-        ``integers`` call picks each row's pair (a used initiator's partner
-        skips its position), and each agent's state is found by walking
-        its pool code by code.
+        ``block`` holds the post-run counts, ``pool`` the rows' used agents'
+        states (the run's outputs) and ``used`` their number ``U = 2k``, so
+        ``block - pool`` holds the unused agents' states.  Agents ``0 …
+        U-1`` are used, ``U … n-1`` unused, and the pairs with a used
+        member are ``U(n-1)`` with a used initiator and ``A·U`` with an
+        unused one (``A = n - U``): the per-row sampler's ``U(U-1) +
+        2·U·A`` (:meth:`_run_batched`).  One ``integers`` call picks each
+        row's pair (a used initiator's partner skips its position); the
+        initiator's and the responder's states are each found by walking
+        their own pool code by code, and the four count updates go to
+        flat indices of ``block``, which must be C-contiguous (the step's
+        blocks are gathered copies) for its flat view to write through.
         """
         np = self._np
         n = self.n
         size = self.num_states
-        counts = self._matrix
         x = self._generator.integers(0, used * (n - 1 + n - used))
-        agents = np.stack(np.divmod(x, n - 1))  # initiator and responder positions
-        agents[1] += agents[1] >= agents[0]
-        over, under = np.divmod(x - used * (n - 1), used)
-        agents = np.where(x >= used * (n - 1), (used + over, under), agents)  # unused initiator
-        unused = agents >= used
-        agents -= used * unused
-        used_pool = counts[rows] - avail
-        states = np.zeros_like(agents)
+        bound = used * (n - 1)
+        late = x >= bound  # an unused initiator with a used responder
+        first, second = np.divmod(x, n - 1)
+        second += second >= first
+        over, under = np.divmod(x - bound, used)
+        first = np.where(late, over, first)  # within the initiator's pool
+        second = np.where(late, under, second)
+        unused = second >= used  # never where late: under < U
+        second -= used * unused  # within the responder's pool
+        avail = block.take(rows, axis=0) - pool
+        a = np.zeros_like(x)
+        b = np.zeros_like(x)
         for code in range(size - 1):
-            agents -= np.where(unused, avail[:, code], used_pool[:, code])
-            states += agents >= 0
-        a, b = states
+            first -= np.where(late, avail[:, code], pool[:, code])
+            a += first >= 0
+            second -= np.where(unused, avail[:, code], pool[:, code])
+            b += second >= 0
         pair = a * size + b
         u_flat, v_flat = self.table.flat
-        counts[rows, a] -= 1
-        counts[rows, b] -= 1
-        counts[rows, u_flat.take(pair)] += 1
-        counts[rows, v_flat.take(pair)] += 1
+        flat = block.reshape(-1)
+        base = rows * size
+        flat[base + a] -= 1
+        flat[base + b] -= 1
+        flat[base + u_flat.take(pair)] += 1
+        flat[base + v_flat.take(pair)] += 1

@@ -22,6 +22,8 @@ Contracts gated here:
 * the row driver: each row is checked at its own boundaries, a row
   that exhausts the budget reports it unconverged, and every lockstep
   step serves every live row, never a few stragglers alone;
+* the lockstep stream: epidemic rows (traced and untraced), three-state
+  rows and availability rows under bursts hash to pinned sha256 digests;
 * the sampler rule: ``R`` live rows step in lockstep exactly when
   ``S(S-1) ≤ √n`` and ``R ≥ S - 1``, for every finite-state sweep
   protocol at ``n`` = 16, 10³ and 10⁴;
@@ -43,6 +45,9 @@ Contracts gated here:
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -260,11 +265,18 @@ class TestRowDriver:
         )
         assert engine._matching and engine._lockstep(1)
         runs = np.zeros(rows, dtype=np.int64)
-        run_rows = engine._run_rows
+        step_rows, jump_rows = engine._step_rows, engine._jump_rows
+        stepping = []
 
-        def counted_runs(idx, remaining):
-            runs[idx] += 1
-            return run_rows(idx, remaining)
+        def counted_steps(idx, remaining):
+            stepping.append(idx)
+            return step_rows(idx, remaining)
+
+        def counted_runs(block, remaining):
+            # The rows the jump step passes on take a run step.
+            run = jump_rows(block, remaining)
+            runs[stepping[-1] if run is None else stepping[-1][run]] += 1
+            return run
 
         blocks = []
         next_run_lengths = engine._runs.next_run_lengths
@@ -273,7 +285,8 @@ class TestRowDriver:
             blocks.append(count)
             return next_run_lengths(count)
 
-        monkeypatch.setattr(engine, "_run_rows", counted_runs)
+        monkeypatch.setattr(engine, "_step_rows", counted_steps)
+        monkeypatch.setattr(engine, "_jump_rows", counted_runs)
         monkeypatch.setattr(engine._runs, "next_run_lengths", counted_blocks)
         outcomes = engine.run_rows_until(
             counts_aware(goal.on_config, goal.on_counts, on_rows),
@@ -289,6 +302,104 @@ class TestRowDriver:
         # Every row is checked once per boundary, from 0 to where it stopped.
         assert sum(checked) == sum(row.interactions // interval + 1 for row in outcomes)
         assert len(blocks) <= runs.max() + 1, (len(blocks), runs.max())
+
+
+class _ApproximateMajority(PopulationProtocol):
+    """Opinions 0 and 1 and the blank 2 (three-state approximate
+    majority): an opinion blanks a responder of the other opinion and
+    recruits a blank one.  Three states take the lockstep sampler from
+    n = 36, where its pairing chain runs over more than one code."""
+
+    name = "approximate-majority"
+
+    def initial_state(self):
+        return [2]
+
+    def transition(self, u, v, rng):
+        if u[0] < 2 and v[0] != u[0]:
+            v[0] = u[0] if v[0] == 2 else 2
+
+    def output(self, state):
+        return state[0]
+
+    def num_states(self):
+        return 3
+
+    def encode_state(self, state):
+        return state[0]
+
+    def decode_state(self, code):
+        return [code]
+
+
+def _stream_digest(outcomes, counts) -> str:
+    text = json.dumps([[dataclasses.astuple(row) for row in outcomes], counts.tolist()])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestLockstepStream:
+    """The lockstep sampler's stream, pinned: a sha256 of every row's
+    outcome and the final counts must equal constants recorded from an
+    earlier implementation, so a rewrite of the lockstep step that moves
+    any draw — its order, its arguments, a skipped or an extra call —
+    fails here, while a law-preserving refactor that keeps every draw
+    passes."""
+
+    #: start infected -> digest of ``run_rows_until`` at n = 2000, 64 rows
+    EPIDEMIC = {1: "6c633da528d88841", 100: "ecab69c0a24c2c75"}
+    THREE_STATES = "60728b994965e001"
+    AVAILABILITY = "291b7de885256883"
+
+    def _epidemic(self, infected, traced=False):
+        # From one infected agent rows jump first; from 100 they run at
+        # once.  Both run into collisions and jump again near saturation.
+        n, rows = 2_000, 64
+        protocol = EpidemicProtocol()
+        engine = BatchCountsEngine(
+            protocol, init=Replicated(CountVector([n - infected, infected]), rows), seed=11
+        )
+        assert engine._lockstep(rows)
+        if traced:
+            engine.instrument_steps()
+        outcomes = engine.run_rows_until(
+            goal_counts_predicate(protocol), max_interactions=30 * n, check_interval=n // 4
+        )
+        return _stream_digest(outcomes, engine.counts)
+
+    @pytest.mark.parametrize("infected", sorted(EPIDEMIC))
+    def test_epidemic_rows(self, infected):
+        assert self._epidemic(infected) == self.EPIDEMIC[infected]
+
+    @pytest.mark.parametrize("infected", sorted(EPIDEMIC))
+    def test_traced_epidemic_rows(self, infected):
+        assert self._epidemic(infected, traced=True) == self.EPIDEMIC[infected]
+
+    def test_three_state_rows(self):
+        n, rows = 2_000, 16
+        engine = BatchCountsEngine(
+            _ApproximateMajority(), init=Replicated(CountVector([900, 800, 300]), rows), seed=14
+        )
+        assert engine._lockstep(rows)
+        outcomes = engine.run_rows_until(NEVER, max_interactions=10 * n, check_interval=n // 4)
+        assert _stream_digest(outcomes, engine.counts) == self.THREE_STATES
+
+    def test_availability_rows_under_bursts(self):
+        n, rows = 200, 16
+        protocol = PairwiseElimination(n)
+        specs = [
+            FaultSpec(model="scramble_burst", rate=0.1, burst_size=2, seed=derive_seed(12, row))
+            for row in range(rows)
+        ]
+        engine = BatchCountsEngine(protocol, init=Replicated(Clean(n), rows), seed=13)
+        assert engine._lockstep(rows)
+        reports = engine.measure_rows_availability(
+            goal_counts_predicate(protocol),
+            total_interactions=40_000,
+            checkpoint_every=100,
+            faults=specs,
+        )
+        assert sum(report.fault_bursts for report in reports) > 0
+        assert _stream_digest(reports, engine.counts) == self.AVAILABILITY
 
 
 class TestSamplerRule:

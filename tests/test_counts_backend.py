@@ -847,9 +847,9 @@ class TestJumpStepLaw:
         jumped = []
         jump_rows = engine._jump_rows
 
-        def counted(idx, remaining):
-            run = jump_rows(idx, remaining)
-            jumped.append(0 if run is None else int(idx.size - run.sum()))
+        def counted(block, remaining):
+            run = jump_rows(block, remaining)
+            jumped.append(0 if run is None else int(len(block) - run.sum()))
             return run
 
         monkeypatch.setattr(engine, "_jump_rows", counted)
@@ -936,7 +936,9 @@ class TestCollisionLaw:
         )
         avail = np.zeros((draws, 12), dtype=np.int64)
         avail[:, :3] = unused
-        engine._collision_rows(np.arange(draws), avail, np.full(draws, sum(used)))
+        engine._collision_rows(
+            engine.counts, np.arange(draws), engine.counts - avail, np.full(draws, sum(used))
+        )
         markers = engine.counts[:, 3:].argmax(axis=1).tolist()
         observed = Counter(divmod(marker, 3) for marker in markers)
         assert set(observed) <= set(law), "drew a pair with no used member"

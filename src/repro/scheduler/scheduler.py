@@ -182,9 +182,15 @@ class CollisionRunSampler:
 
     so runs are Θ(√n) long in expectation.  This sampler precomputes that
     survival curve once per population size and draws run lengths by
-    inverse transform (one uniform + one ``searchsorted``), from whatever
-    ``numpy`` generator the caller owns — the counts engine passes its own
-    PCG64 stream so a counts run stays a pure function of its seed.
+    inverse transform (one uniform each), from whatever ``numpy``
+    generator the caller owns — the counts engine passes its own PCG64
+    stream so a counts run stays a pure function of its seed.  A block of
+    lengths (:meth:`next_run_lengths`) reads them off a *guide table*:
+    :attr:`GUIDE` equal buckets of ``[0, 1)``, each holding the length at
+    its top and the one survival value inside it, if there is only one,
+    so that one compare gives the length.  Uniforms in the buckets that
+    hold more (the tail below ``1/GUIDE``, and the top at large ``n``)
+    take a ``searchsorted`` over the curve, the scalar draw's search.
 
     ``next_run_length()`` is always ≥ 1 (a single interaction's two agents
     are distinct by construction) and never exceeds ``n // 2`` (after that
@@ -206,6 +212,9 @@ class CollisionRunSampler:
 
     #: The survival down to which every stretch law is tabulated.
     TAIL = 1e-30
+    #: Buckets of the run-length guide table: a power of two, so ``u·G``
+    #: is exact and a uniform's bucket ``⌊u·G⌋`` is too.
+    GUIDE = 4096
 
     def __init__(self, n: int, generator):
         if n < 2:
@@ -230,6 +239,7 @@ class CollisionRunSampler:
         #: survival[t-1] = P(run length >= t), a non-increasing curve.
         self.survival = numpy.exp(numpy.cumsum(terms))
         self._neg_survival = -self.survival
+        self._guide = self._guide_table()
         # chains[p, j] = Σ_{i<j} -log P(an interaction avoids p + 2i used
         # agents), built in place; ``inf`` once no unused pair is left.
         # 7·√n entries a parity keep the 1e-30 tail past U ≈ 7.6·√n, where
@@ -256,10 +266,32 @@ class CollisionRunSampler:
         #: holds whole (at least ``n`` when the chains reach exhaustion).
         self.max_used = min(2 * reach[0], 2 * reach[1] + 1)
 
+    def _guide_table(self):
+        """The guide table over :attr:`survival`: per bucket ``g`` of
+        ``[g/G, (g+1)/G)``, the length ``#{t : survival[t-1] >= (g+1)/G}``
+        at its top, its one survival value (``-1``, below every uniform,
+        where it holds none) and whether it holds more than one.  The
+        curve is non-increasing, so the values inside a bucket are the
+        next ones after its top's length, and a uniform ``u`` in it has
+        length ``top + [value >= u]`` — the count of survival values
+        ``>= u`` that the scalar draw's ``searchsorted`` returns."""
+        np = self._np
+        size = self.GUIDE
+        survival = self.survival
+        # A value's bucket is exact (G is a power of two); values >= 1 lie
+        # above every uniform.
+        buckets = np.minimum(np.floor(survival * size), size).astype(np.intp)
+        held = np.bincount(buckets, minlength=size + 1)
+        top = (survival.size - held.cumsum()[:size]).astype(np.int64)
+        value = np.full(size, -1.0)
+        lone = (held[:size] == 1).nonzero()[0]
+        value[lone] = survival[top[lone]]
+        return top, value, held[:size] > 1
+
     def next_run_length(self) -> int:
-        """Draw one run length: max t with ``P(run >= t) > u``, u ~ U(0,1)."""
+        """Draw one run length: max t with ``P(run >= t) >= u``, u ~ U(0,1)."""
         u = self._generator.random()
-        # survival is non-increasing, so count entries > u via a single
+        # survival is non-increasing, so count entries >= u via a single
         # searchsorted on its negation (which is non-decreasing).  The
         # ndarray method skips the numpy.* dispatch wrapper — this is
         # called once per collision-free run, the counts engine's unit of
@@ -358,19 +390,40 @@ class CollisionRunSampler:
 
         The trial-vectorized sibling of :meth:`next_run_length` for the
         lockstep sampler of
-        :class:`~repro.sim.counts_backend.CountsSimulation`: one uniform
-        block plus one ``searchsorted`` serves a whole trial batch's
-        lockstep step.  Same inverse transform, same law per entry, and
-        the generator stream is consumed exactly as ``count`` scalar
-        draws would consume it.
+        :class:`~repro.sim.counts_backend.CountsSimulation` and the
+        per-row sampler's blocks of batch schedules: one uniform block,
+        read off the guide table (:meth:`_run_lengths`).  Same inverse
+        transform, same length from the same uniform, and the generator
+        stream is consumed exactly as ``count`` scalar draws would
+        consume it.
         """
         if count < 0:
             raise ValueError(f"run count must be non-negative, got {count}")
+        return self._run_lengths(self._generator.random(count))
+
+    def _run_lengths(self, uniforms):
+        """The run lengths that the uniforms ``u`` in ``[0, 1)`` map to: the
+        number of survival values ``>= u``, at least 1, as
+        :meth:`next_run_length` finds it.
+
+        Each uniform's bucket ``⌊u·G⌋`` gives its length with one compare
+        (:meth:`_guide_table`), so the block costs a few passes whatever
+        the curve's length; the uniforms in buckets that hold several
+        survival values are searched for, as the scalar draw does.
+        """
         np = self._np
-        u = self._generator.random(count)
-        lengths = self._neg_survival.searchsorted(-u, side="right")
+        top, value, crowded = self._guide
+        bucket = (uniforms * self.GUIDE).astype(np.intp)
+        lengths = top.take(bucket)
+        lengths += value.take(bucket) >= uniforms
+        searched = crowded.take(bucket)
+        if searched.any():
+            searched = searched.nonzero()[0]
+            lengths[searched] = self._neg_survival.searchsorted(
+                -uniforms[searched], side="right"
+            )
         np.maximum(lengths, 1, out=lengths)
-        return lengths.astype(np.int64, copy=False)  # a no-op where intp is int64
+        return lengths
 
 
 class RecordedSchedule:

@@ -78,21 +78,23 @@ live rows:
   vectorized across the rows: one run-length block draw, and conditional
   hypergeometric chains over the ``S`` codes (numpy's own ``marginals``
   decomposition) for the run's states and its pair-type counts (see
-  :meth:`CountsSimulation._step_rows`).  The live rows' ``(R, S)`` block
-  is read out of the matrix once a step and written back once, and each
-  chain starts from its rows' known totals (``n``, ``2k``, ``k``) rather
-  than summing them.  A step costs ``O(S²)``
+  :meth:`CountsSimulation._step_rows`).  A step costs ``O(S²)``
   generator calls whatever the number of rows, so the sampler serves
   only protocols with ``S(S-1) ≤ √n``, and only once at least ``S - 1``
-  rows step; every other engine runs each row per row.
+  rows step; every other engine runs each row per row.  Around those
+  calls a step makes a few dozen passes over the live rows' ``(R, S)``
+  block, which is read out of the matrix once and written back once;
+  each chain starts from its rows' known totals (``n``, ``2k``, ``k``)
+  rather than summing them.
 
 Either sampler may *jump* instead of running: a row that expects fewer
 than one count change per run (near the start or the end of an epidemic)
 draws the geometric number of null interactions up to the next effectful
 one and applies that one pair — Gillespie's idea on the discrete-time
-chain, still the exact law.  The lockstep sampler weighs its rows over
-one list of the effectful pairs; the per-row sampler weighs
-its row's occupied codes straight from the table, up to
+chain, still the exact law.  The lockstep sampler weighs its rows as
+``c·(M c)`` over the 0/1 matrix ``M`` of the effectful pairs, and pair
+by pair only the rows that jump; the per-row sampler weighs its row's
+occupied codes straight from the table, up to
 :data:`MAX_SILENCE_STATES` of them.
 
 **One rule for effectful pairs.**  An ``(a, b)`` interaction changes the
@@ -238,6 +240,14 @@ def configuration_from_counts(protocol: PopulationProtocol, counts) -> list[Any]
     for code in np.flatnonzero(counts):
         config.extend([decode(int(code))] * int(counts[code]))
     return config
+
+
+def _row_items(matrix):
+    """A C-contiguous ``(R, S)`` matrix as ``R`` opaque items, one a row,
+    sharing its memory: gathering or scattering rows through it is one
+    1-D fancy index, which numpy does about ten times faster than the
+    2-D one."""
+    return matrix.view(f"V{matrix.strides[0]}").reshape(-1)
 
 
 def _require_num_states(protocol: PopulationProtocol) -> int:
@@ -636,7 +646,7 @@ class CountsSimulation(_Engine):
         np = self._np
         on_rows = getattr(predicate, "on_counts_rows", None)
         if on_rows is not None:
-            held = on_rows(self._matrix[rows])
+            held = on_rows(self._matrix.take(rows, axis=0))
         else:
             held = [self._row_predicate(predicate, self._matrix[row]) for row in rows]
         return np.asarray(held, dtype=bool).reshape(-1)
@@ -645,16 +655,13 @@ class CountsSimulation(_Engine):
         """Whether each row of ``rows`` is silent: its jump weight ``W`` is
         0, so no ordered pair of two distinct agents changes its counts.
 
-        Up to :data:`MAX_SILENCE_STATES` states, ``W`` is summed over the
-        list of effectful pairs the lockstep jump step reads, through its
-        count matrix (:attr:`_effectful_matrix`) — ``O(R·S²)`` arithmetic
-        in ``O(R·S)`` memory, where weighing each pair would hold
-        ``(R, pairs)`` arrays.  Wider protocols weigh
-        each row with the per-row jump step's :meth:`_pair_weights`, and
-        call no row with more than :data:`MAX_SILENCE_STATES` occupied codes
-        silent.
+        Up to :data:`MAX_SILENCE_STATES` states, ``W`` is the lockstep jump
+        step's (:meth:`_jump_weights`) — ``O(R·S²)`` arithmetic in
+        ``O(R·S)`` memory, where weighing each pair would hold ``(R,
+        pairs)`` arrays.  Wider protocols weigh each row with the per-row
+        jump step's :meth:`_pair_weights`, and call no row with more than
+        :data:`MAX_SILENCE_STATES` occupied codes silent.
         """
-        np = self._np
         if self.num_states > MAX_SILENCE_STATES:
             silent = []
             for row in rows:
@@ -665,9 +672,7 @@ class CountsSimulation(_Engine):
                     and not self._pair_weights(counts, occupied).any()
                 )
             return silent
-        sub = self._matrix[np.asarray(rows, dtype=np.int64)]
-        pairs, loops = self._effectful_matrix
-        return ((sub @ pairs) * sub).sum(axis=1) == sub[:, loops].sum(axis=1)
+        return self._jump_weights(self._matrix.take(rows, axis=0)) == 0
 
     def _frozen(self, rows):
         """The mask of the rows of ``rows`` whose counts never move again:
@@ -722,10 +727,11 @@ class CountsSimulation(_Engine):
                 burst[i] = self._row_faults[row]._fire_due(apply, int(pos[i]))
             due = arrived[pos[arrived] == boundary[arrived]]
             if due.size:
-                keep = np.ones(rows.size, dtype=bool)
-                keep[due] = checked(rows[due], pos[due])
+                stay = checked(rows[due], pos[due])
                 boundary[due] = np.minimum(boundary[due] + interval, budget)
-                if not keep.all():
+                if not stay.all():
+                    keep = np.ones(rows.size, dtype=bool)
+                    keep[due[~stay]] = False
                     rows, pos, boundary, burst, faulted = (
                         rows[keep], pos[keep], boundary[keep], burst[keep], faulted[keep]
                     )
@@ -994,14 +1000,15 @@ class CountsSimulation(_Engine):
         has left (the lockstep step of :meth:`_drive_rows`).
 
         The rows' ``(R, S)`` block is gathered from the counts matrix once,
-        goes through the step in place and is written back once.  One
-        lockstep iteration gives every row one step of one of two kinds.
-        A row that expects fewer than one count change per collision-free
-        run takes a *jump step* (:meth:`_jump_rows`): it skips straight
-        over the null interactions to the next effectful one.  Every other
-        row takes a *run step* (:meth:`_run_rows`).  Which kind a row takes
-        depends only on its counts, so by the Markov property the mixture
-        samples the same law as runs alone.
+        goes through the step in place and is written back once, one
+        opaque item a row (:func:`_row_items`).  One lockstep iteration
+        gives every row one step of one of two kinds.  A row that expects
+        fewer than one count change per collision-free run takes a *jump
+        step* (:meth:`_jump_rows`): it skips straight over the null
+        interactions to the next effectful one.  Every other row takes a
+        *run step* (:meth:`_run_rows`).  Which kind a row takes depends
+        only on its counts, so by the Markov property the mixture samples
+        the same law as runs alone.
 
         A run step, for the R rows taking one: one run-length block draw,
         one row-wise hypergeometric sample of the ``2k`` agents' states,
@@ -1016,7 +1023,8 @@ class CountsSimulation(_Engine):
         both samplable by the same conditional chain that already draws
         the composition.  That costs ``O(S²)`` generator calls per step,
         independent of the run length, hence the sampler rule's
-        ``S(S-1) ≤ √n`` (:meth:`_lockstep`).
+        ``S(S-1) ≤ √n`` (:meth:`_lockstep`); the rest of the step is a
+        few passes over the block.
         """
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
@@ -1030,10 +1038,10 @@ class CountsSimulation(_Engine):
             runs = run.nonzero()[0]
             stepping = block.take(runs, axis=0)
             remaining[runs] = self._run_rows(stepping, remaining.take(runs))
-            block[runs] = stepping
+            _row_items(block)[runs] = _row_items(stepping)
         if timings is not None:
             start = perf_counter()
-        self._matrix[idx] = block
+        _row_items(self._matrix)[idx] = _row_items(block)
         if timings is not None:
             timings["apply"] += perf_counter() - start
         return remaining
@@ -1043,29 +1051,27 @@ class CountsSimulation(_Engine):
         one count change per run; returns the mask of the rows that take a
         run step instead, or ``None`` when that is every row.
 
-        A row's effectful weight ``W = Σ c_a·(c_b - [a = b])`` over the
-        ordered pairs whose interaction changes the counts is the number
-        of ordered agent pairs that change them, so each interaction is
-        effectful with probability ``W / n(n-1)``, independently.  A row
-        with ``W·E[L] < n(n-1)`` (``E[L]`` the mean run length) jumps: it
-        draws the number of interactions up to and including the next
-        effectful one, ``τ ~ Geometric(W / n(n-1))``, and if ``τ`` fits
-        before its stop applies one effectful pair, drawn in proportion to
-        its weight by one integer in ``[0, W)``, and advances ``τ``.  A row
-        whose ``τ`` overruns its stop reaches the stop unchanged (the
-        geometric is memoryless, so restarting there is exact), and a row
-        with ``W = 0`` reaches it without drawing at all.  The weights are
-        held pair-major, ``(pairs, R)``, so the rows' ``W`` are one sum of
-        contiguous rows.  ``block`` and ``remaining`` are updated in place
-        for the rows that jumped.
+        A row's jump weight ``W`` (:meth:`_jump_weights`) is the number of
+        ordered agent pairs whose interaction changes its counts, so each
+        interaction is effectful with probability ``W / n(n-1)``,
+        independently.  A row with ``W·E[L] < n(n-1)`` (``E[L]`` the mean
+        run length) jumps: it draws the number of interactions up to and
+        including the next effectful one, ``τ ~ Geometric(W / n(n-1))``,
+        and if ``τ`` fits before its stop applies one effectful pair,
+        drawn in proportion to its weight ``c_a·(c_b - [a = b])`` by one
+        integer in ``[0, W)``, and advances ``τ``.  A row whose ``τ``
+        overruns its stop reaches the stop unchanged (the geometric is
+        memoryless, so restarting there is exact), and a row with ``W =
+        0`` reaches it without drawing at all.  Only the rows that apply a
+        pair weigh the pairs one by one, held pair-major as ``(pairs,
+        rows)`` so that their running totals are one contiguous
+        ``cumsum``.  ``block`` and ``remaining`` are updated in place for
+        the rows that jumped.
         """
         rng = self._generator
         timings = self._timings
         start = perf_counter() if timings is not None else 0.0
-        initiators, responders, diagonal, deltas = self._jump_pairs
-        columns = block.T
-        weights = columns[initiators] * (columns[responders] - diagonal)
-        total = weights.sum(axis=0)
+        total = self._jump_weights(block)
         pairs = self.n * (self.n - 1)
         jump = total * self._mean_run < pairs
         if not jump.any():
@@ -1079,46 +1085,66 @@ class CountsSimulation(_Engine):
         fits = tau <= remaining[hit]
         hit, tau = hit[fits], tau[fits]
         x = rng.integers(0, total[hit])
-        pick = (weights.take(hit, axis=1).cumsum(axis=0) <= x).sum(axis=0)
+        initiators, responders, diagonal, codes = self._jump_pairs
+        columns = block.take(hit, axis=0).T
+        weights = columns[initiators] * (columns[responders] - diagonal)
+        pick = (weights.cumsum(axis=0) <= x).sum(axis=0)
         if timings is not None:
             drawn = perf_counter()
             timings["draw"] += drawn - start
         left = remaining[hit] - tau
         remaining[rows] = 0
         remaining[hit] = left
-        block[hit] += deltas.take(pick, axis=0)
+        self._apply_pairs(block, hit, codes.take(pick))
         if timings is not None:
             timings["apply"] += perf_counter() - drawn
         return ~jump
+
+    def _jump_weights(self, block):
+        """Each row's jump weight ``W = Σ c_a·(c_b - [a = b])`` over the
+        effectful pairs ``(a, b)``: ``c·(M c)`` less the counts of the
+        diagonal codes (:attr:`_effectful_matrix`) — ``O(R·S²)``
+        arithmetic in ``O(R·S)`` memory.  The rows are weighed as columns,
+        so the one sum runs down ``S`` contiguous rows."""
+        matrix, loops = self._effectful_matrix
+        columns = block.T
+        weighed = matrix @ columns
+        if loops is not None:
+            weighed -= loops
+        weighed *= columns
+        return weighed.sum(axis=0)
 
     @functools.cached_property
     def _effectful_pairs(self):
         """The ordered pairs ``(a, b)`` that change the counts
         (:meth:`_changes_counts`), as initiator codes, responder codes and
-        ``[a = b]`` flags — the one list behind the lockstep jump weights
-        and the row-wise silence verdicts, built on first use."""
+        ``[a = b]`` flags — the one list behind the jump weights and the
+        row-wise silence verdicts, built on first use."""
         codes = self._np.arange(self.num_states, dtype=self._np.int64)
         initiators, responders = self._changes_counts(codes[:, None], codes).nonzero()
         return initiators, responders, (initiators == responders).astype(self._np.int64)
 
     @functools.cached_property
     def _effectful_matrix(self):
-        """The effectful pairs as an ``(S, S)`` 0/1 matrix ``M`` and the
-        codes ``a`` of the diagonal ones: a row's ``W = Σ c_a·(c_b - [a =
-        b])`` over them is ``c·(M c)`` less those codes' counts."""
-        initiators, responders, diagonal = self._effectful_pairs
+        """The effectful pairs as an ``(S, S)`` 0/1 matrix ``M`` and, as a
+        column, its diagonal: the flags of the codes ``a`` whose ``(a, a)``
+        pair is effectful (see :meth:`_jump_weights`), or ``None`` where
+        there is none."""
+        initiators, responders, _ = self._effectful_pairs
         matrix = self._np.zeros((self.num_states, self.num_states), dtype=self._np.int64)
         matrix[initiators, responders] = 1
-        return matrix, initiators[diagonal == 1]
+        loops = matrix.diagonal()[:, None].copy()
+        return matrix, loops if loops.any() else None
 
     @functools.cached_property
     def _jump_pairs(self):
         """The jump step's tables, built on the first lockstep step: the
         effectful pairs (:attr:`_effectful_pairs`), their ``[a = b]`` flags
-        as a column and their rows of :attr:`_pair_delta`."""
+        as a column and their codes ``a·S + b`` (rows of
+        :attr:`_pair_delta`)."""
         initiators, responders, diagonal = self._effectful_pairs
-        deltas = self._pair_delta[initiators * self.num_states + responders]
-        return initiators, responders, diagonal[:, None], deltas
+        codes = initiators * self.num_states + responders
+        return initiators, responders, diagonal[:, None], codes
 
     def _run_rows(self, block, remaining):
         """One lockstep run step for each row of ``block``, in place;
@@ -1138,59 +1164,78 @@ class CountsSimulation(_Engine):
             timings["draw"] += drawn - start
         # The run applies by pair-type counts: no per-agent arrays.
         initiators = self._sample_rows(sample, two_k, k)
-        matched = self._match_rows(initiators, sample - initiators, k)
+        matched = self._match_rows(sample, initiators, k)
         if timings is not None:
             paired = perf_counter()
             timings["match"] += paired - drawn
-        delta = matched.reshape(-1, size * size) @ self._pair_delta
+        deltas = self._pair_delta[:-1].reshape(size, size, size)  # by initiator code
+        delta = matched[-1] @ deltas[-1]
+        for code in range(size - 1):
+            delta += matched[code] @ deltas[code]
         block += delta
         remaining = remaining - k
         if collide.any():
             rows = collide.nonzero()[0]
-            outputs = (sample + delta).take(rows, axis=0)  # the used agents' states
-            self._collision_rows(block, rows, outputs, two_k.take(rows))
-            remaining[rows] -= 1
+            pool = (sample + delta).take(rows, axis=0)  # the used agents' states
+            pairs = self._collision_rows(pool, block.take(rows, axis=0) - pool, two_k.take(rows))
+            self._apply_pairs(block, rows, pairs)
+            remaining -= collide
         if timings is not None:
             timings["apply"] += perf_counter() - paired
         return remaining
 
     @functools.cached_property
     def _pair_delta(self):
-        """Per-ordered-pair aggregate delta: row ``i*S + j`` is the counts
-        change of one ``(i, j)`` interaction, so a whole run applies as
-        ``pair-type counts @ delta``.  ``(S², S)`` int64 — built on the
-        first lockstep step only, never for wide-``S`` protocols."""
+        """Per-ordered-pair aggregate delta: row ``a·S + b`` is the counts
+        change of one ``(a, b)`` interaction, so a whole run applies as
+        ``pair-type counts @ delta``; the last row, ``S²``, is zero, for
+        the rows with no interaction (:meth:`_apply_pairs`).  ``(S² + 1,
+        S)`` int64 — built on the first lockstep step only, never for
+        wide-``S`` protocols."""
         np = self._np
         size = self.num_states
         u_flat, v_flat = self.table.flat
         pairs = np.arange(size * size, dtype=np.int64)
-        delta = np.zeros((size * size, size), dtype=np.int64)
+        delta = np.zeros((size * size + 1, size), dtype=np.int64)
         np.add.at(delta, (pairs, u_flat), 1)
         np.add.at(delta, (pairs, v_flat), 1)
         np.subtract.at(delta, (pairs, pairs // size), 1)
         np.subtract.at(delta, (pairs, pairs % size), 1)
         return delta
 
-    def _match_rows(self, initiators, responders, total):
+    def _apply_pairs(self, block, rows, pairs) -> None:
+        """One interaction on each row of ``block`` in ``rows``, in place,
+        its ordered pair given as the code ``a·S + b`` in ``pairs``.
+        Every row of the block adds one row of :attr:`_pair_delta`, the
+        zero row where it has no interaction: one gather and one add,
+        where updating the rows themselves would index them in 2-D."""
+        codes = self._np.empty(block.shape[0], dtype=pairs.dtype)
+        codes.fill(self.num_states * self.num_states)
+        codes[rows] = pairs
+        block += self._pair_delta.take(codes, axis=0)
+
+    def _match_rows(self, sample, initiators, total):
         """Row-wise pair-type counts of a uniform initiator→responder
-        matching: ``[r, i, j]`` counts run pairs with initiator code
-        ``i`` and responder code ``j``.
+        matching of each row's ``sample`` agents, ``initiators`` of whom
+        initiate: one ``(R, S)`` array per initiator code ``i``, whose
+        ``[r, j]`` counts row ``r``'s run pairs with initiator code ``i``
+        and responder code ``j``.
 
         Uniformity makes the responders matched to each initiator code a
         multivariate hypergeometric subsample of the responders not yet
         matched, so the chain over initiator codes (each step one
         :meth:`_sample_rows` call) samples the exact joint law; the last
         code takes whatever remains.  ``total`` is each row's number of
-        responders, ``k``; ``responders`` is consumed.
+        responders, ``k``.
         """
-        size = self.num_states
-        matched = self._np.empty((initiators.shape[0], size, size), dtype=initiators.dtype)
-        for code in range(size - 1):
+        responders = sample - initiators
+        matched = []
+        for code in range(self.num_states - 1):
             taken = self._sample_rows(responders, total, initiators[:, code])
-            matched[:, code, :] = taken
+            matched.append(taken)
             responders -= taken
             total = total - initiators[:, code]
-        matched[:, size - 1, :] = responders
+        matched.append(responders)
         return matched
 
     def _sample_rows(self, sub, total, nsample):
@@ -1218,49 +1263,64 @@ class CountsSimulation(_Engine):
         out[:, -1] = draw
         return out
 
-    def _collision_rows(self, block, rows, pool, used) -> None:
-        """One colliding interaction for each row of ``block`` in ``rows``,
-        vectorized across rows, in place.
+    def _collision_rows(self, pool, rest, used):
+        """The colliding interaction of each row, vectorized across rows;
+        returns their ordered pairs as codes ``a·S + b``.
 
-        ``block`` holds the post-run counts, ``pool`` the rows' used agents'
-        states (the run's outputs) and ``used`` their number ``U = 2k``, so
-        ``block - pool`` holds the unused agents' states.  Agents ``0 …
-        U-1`` are used, ``U … n-1`` unused, and the pairs with a used
-        member are ``U(n-1)`` with a used initiator and ``A·U`` with an
-        unused one (``A = n - U``): the per-row sampler's ``U(U-1) +
-        2·U·A`` (:meth:`_run_batched`).  One ``integers`` call picks each
-        row's pair (a used initiator's partner skips its position); the
-        initiator's and the responder's states are each found by walking
-        their own pool code by code, and the four count updates go to
-        flat indices of ``block``, which must be C-contiguous (the step's
-        blocks are gathered copies) for its flat view to write through.
+        ``pool`` holds each row's ``U = 2k`` used agents' states (the
+        run's outputs), ``rest`` its ``A = n - U`` unused agents' states,
+        and ``used`` is ``U``.  The pairs with a used member are ``U(n-1)``
+        with a used initiator and ``A·U`` with an unused one: the per-row
+        sampler's ``U(U-1) + 2·U·A`` (:meth:`_run_batched`).  One
+        ``integers`` call picks each row's pair, which
+        :meth:`_collision_pairs` decodes.
+        """
+        n = self.n
+        x = self._generator.integers(0, used * (n - 1 + n - used))
+        return self._collision_pairs(x, pool, rest, used)
+
+    def _collision_pairs(self, x, pool, rest, used):
+        """The ordered pairs of codes, as ``a·S + b``, that the draws ``x``
+        in ``[0, U(2n-1-U))`` pick (see :meth:`_collision_rows`).
+
+        A row's agents stand in a line, its used ones (``pool``, code by
+        code) before its unused ones (``rest``).  Below ``U(n-1)``, ``x``
+        is the ``x // (n-1)``-th used agent initiating with the ``x %
+        (n-1)``-th of the other ``n - 1`` (its own place skipped); from
+        there, ``x - U(n-1)`` is the ``⌊·/U⌋``-th unused agent initiating
+        with the ``(· mod U)``-th used one.  An agent's code is the number
+        of its pool's running totals over codes ``0 … S-2`` at or below
+        its index.  Both agents are counted against both pools, with no
+        branch on a row's case: where late, the initiator's ``x // (n-1)``
+        passes all ``S - 1`` used totals, taken off again, and elsewhere
+        its unused index ``⌊·/U⌋`` is negative and passes no unused total;
+        the responder's place in the line, blended by arithmetic and
+        counted from the first unused agent, passes no unused total when
+        it is used and all ``S - 1`` used totals, taken off again, when
+        it is not.
         """
         np = self._np
         n = self.n
         size = self.num_states
-        x = self._generator.integers(0, used * (n - 1 + n - used))
         bound = used * (n - 1)
         late = x >= bound  # an unused initiator with a used responder
         first, second = np.divmod(x, n - 1)
         second += second >= first
         over, under = np.divmod(x - bound, used)
-        first = np.where(late, over, first)  # within the initiator's pool
-        second = np.where(late, under, second)
-        unused = second >= used  # never where late: under < U
-        second -= used * unused  # within the responder's pool
-        avail = block.take(rows, axis=0) - pool
-        a = np.zeros_like(x)
-        b = np.zeros_like(x)
+        under -= second
+        under *= late
+        second += under  # the responder's place in the line
+        second -= used  # ... from the first unused agent
+        a = late * (1 - size)
+        b = (second >= 0) * (1 - size)
+        used_below = unused_below = 0
         for code in range(size - 1):
-            first -= np.where(late, avail[:, code], pool[:, code])
-            a += first >= 0
-            second -= np.where(unused, avail[:, code], pool[:, code])
-            b += second >= 0
-        pair = a * size + b
-        u_flat, v_flat = self.table.flat
-        flat = block.reshape(-1)
-        base = rows * size
-        flat[base + a] -= 1
-        flat[base + b] -= 1
-        flat[base + u_flat.take(pair)] += 1
-        flat[base + v_flat.take(pair)] += 1
+            used_below = used_below + pool[:, code]
+            unused_below = unused_below + rest[:, code]
+            a += first >= used_below
+            a += over >= unused_below
+            b += second >= used_below - used
+            b += second >= unused_below
+        a *= size
+        a += b
+        return a

@@ -10,7 +10,9 @@ the abstraction ladder (counts instead of per-agent codes):
   random count vectors, on the mask path and the per-row weight path), so
   rows whose only transitions are swaps retire and freeze without a draw;
 * **sampler law** — collision-run lengths stay in ``[1, n//2]`` with a
-  monotone survival curve; the stretch after ``U`` used agents follows
+  monotone survival curve, and the block draw's guide table gives the
+  lengths a search of that curve gives, from the same uniforms and the
+  same stream; the stretch after ``U`` used agents follows
   its product formula for every ``U`` at ``n = 6–12``, and the table
   holds every stretch's tail up to ``max_used``; conservation and
   protocol invariants (epidemic monotonicity, pairwise-elimination
@@ -24,8 +26,10 @@ the abstraction ladder (counts instead of per-agent codes):
   ordered agent-pair sequence (chi-square), jump steps, collision
   categories, initiator/responder roles and batches that reach a second
   collision after a non-empty stretch included, and so do the lockstep
-  sampler's jump steps and its colliding pair; rows with nothing left
-  to change draw nothing on either sampler;
+  sampler's jump steps and its colliding pair, whose decode from its
+  draw matches the walk over each pool code by code for every draw at
+  small sizes; rows with nothing left to change draw nothing on either
+  sampler;
 * **result snapshots** — ``run_until`` never expands a configuration
   nobody reads, and a late read still sees the configuration at return;
 * **three-way distribution equivalence** — object, array and counts
@@ -213,6 +217,30 @@ class TestCollisionRunSampler:
     def test_rejects_tiny_population(self):
         with pytest.raises(ValueError, match="at least two"):
             CollisionRunSampler(1, np.random.Generator(np.random.PCG64(0)))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 2_000, 10_000, 10**6])
+    def test_guide_table_gives_the_searched_lengths(self, n):
+        # The block draw reads lengths off a guide table; a search of the
+        # survival curve is the reference.  Uniforms at every survival
+        # value, every bucket edge and a random spread, each also one ulp
+        # to either side.
+        sampler = CollisionRunSampler(n, np.random.Generator(np.random.PCG64(0)))
+        survival = sampler.survival
+        edges = np.arange(CollisionRunSampler.GUIDE + 1) / CollisionRunSampler.GUIDE
+        spread = np.random.Generator(np.random.PCG64(n)).random(100_000)
+        points = np.concatenate((survival, edges, spread))
+        uniforms = np.concatenate((points, np.nextafter(points, 2.0), np.nextafter(points, -1.0)))
+        uniforms = uniforms[(uniforms >= 0.0) & (uniforms < 1.0)]
+        searched = np.maximum((-survival).searchsorted(-uniforms, side="right"), 1)
+        assert (sampler._run_lengths(uniforms) == searched).all()
+
+    @pytest.mark.parametrize("n", [3, 2_000, 10**6])
+    def test_block_draw_consumes_the_stream_as_scalar_draws(self, n):
+        scalar = CollisionRunSampler(n, np.random.Generator(np.random.PCG64(5)))
+        block = CollisionRunSampler(n, np.random.Generator(np.random.PCG64(5)))
+        lengths = [scalar.next_run_length() for _ in range(5_000)]
+        assert block.next_run_lengths(5_000).tolist() == lengths
+        assert block._generator.bit_generator.state == scalar._generator.bit_generator.state
 
     @pytest.mark.parametrize("n", [6, 9, 12])
     def test_stretch_law_matches_the_product_formula(self, n):
@@ -907,10 +935,81 @@ class _PairMarker(PopulationProtocol):
         return [code]
 
 
+def _walked_collision_pairs(x, pool, rest, used, n):
+    """The reference collision decode: each agent's code found by
+    walking its own pool (the used agents' or the unused ones') code by
+    code, one ``where`` per code and agent."""
+    size = pool.shape[1]
+    bound = used * (n - 1)
+    late = x >= bound
+    first, second = np.divmod(x, n - 1)
+    second += second >= first
+    over, under = np.divmod(x - bound, used)
+    first = np.where(late, over, first)  # within the initiator's pool
+    second = np.where(late, under, second)
+    unused = second >= used  # never where late: under < U
+    second -= used * unused  # within the responder's pool
+    a = np.zeros_like(x)
+    b = np.zeros_like(x)
+    for code in range(size - 1):
+        first -= np.where(late, rest[:, code], pool[:, code])
+        a += first >= 0
+        second -= np.where(unused, rest[:, code], pool[:, code])
+        b += second >= 0
+    return a * size + b
+
+
+class _Inert(PopulationProtocol):
+    """``size`` codes that no interaction changes."""
+
+    name = "inert"
+
+    def __init__(self, size):
+        self.size = size
+
+    def initial_state(self):
+        return [0]
+
+    def transition(self, u, v, rng):
+        pass
+
+    def output(self, state):
+        return state[0]
+
+    def num_states(self):
+        return self.size
+
+    def encode_state(self, state):
+        return state[0]
+
+    def decode_state(self, code):
+        return [code]
+
+
 class TestCollisionLaw:
     """The lockstep collision is uniform over the ordered pairs with a
     used member: both used, a used initiator with an unused responder,
     and the reverse."""
+
+    @pytest.mark.parametrize("size", [2, 3, 5])
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_decode_matches_the_walk_for_every_draw(self, size, n):
+        # Every used count U and a few splits of the used and the unused
+        # agents over the codes (empty codes included), each with every
+        # draw x in [0, U(2n-1-U)): the decode must pick the pair the
+        # per-code walk picks, category boundaries included.
+        engine = CountsSimulation(_Inert(size), n=n, seed=0)
+        rng = np.random.Generator(np.random.PCG64(size * 100 + n))
+        for used in range(1, n + 1):
+            for _ in range(4):
+                pool = np.bincount(rng.integers(0, size, used), minlength=size)
+                rest = np.bincount(rng.integers(0, size, n - used), minlength=size)
+                x = np.arange(used * (2 * n - 1 - used))
+                rows = np.full(x.size, used)
+                pools, rests = np.tile(pool, (x.size, 1)), np.tile(rest, (x.size, 1))
+                decoded = engine._collision_pairs(x, pools, rests, rows)
+                walked = _walked_collision_pairs(x, pools, rests, rows, n)
+                assert (decoded == walked).all(), (used, pool, rest)
 
     @pytest.mark.parametrize(
         "post, unused",
@@ -936,9 +1035,8 @@ class TestCollisionLaw:
         )
         avail = np.zeros((draws, 12), dtype=np.int64)
         avail[:, :3] = unused
-        engine._collision_rows(
-            engine.counts, np.arange(draws), engine.counts - avail, np.full(draws, sum(used))
-        )
+        pairs = engine._collision_rows(engine.counts - avail, avail, np.full(draws, sum(used)))
+        engine._apply_pairs(engine.counts, np.arange(draws), pairs)
         markers = engine.counts[:, 3:].argmax(axis=1).tolist()
         observed = Counter(divmod(marker, 3) for marker in markers)
         assert set(observed) <= set(law), "drew a pair with no used member"

@@ -52,8 +52,11 @@ from repro.core.params import ProtocolParams
 from repro.obs import perf_counter, step_breakdown_rows
 from repro.scheduler.rng import RNG, make_rng
 from repro.sim.backends import make_simulation
-from repro.sim.batch_backend import BatchCountsEngine
-from repro.sim.counts_backend import CountsBackendError, goal_counts_predicate
+from repro.sim.counts_backend import (
+    CountsBackendError,
+    CountsSimulation,
+    goal_counts_predicate,
+)
 from repro.sim.fault_engine import FaultSpec
 from repro.sim.initial_state import CountVector, Replicated
 from repro.sim.trials import run_trials
@@ -178,7 +181,7 @@ def test_e22_batch_backend_speedup(benchmark, record_table):
     # E22c (fault-schedule identity): batched rows fire bursts at exactly
     # the per-trial FaultEngine positions for the same FaultSpec.
     spec = FaultSpec(model="scramble_burst", rate=2.0, burst_size=3, seed=22)
-    engine = BatchCountsEngine(
+    engine = CountsSimulation(
         protocol, init=Replicated(_seeded_start(N), 2), seed=9
     )
     engine.measure_rows_availability(

@@ -17,7 +17,6 @@ The subcommands mirror the library's main entry points:
   checkpoint growth, and timed-out leases are reclaimed with capped
   retries;
 * ``statespace`` — print the analytic bit-complexity comparison table;
-* ``lint``       — statically check the repository's contracts;
 * ``trace``      — summarize a ``repro.obs`` trace file (top spans, step-
   phase breakdown, per-shard lease timelines) and export Chrome
   trace-event JSON for Perfetto.
@@ -415,34 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sizes", type=int, nargs="+", default=[16, 64, 256, 1024, 4096]
     )
 
-    lint = sub.add_parser(
-        "lint",
-        help="statically check the repository's reproduction contracts",
-        description="Run the AST/importlib contract checker (repro.lint) "
-        "over the source tree: RNG discipline, backend-contract "
-        "conformance, registry-only dispatch, transition purity, counts "
-        "dtype width and obs discipline.  Exits 0 when clean, 1 when any "
-        "rule fires.",
-    )
-    lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to check (default: src, benchmarks, "
-        "examples under the current directory)",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="finding output: human text or the versioned JSON document "
-        "CI archives (default: text)",
-    )
-    lint.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all registered rules)",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="print the registered rules and exit",
-    )
-
     trace = sub.add_parser(
         "trace",
         help="summarize a repro.obs trace file",
@@ -648,31 +619,9 @@ def cmd_statespace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    # Imported here, not at module top: the lint rules consult the live
-    # backend/protocol registries, and the other subcommands should not
-    # pay that import (or require numpy-adjacent modules) to parse args.
-    from repro.lint import registered_rules, render_json, render_text, run_lint
-    from repro.lint.engine import LintUsageError
-
-    if args.list_rules:
-        for rule in registered_rules():
-            print(f"{rule.rule_id} {rule.name}: {rule.summary}")
-        return 0
-    try:
-        report = run_lint(args.paths or None, rules_filter=args.rules)
-    except LintUsageError as error:
-        raise _UsageError(str(error)) from error
-    if args.format == "json":
-        print(render_json(report))
-    else:
-        print(render_text(report))
-    return 0 if report.clean else 1
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
-    # Imported here, not at module top, to mirror cmd_lint: the summary
-    # helpers are only needed by this subcommand.
+    # Imported here, not at module top: the summary helpers are only
+    # needed by this subcommand.
     import json
 
     from repro.obs import (
@@ -710,7 +659,6 @@ COMMANDS = {
     "merge": cmd_merge,
     "pool": cmd_pool,
     "statespace": cmd_statespace,
-    "lint": cmd_lint,
     "trace": cmd_trace,
 }
 

@@ -1,7 +1,7 @@
 """repro.obs — the tracing substrate (see README "Observability").
 
 One package owns every wall-clock read and every trace emission in the
-repository (enforced statically by lint rule L007):
+repository (held by contract L007 in ``tests/test_contracts.py``):
 
 * :mod:`repro.obs.tracing` — nested spans on monotonic clocks, the
   ``REPRO_TRACE`` JSONL sink, the shared no-op tracer when disabled,

@@ -2,7 +2,7 @@
 
 This module is the repository's single home for wall-clock reads.  Every
 engine, benchmark and coordinator that needs a timestamp imports
-:data:`perf_counter` from here (lint rule L007 rejects direct
+:data:`perf_counter` from here (contract L007 rejects direct
 ``time.time``/``time.perf_counter`` calls anywhere else), and every
 execution surface reports *where the time went* through spans:
 

@@ -4,8 +4,8 @@ Every stochastic component in this repository draws randomness through a
 generator built *here* and threaded explicitly through the call tree
 (never a module-level global).  This keeps individual trials replayable
 from a seed, lets multi-trial experiments spawn independent streams, and
-gives the static contract checker (:mod:`repro.lint`, rule L001) a single
-blessed construction surface to key on: outside this module, neither
+gives the RNG-discipline contract (L001, ``tests/test_contracts.py``) a
+single blessed construction surface to key on: outside this module, neither
 ``random.Random(...)`` nor ``numpy.random.Generator``/``PCG64``/
 ``default_rng`` may be called directly.
 

@@ -242,8 +242,10 @@ class CollisionRunSampler:
         self._guide = self._guide_table()
         # chains[p, j] = Σ_{i<j} -log P(an interaction avoids p + 2i used
         # agents), built in place; ``inf`` once no unused pair is left.
-        # 7·√n entries a parity keep the 1e-30 tail past U ≈ 7.6·√n, where
-        # a batch's eight collisions almost never reach.
+        # 7·√n entries a parity keep the 1e-30 tail past U ≈ 7.6·√n, which
+        # a batch's 16 collisions (RUN_COLLISIONS) seldom pass: of 200
+        # blocks of 128 schedules drawn at seed 1, max_used ended 32 of
+        # 25,600 batches early at n = 10⁶ and none at n = 16, 10³ or 10⁴.
         length = min(n // 2 + 2, int(7 * numpy.sqrt(n)) + 8)
         chains = numpy.empty((2, length))
         chains[:, 0] = 0.0

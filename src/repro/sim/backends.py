@@ -17,7 +17,7 @@ Four registry entries run ``Simulation``-shaped workloads today:
   of choice once only aggregate statistics matter (n ≥ 10⁶ stabilization
   curves).
 * ``batch`` — the same counts engine holding a whole sweep cell
-  (:data:`repro.sim.batch_backend.BatchCountsEngine`): ``T`` trials as
+  (:class:`repro.sim.counts_backend.CountsSimulation`): ``T`` trials as
   the rows of one ``(T, S)`` counts matrix, each row advance taking the
   per-row or the lockstep sampler by ``S`` and the number of rows
   stepping.  The engine of choice when a sweep cell or a ``run_trials``
@@ -105,10 +105,10 @@ NATIVE_COUNTS = "counts"
 #: (methods or attributes).  Everything else an engine exposes — ``run``,
 #: ``run_until``, ``instrument_steps``, ``step_timings`` — it inherits
 #: from the one engine driver in :mod:`repro.sim.simulation`.  The
-#: contract checker (:mod:`repro.lint`, rule L002) holds engine classes to
-#: this tuple statically, and constructs each registered engine to verify
-#: this tuple plus the inherited driver members on the live object, so a
-#: new registration inherits the gate without touching the linter.
+#: engine-surface contract (L002, ``tests/test_contracts.py``) holds engine
+#: classes to this tuple statically, and builds each registered engine to
+#: check this tuple plus the inherited driver members on the live object,
+#: so a new registration is held to it without touching the test.
 ENGINE_SURFACE: tuple[str, ...] = (
     "run_batch",
     "predicate_holds",
@@ -291,9 +291,9 @@ def _batch_factory(
     n: Optional[int] = None,
     seed: int = 0,
 ) -> Any:
-    from repro.sim.batch_backend import BatchCountsEngine
+    from repro.sim.counts_backend import CountsSimulation
 
-    return BatchCountsEngine(protocol, init=init, n=n, seed=seed)
+    return CountsSimulation(protocol, init=init, n=n, seed=seed)
 
 
 register_backend(

@@ -17,7 +17,9 @@ few stragglers alone.
 Construction goes through the backend registry
 (``make_simulation(backend="batch")``), which is how both
 :func:`repro.sim.trials.run_trials` and :func:`repro.sim.sweep.run_sweep`
-build it.
+build it.  Nothing in the package reads the alias: it stays for the
+benchmark harness (``perfbench/layers.py``), which patches engine methods
+through it.
 """
 
 from __future__ import annotations

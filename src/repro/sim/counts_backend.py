@@ -12,8 +12,8 @@ Severson's ``ppsim`` (CMSB 2021) and the batching analysis of Berenbrink
 et al.  It holds ``T`` independent trials as the rows of one ``(T, S)``
 ``int64`` matrix; a single trial is a one-row matrix.  The registry
 exposes it twice: ``counts`` (one trial per engine, the common per-trial
-surface) and ``batch`` (a whole sweep cell per engine, see
-:mod:`repro.sim.batch_backend`).
+surface) and ``batch`` (a whole sweep cell per engine, built from a
+:class:`~repro.sim.initial_state.Replicated` start).
 
 **Law-exact batched sampling.**  The uniform pairwise scheduler draws
 agent *identities*, which a count vector deliberately forgets.  The engine

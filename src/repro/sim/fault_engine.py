@@ -95,11 +95,11 @@ class FaultSpec:
     """One trial's fault-injection recipe, as plain data.
 
     The portable form of a :class:`FaultEngine` construction: batch
-    drivers (:mod:`repro.sim.batch_backend`) and sweep cells carry one
-    ``FaultSpec`` per trial row and build each row's engine from it with
-    :meth:`make_engine`.  ``seed`` is the engine seed, so a ``FaultSpec``
-    replayed through any driver produces the bit-identical burst
-    schedule.
+    drivers (:class:`~repro.sim.counts_backend.CountsSimulation`'s row
+    workloads) and sweep cells carry one ``FaultSpec`` per trial row and
+    build each row's engine from it with :meth:`make_engine`.  ``seed``
+    is the engine seed, so a ``FaultSpec`` replayed through any driver
+    produces the bit-identical burst schedule.
     """
 
     model: str

@@ -21,9 +21,10 @@ into any representation on demand:
   engines get the ``O(S)`` twin, everyone else the state-code form,
   without anyone naming a backend;
 * :class:`Replicated` — a whole *trial batch*: ``trials`` rows, each an
-  ``InitialState`` (one shared spec, or one per row).  Only batch engines
-  (:mod:`repro.sim.batch_backend`) accept it; per-trial factories reject
-  it with a clear error.
+  ``InitialState`` (one shared spec, or one per row).  Only the batch
+  engine (:class:`~repro.sim.counts_backend.CountsSimulation`, built by the
+  ``batch`` backend) accepts it; per-trial factories reject it with a
+  clear error.
 
 Factories ask for their native form (``to_config`` / ``to_codes`` /
 ``to_counts``); the object-engine paths are numpy-free, preserving the

@@ -23,7 +23,7 @@ trials.  This module is that workload, end to end:
   median repair) are first-class JSONL fields;
 * on a batch-cell backend (``--backend batch``) the sweep instead runs
   :func:`run_scenario_cell`: all of a cell's trials become the rows of
-  one :class:`~repro.sim.batch_backend.BatchCountsEngine`, in-process —
+  one :class:`~repro.sim.counts_backend.CountsSimulation`, in-process —
   resume still works cell-wise, re-running any
   partially-checkpointed cell deterministically and appending only the
   missing rows;
@@ -712,7 +712,7 @@ def run_scenario_cell(specs: Sequence[ScenarioSpec]) -> list[ScenarioOutcome]:
 
     The batch twin of per-trial :func:`run_scenario`: all of a cell's
     trial specs become the rows of one
-    :class:`~repro.sim.batch_backend.BatchCountsEngine` (built through
+    :class:`~repro.sim.counts_backend.CountsSimulation` (built through
     ``make_simulation`` with a
     :class:`~repro.sim.initial_state.Replicated` start), whose rows
     advance together under the engine's sampler rule.  Per-row starts

@@ -181,7 +181,6 @@ class TestMakeSimulation:
     def test_routes_to_engine_classes(self):
         pytest.importorskip("numpy")
         from repro.sim.array_backend import ArraySimulation
-        from repro.sim.batch_backend import BatchCountsEngine
         from repro.sim.counts_backend import CountsSimulation
 
         protocol = PairwiseElimination(8)
@@ -193,7 +192,7 @@ class TestMakeSimulation:
             make_simulation(protocol, n=8, backend="counts"), CountsSimulation
         )
         assert isinstance(
-            make_simulation(protocol, n=8, backend="batch"), BatchCountsEngine
+            make_simulation(protocol, n=8, backend="batch"), CountsSimulation
         )
 
     def test_init_reaches_every_engine_natively(self):

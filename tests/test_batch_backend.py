@@ -67,7 +67,6 @@ from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import derive_seed, np_generator
 from repro.sim.array_backend import transition_table_for
 from repro.sim.backends import make_simulation
-from repro.sim.batch_backend import BatchCountsEngine
 from repro.sim.counts_backend import (
     CountsBackendError,
     CountsSimulation,
@@ -96,7 +95,7 @@ class TestSingleTrialAnchor:
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
         init = seeded_counts(48)
-        engine = BatchCountsEngine(protocol, init=init, seed=11)
+        engine = CountsSimulation(protocol, init=init, seed=11)
         [row] = engine.run_rows_until(pred, max_interactions=50_000, check_interval=16)
         sim = CountsSimulation(protocol, init=init, seed=11)
         result = sim.run_until(pred, 50_000, 16)
@@ -108,7 +107,7 @@ class TestSingleTrialAnchor:
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
         spec = FaultSpec(model="scramble_burst", rate=2.0, burst_size=3, seed=5)
-        engine = BatchCountsEngine(protocol, init=seeded_counts(32), seed=4)
+        engine = CountsSimulation(protocol, init=seeded_counts(32), seed=4)
         [row] = engine.run_rows_until(
             pred, max_interactions=2_000, check_interval=8, faults=[spec]
         )
@@ -126,7 +125,7 @@ class TestSingleTrialAnchor:
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
         spec = FaultSpec(model="scramble_burst", rate=3.0, burst_size=2, seed=9)
-        engine = BatchCountsEngine(protocol, init=seeded_counts(32), seed=4)
+        engine = CountsSimulation(protocol, init=seeded_counts(32), seed=4)
         [report] = engine.measure_rows_availability(
             pred, total_interactions=1_500, checkpoint_every=25, faults=[spec]
         )
@@ -155,7 +154,7 @@ class TestSingleTrialAnchor:
 class TestBatchSemantics:
     def test_all_rows_converged_at_step_zero(self):
         protocol = EpidemicProtocol()
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(CountVector([0, 24]), 3), seed=0
         )
         rows = engine.run_rows_until(
@@ -170,10 +169,10 @@ class TestBatchSemantics:
         pred = epidemic_pred(protocol)
         goal = CountVector([0, 36])
         x, y = seeded_counts(36, 1), seeded_counts(36, 2)
-        padded = BatchCountsEngine(
+        padded = CountsSimulation(
             protocol, init=Replicated((goal, x, goal, y), 4), seed=21
         )
-        bare = BatchCountsEngine(protocol, init=Replicated((x, y), 2), seed=21)
+        bare = CountsSimulation(protocol, init=Replicated((x, y), 2), seed=21)
         padded_rows = padded.run_rows_until(pred, max_interactions=50_000, check_interval=8)
         bare_rows = bare.run_rows_until(pred, max_interactions=50_000, check_interval=8)
         assert [(r.converged, r.interactions) for r in (padded_rows[1], padded_rows[3])] \
@@ -188,7 +187,7 @@ class TestBatchSemantics:
         pred = goal_counts_predicate(protocol)
         dead = CountVector([12, 0])
         live = CountVector([9, 3])
-        engine = BatchCountsEngine(protocol, init=Replicated((dead, live), 2), seed=2)
+        engine = CountsSimulation(protocol, init=Replicated((dead, live), 2), seed=2)
         rows = engine.run_rows_until(pred, max_interactions=5_000, check_interval=10)
         assert not rows[0].converged and rows[0].interactions == 5_000
         assert rows[1].converged
@@ -200,7 +199,7 @@ class TestBatchSemantics:
         # its per-trial twin stops at the passing step-0 check, so no
         # burst may ever fire there.  Row 1 keeps the batch running.
         faults = [FaultSpec(model="scramble_burst", rate=50.0, seed=7), None]
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol,
             init=Replicated((CountVector([0, 20]), seeded_counts(20)), 2),
             seed=13,
@@ -219,7 +218,7 @@ class TestBatchSemantics:
             FaultSpec(model="scramble_burst", rate=4.0, burst_size=2, seed=derive_seed(1, i))
             for i in range(2)
         ]
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(seeded_counts(n), 2), seed=6
         )
         reports = engine.measure_rows_availability(
@@ -260,7 +259,7 @@ class TestRowDriver:
             checked.append(len(counts_rows))
             return goal.on_counts_rows(counts_rows)
 
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(CountVector([n - 100, 100]), rows), seed=5
         )
         assert engine._matching and engine._lockstep(1)
@@ -355,7 +354,7 @@ class TestLockstepStream:
         # once.  Both run into collisions and jump again near saturation.
         n, rows = 2_000, 64
         protocol = EpidemicProtocol()
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(CountVector([n - infected, infected]), rows), seed=11
         )
         assert engine._lockstep(rows)
@@ -376,7 +375,7 @@ class TestLockstepStream:
 
     def test_three_state_rows(self):
         n, rows = 2_000, 16
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             _ApproximateMajority(), init=Replicated(CountVector([900, 800, 300]), rows), seed=14
         )
         assert engine._lockstep(rows)
@@ -390,7 +389,7 @@ class TestLockstepStream:
             FaultSpec(model="scramble_burst", rate=0.1, burst_size=2, seed=derive_seed(12, row))
             for row in range(rows)
         ]
-        engine = BatchCountsEngine(protocol, init=Replicated(Clean(n), rows), seed=13)
+        engine = CountsSimulation(protocol, init=Replicated(Clean(n), rows), seed=13)
         assert engine._lockstep(rows)
         reports = engine.measure_rows_availability(
             goal_counts_predicate(protocol),
@@ -421,7 +420,7 @@ class TestSamplerRule:
             "repro.sim.counts_backend.transition_table_for", lambda protocol: None
         )
         protocol = PROTOCOLS[name].build(n, 1)[0]
-        engine = BatchCountsEngine(protocol, init=Replicated(Clean(n), 2), seed=0)
+        engine = CountsSimulation(protocol, init=Replicated(Clean(n), 2), seed=0)
         size = engine.num_states
         matching = size * (size - 1) <= math.sqrt(n)
         wrong = [
@@ -436,7 +435,7 @@ class TestValidation:
     def test_mixed_population_sizes_rejected(self):
         protocol = EpidemicProtocol()
         with pytest.raises(ValueError, match="same population size"):
-            BatchCountsEngine(
+            CountsSimulation(
                 protocol,
                 init=Replicated((seeded_counts(8), seeded_counts(10)), 2),
             )
@@ -451,12 +450,12 @@ class TestValidation:
     def test_elect_leader_rejected_loudly(self):
         elect = ElectLeader(ProtocolParams(n=16, r=2))
         with pytest.raises(CountsBackendError, match="batch backend"):
-            BatchCountsEngine(elect, n=16)
+            CountsSimulation(elect, n=16)
 
     def test_engine_drives_exactly_one_workload(self):
         protocol = EpidemicProtocol()
         pred = epidemic_pred(protocol)
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(seeded_counts(16), 2), seed=0
         )
         engine.run_rows_until(pred, max_interactions=100, check_interval=10)
@@ -465,7 +464,7 @@ class TestValidation:
 
     def test_matrix_mode_has_no_single_trial_surface(self):
         protocol = EpidemicProtocol()
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(seeded_counts(16), 2), seed=0
         )
         with pytest.raises(ValueError, match="no single-trial surface"):
@@ -473,7 +472,7 @@ class TestValidation:
 
     def test_faults_list_must_match_rows(self):
         protocol = EpidemicProtocol()
-        engine = BatchCountsEngine(
+        engine = CountsSimulation(
             protocol, init=Replicated(seeded_counts(16), 3), seed=0
         )
         with pytest.raises(ValueError, match="per row"):
@@ -540,16 +539,16 @@ class TestTrialRunnerHook:
 class TestStepInstrumentation:
     """The per-step wall-clock breakdown is opt-in and observation-only."""
 
-    def _engine(self, seed: int = 7) -> BatchCountsEngine:
+    def _engine(self, seed: int = 7) -> CountsSimulation:
         protocol = EpidemicProtocol()
-        return BatchCountsEngine(
+        return CountsSimulation(
             protocol, init=Replicated(seeded_counts(200), 8), seed=seed
         )
 
     def test_breakdown_covers_every_phase(self):
         engine = self._engine()
         timings = engine.instrument_steps()
-        assert set(timings) == set(BatchCountsEngine.STEP_PHASES)
+        assert set(timings) == set(CountsSimulation.STEP_PHASES)
         engine.run_rows_until(
             epidemic_pred(engine.protocol), max_interactions=6_000, check_interval=200
         )
@@ -607,7 +606,7 @@ class TestRowLaw:
         # after, so the one slice crosses both step kinds.
         protocol = EpidemicProtocol()
         init, budget, rows = seeded_counts(64), 150, 300
-        engine = BatchCountsEngine(protocol, init=Replicated(init, rows), seed=1)
+        engine = CountsSimulation(protocol, init=Replicated(init, rows), seed=1)
         assert engine._lockstep(rows)
         engine.run_rows_until(NEVER, max_interactions=budget, check_interval=budget)
         batched = engine.counts[:, 1]
@@ -631,7 +630,7 @@ class TestRowLaw:
 
         batched = []
         for index in range(engines):
-            engine = BatchCountsEngine(
+            engine = CountsSimulation(
                 protocol, init=Replicated(init, 2), seed=derive_seed(4, index)
             )
             assert not engine._lockstep(2)
@@ -684,7 +683,7 @@ class TestRowLaw:
             FaultSpec(model="kill_leaders", rate=0.05, seed=derive_seed(8, row))
             for row in range(rows)
         ]
-        engine = BatchCountsEngine(protocol, init=Replicated(Clean(32), rows), seed=7)
+        engine = CountsSimulation(protocol, init=Replicated(Clean(32), rows), seed=7)
         assert engine._matching and engine._lockstep(rows)
         reports = engine.measure_rows_availability(
             correct, total_interactions=total, checkpoint_every=every, faults=specs
@@ -717,7 +716,7 @@ class TestWideStateMemory:
         transition_table_for(protocol)  # the cached table is not the engine's
         tracemalloc.start()
         try:
-            engine = BatchCountsEngine(protocol, init=Replicated(Clean(1000), rows), seed=3)
+            engine = CountsSimulation(protocol, init=Replicated(Clean(1000), rows), seed=3)
             assert not engine._lockstep(rows)
             engine.run_rows_until(
                 goal_counts_predicate(protocol), max_interactions=1_500, check_interval=250

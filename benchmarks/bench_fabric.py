@@ -6,12 +6,12 @@ One grid, three execution paths, one equality gate:
 * **shard+merge** — every shard executed in-process via the fabric's
   deterministic partition, then ``merge_checkpoints`` reconstituting the
   unsharded file;
-* **pool** — the lease-based coordinator driving real ``python -m repro``
-  worker subprocesses over the local provider.
+* **workers=2** — the same ``run_sweep`` fanned out over two worker
+  processes.
 
 All three must produce byte-identical checkpoints; the table reports the
 wall clock each path paid for them.  This is the benchmark twin of the
-CI shard/merge/pool smoke, at experiment scale rather than smoke scale.
+CI shard/merge smoke, at experiment scale rather than smoke scale.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from conftest import fast_scaled, run_once
 
-from repro.fabric import merge_checkpoints, run_pool, shard_grid
+from repro.fabric import merge_checkpoints, shard_grid
 from repro.obs import perf_counter
 from repro.sim.sweep import GridSpec, expand_grid, run_sweep
 
@@ -38,25 +38,25 @@ E23_GRID = GridSpec(
 )
 
 
-def test_e23_fabric_shard_merge_pool_identity(benchmark, record_table, tmp_path):
+def test_e23_fabric_shard_merge_workers_identity(benchmark, record_table, tmp_path):
     def experiment():
         rows = []
         trials = len(expand_grid(E23_GRID))
 
-        def timed(label, fn):
+        def timed(label, shards, fn):
             start = perf_counter()
             fn()
             rows.append(
                 {
                     "mode": label,
                     "trials": trials,
-                    "shards": E23_SHARDS if label != "serial" else 1,
+                    "shards": shards,
                     "wall_s": round(perf_counter() - start, 2),
                 }
             )
 
         serial = tmp_path / "serial.jsonl"
-        timed("serial", lambda: run_sweep(E23_GRID, jsonl_path=serial))
+        timed("serial", 1, lambda: run_sweep(E23_GRID, jsonl_path=serial))
 
         def shard_and_merge():
             paths = []
@@ -69,27 +69,18 @@ def test_e23_fabric_shard_merge_pool_identity(benchmark, record_table, tmp_path)
                 paths.append(path)
             merge_checkpoints(paths, tmp_path / "merged.jsonl", grid=E23_GRID)
 
-        timed("shard+merge", shard_and_merge)
+        timed("shard+merge", E23_SHARDS, shard_and_merge)
         assert (tmp_path / "merged.jsonl").read_bytes() == serial.read_bytes()
 
-        def pooled():
-            result = run_pool(
-                E23_GRID,
-                out=tmp_path / "pool.jsonl",
-                workers=2,
-                shards=E23_SHARDS,
-                backoff=0.0,
-            )
-            assert result.ok
-
-        timed("pool", pooled)
-        assert (tmp_path / "pool.jsonl").read_bytes() == serial.read_bytes()
+        parallel = tmp_path / "workers2.jsonl"
+        timed("workers=2", 1, lambda: run_sweep(E23_GRID, jsonl_path=parallel, workers=2))
+        assert parallel.read_bytes() == serial.read_bytes()
         return rows
 
     rows = run_once(benchmark, experiment)
     record_table(
         "E23_fabric",
         rows,
-        f"E23: fabric identity gate — serial vs {E23_SHARDS}-shard merge vs pool "
+        f"E23: fabric identity gate — serial vs {E23_SHARDS}-shard merge vs workers=2 "
         f"({len(expand_grid(E23_GRID))} trials)",
     )

@@ -27,10 +27,8 @@ The surface groups into five layers:
   :func:`run_scenario` / :func:`run_sweep` execution with JSONL
   checkpoints, and :func:`stream_ordered`, the ordered process fan-out
   under both;
-* **distributed fabric** — deterministic :func:`shard_grid` sharding,
-  :func:`merge_checkpoints` validation + concatenation, and the
-  lease-based :func:`run_pool` worker pool over a
-  :class:`WorkerProvider` (:class:`LocalWorkerProvider` by default);
+* **distributed fabric** — deterministic :func:`shard_grid` sharding
+  and :func:`merge_checkpoints` validation + concatenation;
 * **observability** — :func:`configure_tracing` / :func:`get_tracer`
   span tracing (a no-op unless a sink is configured; never touches an
   RNG stream), the blessed :func:`perf_counter` clock, and the
@@ -46,14 +44,7 @@ from repro.core.params import BaselineParams, ProtocolParams
 from repro.core.protocol import PopulationProtocol, RankingProtocol
 from repro.fabric.errors import FabricError
 from repro.fabric.merge import MergeReport, merge_checkpoints
-from repro.fabric.pool import PoolResult, run_pool
-from repro.fabric.providers import (
-    BudgetCaps,
-    LocalWorkerProvider,
-    WorkerHandle,
-    WorkerProvider,
-)
-from repro.fabric.sharding import format_shard, parse_shard, shard_grid
+from repro.fabric.sharding import parse_shard, shard_grid
 from repro.obs import (
     TraceError,
     configure_tracing,
@@ -136,17 +127,10 @@ __all__ = [
     "shard_specs",
     "validate_shard",
     # distributed fabric
-    "BudgetCaps",
     "FabricError",
-    "LocalWorkerProvider",
     "MergeReport",
-    "PoolResult",
-    "WorkerHandle",
-    "WorkerProvider",
-    "format_shard",
     "merge_checkpoints",
     "parse_shard",
-    "run_pool",
     "shard_grid",
     # observability
     "TraceError",

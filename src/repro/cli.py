@@ -12,19 +12,14 @@ The subcommands mirror the library's main entry points:
   (flags still override it);
 * ``merge``     — validate a complete, disjoint shard set and merge it
   into the byte-identical unsharded checkpoint;
-* ``pool``      — run a sharded sweep on a lease-based worker pool
-  (``repro.fabric``): workers are local subprocesses, heartbeat via
-  checkpoint growth, and timed-out leases are reclaimed with capped
-  retries;
 * ``statespace`` — print the analytic bit-complexity comparison table;
 * ``trace``      — summarize a ``repro.obs`` trace file (top spans, step-
-  phase breakdown, per-shard lease timelines) and export Chrome
-  trace-event JSON for Perfetto.
+  phase breakdown) and export Chrome trace-event JSON for Perfetto.
 
-``sweep`` and ``pool`` accept ``--trace PATH`` (equivalent to setting
-``$REPRO_TRACE``) to stream span/event records to a JSONL sink while
-they run; tracing never touches an RNG stream, so traced and untraced
-runs produce byte-identical checkpoints.
+``sweep`` accepts ``--trace PATH`` (equivalent to setting
+``$REPRO_TRACE``) to stream span/event records to a JSONL sink while it
+runs; tracing never touches an RNG stream, so traced and untraced runs
+produce byte-identical checkpoints.
 
 All commands are deterministic given ``--seed`` — including ``tradeoff``
 and ``sweep`` under ``--workers N``: trials fan out over a process pool
@@ -51,13 +46,7 @@ from repro.analysis.statespace import comparison_table, elect_leader_bits
 from repro.analysis.theory import predicted_stabilization_interactions
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
-from repro.fabric import (
-    BudgetCaps,
-    FabricError,
-    merge_checkpoints,
-    parse_shard,
-    run_pool,
-)
+from repro.fabric import FabricError, merge_checkpoints, parse_shard
 from repro.obs import TraceError, configure_tracing
 from repro.scheduler.rng import make_rng
 from repro.sim.backends import BACKEND_OBJECT, backend_names, resolve_backend
@@ -68,9 +57,6 @@ from repro.sim.sweep import (
     PROTOCOLS,
     GridSpec,
     SweepError,
-    aggregate_rows,
-    expand_grid,
-    load_checkpoint,
     load_grid_file,
     run_sweep,
 )
@@ -159,7 +145,7 @@ _GRID_ARG_KEYS: dict[str, str] = {
 
 
 def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
-    """The grid-shaped flags shared by ``sweep`` and ``pool``.
+    """The grid-shaped flags of ``sweep``.
 
     Every flag defaults to ``None`` so :func:`_grid_from_args` can layer
     the three sources cleanly: explicit flag > ``--grid`` file value >
@@ -348,67 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="merged checkpoint file (default: merged.jsonl)",
     )
 
-    pool = sub.add_parser(
-        "pool",
-        help="run a sharded sweep on a lease-based worker pool",
-        description="Shard the grid, lease each shard to a worker "
-        "subprocess, heartbeat via checkpoint growth, reclaim "
-        "timed-out leases with capped exponential-backoff retries, and "
-        "finish with the merge-validated unsharded checkpoint at --out "
-        "plus a JSON run report beside it.",
-    )
-    _add_grid_arguments(pool)
-    pool.add_argument(
-        "--workers", type=_positive_int, default=2,
-        help="concurrent workers, and the shard count unless --shards is given",
-    )
-    pool.add_argument(
-        "--shards", type=_positive_int, default=None, metavar="K",
-        help="shard count (default: --workers); more shards than workers "
-        "gives the pool elasticity — finished workers pick up waiting shards",
-    )
-    pool.add_argument(
-        "--lease-timeout", type=float, default=60.0, metavar="S",
-        help="seconds without checkpoint growth before a lease is "
-        "reclaimed and its worker killed (default: 60)",
-    )
-    pool.add_argument(
-        "--max-retries", type=int, default=3, metavar="N",
-        help="re-leases allowed per shard before the pool fails (default: 3)",
-    )
-    pool.add_argument(
-        "--backoff", type=float, default=0.5, metavar="S",
-        help="base of the exponential re-lease delay (default: 0.5s)",
-    )
-    pool.add_argument(
-        "--max-seconds", type=float, default=None, metavar="S",
-        help="hard wall-clock budget cap: the fleet is killed when it trips",
-    )
-    pool.add_argument(
-        "--max-trials", type=int, default=None, metavar="T",
-        help="hard cap on the grid's expanded trial count, checked before "
-        "any worker spawns",
-    )
-    pool.add_argument(
-        "--out", default="pool.jsonl", metavar="PATH",
-        help="merged checkpoint file (default: pool.jsonl; the run report "
-        "lands beside it)",
-    )
-    pool.add_argument(
-        "--workdir", default=None, metavar="DIR",
-        help="directory for shard checkpoints, worker logs and grid.json "
-        "(default: <out>-shards next to --out)",
-    )
-    pool.add_argument(
-        "--no-progress", action="store_true", help="suppress the stderr progress line"
-    )
-    pool.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="append span/event records (including the lease lifecycle) to "
-        "this JSONL trace file; worker processes inherit the sink via "
-        "$REPRO_TRACE",
-    )
-
     statespace = sub.add_parser("statespace", help="bit-complexity comparison")
     statespace.add_argument(
         "--sizes", type=int, nargs="+", default=[16, 64, 256, 1024, 4096]
@@ -419,10 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="summarize a repro.obs trace file",
         description="Read a JSONL trace written via --trace / $REPRO_TRACE "
         "and print its summary: top spans by total and self time, the "
-        "draw/match/apply/retire step-phase table, and per-shard lease "
-        "timelines from a pool run.  --chrome exports the trace as Chrome "
-        "trace-event JSON loadable in Perfetto (ui.perfetto.dev) or "
-        "chrome://tracing.",
+        "draw/match/apply/retire step-phase table.  --chrome exports the "
+        "trace as Chrome trace-event JSON loadable in Perfetto "
+        "(ui.perfetto.dev) or chrome://tracing.",
     )
     trace.add_argument("trace_file", metavar="TRACE_JSONL", help="trace file to read")
     trace.add_argument(
@@ -581,38 +505,6 @@ def cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_pool(args: argparse.Namespace) -> int:
-    grid = _grid_from_args(args)
-    if args.trace is not None:
-        # configure_tracing exports $REPRO_TRACE, so spawned shard workers
-        # inherit the same sink and their spans land in the same file.
-        configure_tracing(args.trace)
-    budget = BudgetCaps(max_seconds=args.max_seconds, max_trials=args.max_trials)
-    progress = None if args.no_progress else _sweep_progress(sys.stderr)
-    result = run_pool(
-        grid,
-        out=args.out,
-        workers=args.workers,
-        shards=args.shards,
-        lease_timeout=args.lease_timeout,
-        max_retries=args.max_retries,
-        backoff=args.backoff,
-        budget=budget,
-        workdir=args.workdir,
-        progress=progress,
-    )
-    specs = expand_grid(grid)
-    outcomes, _ = load_checkpoint(Path(args.out), grid, specs)
-    rows = aggregate_rows(specs, [outcomes[index] for index in range(len(specs))])
-    title = (
-        f"Pooled sweep: {len(specs)} trials over "
-        f"{result.report['shards']} shards"
-    )
-    print(format_table(rows, title=title))
-    print(f"[merged results in {result.out}; run report in {result.report_path}]")
-    return 0
-
-
 def cmd_statespace(args: argparse.Namespace) -> int:
     rows = comparison_table(args.sizes)
     print(format_table(rows, title="Bit complexity (log2 #states)"))
@@ -657,7 +549,6 @@ COMMANDS = {
     "tradeoff": cmd_tradeoff,
     "sweep": cmd_sweep,
     "merge": cmd_merge,
-    "pool": cmd_pool,
     "statespace": cmd_statespace,
     "trace": cmd_trace,
 }

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 
 class FabricError(RuntimeError):
-    """A fabric operation failed (bad shard set, dead workers, blown budget).
+    """A fabric operation failed (bad shard syntax, an incomplete or mixed shard set).
 
     The orchestration twin of :class:`repro.sim.sweep.SweepError`: the CLI
     turns both into one clean diagnostic line instead of a traceback.

@@ -1,6 +1,6 @@
 """Validate and merge shard checkpoints back into the unsharded file.
 
-The merge is the fabric's safety net: workers may die, be re-leased, or
+The merge is the fabric's safety net: workers may die, be re-run, or
 run twice, but a set of shard files only merges if it is a **disjoint,
 gap-free partition** of the grid — every trial index appears exactly
 once, in exactly the shard the hash assigns it to.  Anything else (a
@@ -125,7 +125,7 @@ def merge_checkpoints(
         if stray:
             raise FabricError(
                 f"{path}: trial record {stray[0]} belongs to another shard — "
-                "a re-leased worker may have written into the wrong file; "
+                "a worker may have written into the wrong file; "
                 "refusing to double-count"
             )
         missing = sorted(owned - set(outcomes))

@@ -49,12 +49,6 @@ def parse_shard(text: str) -> Shard:
         raise FabricError(str(error)) from None
 
 
-def format_shard(shard: Shard) -> str:
-    """The CLI/worker-facing spelling of a shard: ``"i/k"``."""
-    index, count = validate_shard(shard)
-    return f"{index}/{count}"
-
-
 def shard_grid(grid: GridSpec, index: int, shards: int) -> list[ScenarioSpec]:
     """The scenario specs shard ``index`` of ``shards`` owns for ``grid``.
 

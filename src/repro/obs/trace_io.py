@@ -6,9 +6,8 @@ where it becomes useful:
 
 * :func:`load_trace` — parse a JSONL trace, failing loudly
   (:class:`TraceError`) on missing or corrupt files;
-* :func:`summarize_trace` — top spans by total/self time, per-phase
-  tables from ``step.*`` spans, and per-shard lease timelines from the
-  pool's ``pool.lease.*`` events;
+* :func:`summarize_trace` — top spans by total/self time and per-phase
+  tables from ``step.*`` spans;
 * :func:`to_chrome_trace` — the Chrome trace-event JSON document
   (``ph: "X"`` complete spans + ``ph: "i"`` instants) that Perfetto and
   ``chrome://tracing`` load directly.
@@ -101,30 +100,6 @@ def _phase_rows(spans: list[dict]) -> list[dict]:
     return step_breakdown_rows(timings) if timings else []
 
 
-def _lease_timelines(events: list[dict]) -> dict[str, list[dict]]:
-    """Per-shard lease timelines from the pool's ``pool.lease.*`` events."""
-    timelines: dict[str, list[dict]] = {}
-    for event in events:
-        name = event.get("name", "")
-        if not name.startswith("pool.lease."):
-            continue
-        labels = event.get("labels", {}) or {}
-        shard = labels.get("shard")
-        key = str(shard) if shard is not None else "?"
-        timelines.setdefault(key, []).append(
-            {
-                "ts": round(event.get("ts", 0.0), 6),
-                "state": name[len("pool.lease."):],
-                **{k: v for k, v in labels.items() if k != "shard"},
-            }
-        )
-    return {shard: timelines[shard] for shard in sorted(timelines, key=_shard_order)}
-
-
-def _shard_order(key: str):
-    return (0, int(key)) if key.isdigit() else (1, key)
-
-
 def summarize_trace(records: list[dict]) -> dict:
     """The summary document behind ``repro trace``."""
     spans = [r for r in records if r.get("kind") == "span"]
@@ -136,7 +111,6 @@ def summarize_trace(records: list[dict]) -> dict:
         "processes": sorted({r.get("pid") for r in records if r.get("pid") is not None}),
         "top_spans": _span_rows(spans),
         "step_phases": _phase_rows(spans),
-        "lease_timelines": _lease_timelines(events),
     }
 
 
@@ -162,17 +136,6 @@ def render_summary_text(summary: dict) -> str:
             lines.append(
                 f"{row['phase']:<10} {row['seconds']:>10.4f} {row['share']:>7}"
             )
-    for shard, timeline in summary["lease_timelines"].items():
-        lines.append("")
-        lines.append(f"shard {shard}:")
-        for entry in timeline:
-            extras = " ".join(
-                f"{key}={value}"
-                for key, value in entry.items()
-                if key not in ("ts", "state")
-            )
-            suffix = f" {extras}" if extras else ""
-            lines.append(f"  {entry['ts']:>10.4f}s {entry['state']}{suffix}")
     return "\n".join(lines)
 
 

@@ -1,10 +1,10 @@
 """Span tracer: nested spans on monotonic clocks, JSONL sink, no-op off.
 
 This module is the repository's single home for wall-clock reads.  Every
-engine, benchmark and coordinator that needs a timestamp imports
-:data:`perf_counter` from here (contract L007 rejects direct
-``time.time``/``time.perf_counter`` calls anywhere else), and every
-execution surface reports *where the time went* through spans:
+engine and benchmark that needs a timestamp imports :data:`perf_counter`
+from here (contract L007 rejects direct ``time.time``/``time.monotonic``/
+``time.perf_counter`` calls anywhere else), and every execution surface
+reports *where the time went* through spans:
 
 * :func:`get_tracer` returns the process tracer.  With ``REPRO_TRACE``
   unset it is the shared :data:`NULL_TRACER` — ``enabled`` is ``False``
@@ -14,7 +14,7 @@ execution surface reports *where the time went* through spans:
   variable so worker processes inherit it) switches to a real
   :class:`Tracer` appending one JSON object per line to ``path``.
   Lines are written whole through an ``O_APPEND`` descriptor, so
-  concurrent writers (the pool coordinator plus its workers) interleave
+  concurrent writers (several processes sharing one sink) interleave
   at line granularity, never mid-record.
 * :class:`SpanBuffer` is the cross-process variant: a worker collects
   span records in memory and ships them back with its result, and the

@@ -349,14 +349,15 @@ class CountsSimulation(_Engine):
     / ``run_until`` and the phase clock from the shared engine driver
     (``draw``: run lengths, compositions and jump draws, ``match``:
     pairing, ``apply``: aggregate deltas, collision interactions and
-    jumped pairs, ``retire``: jump weights, silence and predicate checks).  With more rows the per-trial methods
-    raise, because a batch has rows, not a single trajectory.  Jump
-    weights, silence and the lockstep jump tables all read one rule for
-    which pairs change the counts, :meth:`_changes_counts`.  Every
-    engine also has the row workloads :meth:`run_rows_until` and
-    :meth:`measure_rows_availability`, each with an optional per-row
-    :class:`~repro.sim.fault_engine.FaultSpec` list; an engine drives
-    **one** row workload — it is a consumed object, not a reusable runner.
+    jumped pairs, ``retire``: jump weights, silence and predicate checks).
+    With more rows the per-trial methods raise, because a batch has rows,
+    not a single trajectory.  Jump weights, silence and the lockstep jump
+    tables all read one rule for which pairs change the counts,
+    :meth:`_changes_counts`.  Every engine also has the row workloads
+    :meth:`run_rows_until` and :meth:`measure_rows_availability`, each
+    with an optional per-row :class:`~repro.sim.fault_engine.FaultSpec`
+    list; an engine drives **one** row workload — it is a consumed object,
+    not a reusable runner.
 
     Observers are not supported (there are no per-agent interactions to
     observe); use the object backend for instrumented runs.  Likewise

@@ -887,9 +887,9 @@ _GRID_FILE_SCHEMA: dict[str, tuple[bool, type | tuple[type, ...]]] = {
 def load_grid_file(path: str | Path) -> dict[str, Any]:
     """Read a declarative grid file: JSON with :class:`GridSpec` keys.
 
-    The file is the one artifact a fabric worker needs instead of a dozen
-    flags (``repro sweep --grid grid.json``); flags still override its
-    values.  Returns the validated key/value dict — semantic validation
+    The file is the one artifact every shard of a sweep reads instead of a
+    dozen flags (``repro sweep --grid grid.json``); flags still override
+    its values.  Returns the validated key/value dict — semantic validation
     (axis contents, backend capability) stays with ``GridSpec`` itself.
     """
     path = Path(path)

@@ -347,10 +347,9 @@ def test_int64_counts():
 # L007 — clock and obs discipline
 # ---------------------------------------------------------------------------
 
-#: Clock reads that go through ``repro.obs``.  ``time.monotonic`` and
-#: ``time.sleep`` stay legal: they are control flow (lease timeouts, poll
-#: intervals), not measurement.
-CLOCK_CALLS = {"time.time", "time.perf_counter", "time.perf_counter_ns"}
+#: Clock reads that go through ``repro.obs``.  ``time.sleep`` stays
+#: legal: it is control flow, not measurement.
+CLOCK_CALLS = {"time.time", "time.monotonic", "time.perf_counter", "time.perf_counter_ns"}
 
 
 def scan_clock_and_obs(relpath: str, tree: ast.Module) -> Iterator[int]:

@@ -14,13 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fabric import (
-    FabricError,
-    format_shard,
-    merge_checkpoints,
-    parse_shard,
-    shard_grid,
-)
+from repro.fabric import FabricError, merge_checkpoints, parse_shard, shard_grid
 from repro.sim.sweep import (
     CLEAN,
     GridSpec,
@@ -115,9 +109,9 @@ class TestShardPartition:
 
 class TestShardSyntax:
     def test_parse_format_round_trip(self):
+        """The CLI's ``i/k`` spelling parses to its ``(i, k)`` pair."""
         assert parse_shard("2/5") == (2, 5)
-        assert format_shard((2, 5)) == "2/5"
-        assert parse_shard(format_shard((0, 1))) == (0, 1)
+        assert parse_shard("0/1") == (0, 1)
 
     @pytest.mark.parametrize("text", ["", "3", "a/b", "1/", "/4", "1/0", "5/5", "-1/4"])
     def test_parse_rejects_bad_syntax(self, text):
@@ -129,6 +123,18 @@ class TestShardSyntax:
         for bad in [(1, 1), (-1, 2), (0, 0), "nope"]:
             with pytest.raises(SweepError):
                 validate_shard(bad)
+
+
+def sweep_full_and_shards(grid: GridSpec, tmp_path):
+    """The unsharded checkpoint of ``grid`` and its two shard checkpoints."""
+    full = tmp_path / "full.jsonl"
+    run_sweep(grid, jsonl_path=full)
+    shards = []
+    for index in range(2):
+        path = tmp_path / f"s{index}.jsonl"
+        run_sweep(grid, jsonl_path=path, shard=(index, 2))
+        shards.append(path)
+    return full, shards
 
 
 class TestShardCheckpoints:
@@ -163,15 +169,11 @@ class TestShardCheckpoints:
 
     def test_shard_records_are_the_unsharded_lines(self, tmp_path):
         """Each shard writes exactly the unsharded run's bytes for its trials."""
-        grid = tiny_grid()
-        full = tmp_path / "full.jsonl"
-        run_sweep(grid, jsonl_path=full)
+        full, shards = sweep_full_and_shards(tiny_grid(), tmp_path)
         full_records = full.read_text().splitlines()[1:]
-        sharded_records = []
-        for index in range(2):
-            path = tmp_path / f"s{index}.jsonl"
-            run_sweep(grid, jsonl_path=path, shard=(index, 2))
-            sharded_records.extend(path.read_text().splitlines()[1:])
+        sharded_records = [
+            record for path in shards for record in path.read_text().splitlines()[1:]
+        ]
         assert sorted(sharded_records) == sorted(full_records)
 
 
@@ -179,13 +181,7 @@ class TestMerge:
     @pytest.fixture()
     def sharded(self, tmp_path):
         grid = tiny_grid()
-        full = tmp_path / "full.jsonl"
-        run_sweep(grid, jsonl_path=full)
-        shards = []
-        for index in range(2):
-            path = tmp_path / f"s{index}.jsonl"
-            run_sweep(grid, jsonl_path=path, shard=(index, 2))
-            shards.append(path)
+        full, shards = sweep_full_and_shards(grid, tmp_path)
         return grid, full, shards
 
     def test_merge_is_byte_identical(self, sharded, tmp_path):
@@ -198,6 +194,24 @@ class TestMerge:
         # Shard order does not matter.
         merge_checkpoints(list(reversed(shards)), out)
         assert out.read_bytes() == full.read_bytes()
+
+    @pytest.mark.parametrize(
+        "trials, shard_1_trials",
+        [(2, 0), (3, 3)],
+        ids=["all-cells-in-shard-0", "cells-split"],
+    )
+    def test_batch_cells_merge_byte_identical(self, tmp_path, trials, shard_1_trials):
+        """Batch grids shard whole cells; an empty shard merges too."""
+        pytest.importorskip("numpy")
+        grid = tiny_grid(
+            protocols=("pairwise_elimination",), ns=(16, 24), trials=trials, backend="batch"
+        )
+        assert len(shard_grid(grid, 1, 2)) == shard_1_trials
+        full, shards = sweep_full_and_shards(grid, tmp_path)
+        out = tmp_path / "merged.jsonl"
+        report = merge_checkpoints(shards, out, grid=grid)
+        assert out.read_bytes() == full.read_bytes()
+        assert report.trials == 2 * trials
 
     def test_merge_rejects_duplicate_shard(self, sharded, tmp_path):
         _, _, shards = sharded
@@ -220,6 +234,18 @@ class TestMerge:
         shards[1].write_text("".join(lines[:-1]))
         with pytest.raises(FabricError, match="incomplete"):
             merge_checkpoints(shards, tmp_path / "out.jsonl")
+
+    def test_dead_shard_resumes_then_merges(self, sharded, tmp_path):
+        """A shard cut off mid-record is recovered by resuming it."""
+        grid, full, shards = sharded
+        data = shards[1].read_bytes()
+        shards[1].write_bytes(data[: len(data) - 10])
+        out = tmp_path / "out.jsonl"
+        with pytest.raises(FabricError, match="incomplete"):
+            merge_checkpoints(shards, out)
+        run_sweep(grid, jsonl_path=shards[1], resume=True, shard=(1, 2))
+        merge_checkpoints(shards, out)
+        assert out.read_bytes() == full.read_bytes()
 
     def test_merge_rejects_grid_mismatch(self, sharded, tmp_path):
         grid, _, shards = sharded

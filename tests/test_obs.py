@@ -19,7 +19,6 @@ import pytest
 from repro.cli import main
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
-from repro.fabric import run_pool
 from repro.obs import (
     NULL_TRACER,
     STEP_PHASES,
@@ -268,37 +267,6 @@ class TestBitIdentity:
         assert [span["labels"]["item"] for span in trials] == sorted(
             span["labels"]["item"] for span in trials
         )
-
-
-class TestPoolLeaseEvents:
-    def test_pool_run_streams_lease_lifecycle(self, tmp_path):
-        grid = GridSpec(
-            protocols=("elect_leader",),
-            ns=(8, 10),
-            rs=(2,),
-            adversaries=(CLEAN,),
-            fault_rates=(0.0,),
-            trials=2,
-            seed=11,
-            max_interactions=500_000,
-            check_interval=500,
-        )
-        sink = tmp_path / "pool.trace.jsonl"
-        configure_tracing(str(sink))
-        run_pool(grid, out=tmp_path / "pool.jsonl", workers=2, backoff=0.0)
-        configure_tracing(None)
-        records = load_trace(sink)
-        lease = [r for r in records if r["name"].startswith("pool.lease.")]
-        kinds = {r["name"] for r in lease}
-        assert "pool.lease.spawn" in kinds
-        assert "pool.lease.complete" in kinds
-        shards = {r["labels"]["shard"] for r in lease}
-        assert shards == {0, 1}
-        timelines = summarize_trace(records)["lease_timelines"]
-        assert sorted(timelines) == ["0", "1"]
-        for timeline in timelines.values():
-            assert timeline[0]["state"] == "spawn"
-            assert timeline[-1]["state"] == "complete"
 
 
 class TestTraceIO:

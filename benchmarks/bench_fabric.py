@@ -1,11 +1,11 @@
-"""E23 — the distributed sweep fabric as a workload.
+"""E23 — sharded sweeps (``repro sweep --shard`` + ``repro merge``) as a workload.
 
 One grid, three execution paths, one equality gate:
 
 * **serial** — the reference ``run_sweep`` checkpoint;
-* **shard+merge** — every shard executed in-process via the fabric's
-  deterministic partition, then ``merge_checkpoints`` reconstituting the
-  unsharded file;
+* **shard+merge** — every round-robin shard (``shard_specs``) executed
+  in-process, then ``merge_checkpoints`` reconstituting the unsharded
+  file;
 * **workers=2** — the same ``run_sweep`` fanned out over two worker
   processes.
 
@@ -19,9 +19,14 @@ from __future__ import annotations
 
 from conftest import fast_scaled, run_once
 
-from repro.fabric import merge_checkpoints, shard_grid
 from repro.obs import perf_counter
-from repro.sim.sweep import GridSpec, expand_grid, run_sweep
+from repro.sim.sweep import (
+    GridSpec,
+    expand_grid,
+    merge_checkpoints,
+    run_sweep,
+    shard_specs,
+)
 
 E23_SHARDS = 4
 
@@ -63,9 +68,9 @@ def test_e23_fabric_shard_merge_workers_identity(benchmark, record_table, tmp_pa
             for index in range(E23_SHARDS):
                 path = tmp_path / f"shard-{index}.jsonl"
                 result = run_sweep(E23_GRID, jsonl_path=path, shard=(index, E23_SHARDS))
-                assert [spec.index for spec in result.specs] == [
-                    spec.index for spec in shard_grid(E23_GRID, index, E23_SHARDS)
-                ]
+                assert result.specs == shard_specs(
+                    expand_grid(E23_GRID), (index, E23_SHARDS)
+                )
                 paths.append(path)
             merge_checkpoints(paths, tmp_path / "merged.jsonl", grid=E23_GRID)
 
@@ -81,6 +86,6 @@ def test_e23_fabric_shard_merge_workers_identity(benchmark, record_table, tmp_pa
     record_table(
         "E23_fabric",
         rows,
-        f"E23: fabric identity gate — serial vs {E23_SHARDS}-shard merge vs workers=2 "
+        f"E23: shard identity gate — serial vs {E23_SHARDS}-shard merge vs workers=2 "
         f"({len(expand_grid(E23_GRID))} trials)",
     )

@@ -7,7 +7,8 @@ timeout-heartbeat protocol of Sudo et al. (shape), the two defining
 quantities as the timer scale τ grows:
 
 * convergence time from adversarial (including zero-leader) starts —
-  should stay ``O(n log n)``-ish across τ;
+  ``Θ(n²)`` interactions in expectation whatever τ is, because leaders
+  leave only by meeting in pairs, so it should stay flat across τ;
 * median holding time of the elected leader — should grow rapidly
   (super-linearly) with τ while the state count grows only linearly.
 

@@ -12,7 +12,7 @@ no submodule object is bound as an attribute, so internal modules are not
 reachable through it (``repro.api.sweep`` is an :class:`AttributeError`,
 not a back door).  A test enforces this with an AST walk.
 
-The surface groups into five layers:
+The surface groups into four layers:
 
 * **protocols & parameters** — :class:`ElectLeader`,
   :class:`ProtocolParams`, the baselines' :class:`BaselineParams`, and
@@ -25,10 +25,9 @@ The surface groups into five layers:
   :class:`TrialSummary`, :class:`GridSpec` expansion via
   :func:`expand_grid` into :class:`ScenarioSpec` trials,
   :func:`run_scenario` / :func:`run_sweep` execution with JSONL
-  checkpoints, and :func:`stream_ordered`, the ordered process fan-out
-  under both;
-* **distributed fabric** — deterministic :func:`shard_grid` sharding
-  and :func:`merge_checkpoints` validation + concatenation;
+  checkpoints, round-robin :func:`shard_specs` sharding with
+  :func:`merge_checkpoints` to join the shard files, and
+  :func:`stream_ordered`, the ordered process fan-out under both;
 * **observability** — :func:`configure_tracing` / :func:`get_tracer`
   span tracing (a no-op unless a sink is configured; never touches an
   RNG stream), the blessed :func:`perf_counter` clock, and the
@@ -42,9 +41,6 @@ keeps only the quickstart names, and :mod:`repro.sim` exports nothing.
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import BaselineParams, ProtocolParams
 from repro.core.protocol import PopulationProtocol, RankingProtocol
-from repro.fabric.errors import FabricError
-from repro.fabric.merge import MergeReport, merge_checkpoints
-from repro.fabric.sharding import parse_shard, shard_grid
 from repro.obs import (
     TraceError,
     configure_tracing,
@@ -72,6 +68,7 @@ from repro.sim.parallel import stream_ordered
 from repro.sim.simulation import Simulation, SimulationResult, run_until
 from repro.sim.sweep import (
     GridSpec,
+    MergeReport,
     ScenarioOutcome,
     ScenarioSpec,
     SweepError,
@@ -79,6 +76,8 @@ from repro.sim.sweep import (
     aggregate_rows,
     expand_grid,
     load_grid_file,
+    merge_checkpoints,
+    parse_shard,
     run_scenario,
     run_sweep,
     shard_specs,
@@ -115,6 +114,7 @@ __all__ = [
     "stream_ordered",
     # sweeps
     "GridSpec",
+    "MergeReport",
     "ScenarioOutcome",
     "ScenarioSpec",
     "SweepError",
@@ -122,16 +122,12 @@ __all__ = [
     "aggregate_rows",
     "expand_grid",
     "load_grid_file",
+    "merge_checkpoints",
+    "parse_shard",
     "run_scenario",
     "run_sweep",
     "shard_specs",
     "validate_shard",
-    # distributed fabric
-    "FabricError",
-    "MergeReport",
-    "merge_checkpoints",
-    "parse_shard",
-    "shard_grid",
     # observability
     "TraceError",
     "configure_tracing",

@@ -7,7 +7,7 @@ The subcommands mirror the library's main entry points:
 * ``tradeoff``  — sweep r at fixed n and print the measured trade-off;
 * ``sweep``     — run a scenario grid (protocols × n × r × adversaries ×
   fault rates) with streaming JSONL checkpoints and ``--resume``; with
-  ``--shard i/k`` it runs one deterministic shard of the grid, and with
+  ``--shard i/k`` it runs one round-robin shard of the grid, and with
   ``--grid grid.json`` the whole grid arrives as one declarative file
   (flags still override it);
 * ``merge``     — validate a complete, disjoint shard set and merge it
@@ -46,7 +46,6 @@ from repro.analysis.statespace import comparison_table, elect_leader_bits
 from repro.analysis.theory import predicted_stabilization_interactions
 from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
-from repro.fabric import FabricError, merge_checkpoints, parse_shard
 from repro.obs import TraceError, configure_tracing
 from repro.scheduler.rng import make_rng
 from repro.sim.backends import BACKEND_OBJECT, backend_names, resolve_backend
@@ -58,6 +57,8 @@ from repro.sim.sweep import (
     GridSpec,
     SweepError,
     load_grid_file,
+    merge_checkpoints,
+    parse_shard,
     run_sweep,
 )
 from repro.sim.trials import format_table, run_trials
@@ -105,7 +106,7 @@ def _workers_count(text: str) -> int:
 def _shard_spec(text: str) -> tuple[int, int]:
     try:
         return parse_shard(text)
-    except FabricError as error:
+    except SweepError as error:
         raise argparse.ArgumentTypeError(str(error)) from None
 
 
@@ -291,9 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=_workers_count, default=1, help=workers_help)
     sweep.add_argument(
         "--shard", type=_shard_spec, default=None, metavar="I/K",
-        help="run only shard I of K (deterministic trial-hash partition; "
-        "the checkpoint records the shard and 'repro merge' reassembles "
-        "the unsharded file byte-identically)",
+        help="run only shard I of K (trials, or on a batch-cell backend "
+        "whole cells, dealt round robin; the checkpoint records the shard "
+        "and 'repro merge' reassembles the unsharded file byte-identically)",
     )
     sweep.add_argument(
         "--out", default="sweep.jsonl", metavar="PATH",
@@ -558,7 +559,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (FabricError, SweepError, TraceError, _UsageError) as error:
+    except (SweepError, TraceError, _UsageError) as error:
         # Parameter combinations argparse can't see (r > n/2, a checkpoint
         # for a different grid, ...) get one clean line, not a traceback;
         # anything else propagates so real bugs keep their tracebacks.

@@ -11,9 +11,9 @@ single blessed construction surface to key on: outside this module, neither
 
 Two generator families live behind that surface:
 
-* :func:`make_rng` / :func:`spawn_rngs` / :func:`iter_rngs` — the
-  standard library :class:`random.Random`, used by the per-interaction
-  object engine.  Protocol transitions draw one or two small integers
+* :func:`make_rng` / :func:`spawn_rngs` — the standard library
+  :class:`random.Random`, used by the per-interaction object engine.
+  Protocol transitions draw one or two small integers
   per interaction, where ``random.Random.randrange`` has far lower
   per-call overhead than constructing numpy arrays, and the Mersenne
   Twister's reproducibility guarantees across platforms are all we need.
@@ -31,7 +31,7 @@ object-engine runtime stays numpy-free.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy
@@ -56,14 +56,6 @@ def derive_seed(seed: int, index: int) -> int:
 def spawn_rngs(seed: int, count: int) -> list[RNG]:
     """``count`` independent generators derived deterministically from ``seed``."""
     return [random.Random(derive_seed(seed, i)) for i in range(count)]
-
-
-def iter_rngs(seed: int) -> Iterator[RNG]:
-    """An endless stream of independent generators derived from ``seed``."""
-    index = 0
-    while True:
-        yield random.Random(derive_seed(seed, index))
-        index += 1
 
 
 def np_generator(seed: int | None = 0) -> "numpy.random.Generator":

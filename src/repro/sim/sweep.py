@@ -37,7 +37,16 @@ trials.  This module is that workload, end to end:
   verifies it against the grid, and :func:`run_sweep` skips the specs it
   already covers — an interrupted large-``n`` sweep continues instead of
   restarting, and the resumed file is byte-identical to an uninterrupted
-  one.
+  one;
+* sharding splits a sweep across machines (``repro sweep --shard i/k``):
+  :func:`shard_specs` deals the grid's units out round robin — trial
+  ``t`` to shard ``t % k``, or on a batch-cell backend, whose lockstep
+  rows depend on the whole cell, cell ``c`` (in expansion order) to shard
+  ``c % k`` — and each shard's checkpoint holds exactly the unsharded
+  run's records for the units it owns.  :func:`merge_checkpoints`
+  (``repro merge``) checks that a set of shard files is one complete,
+  disjoint partition and writes the byte-identical unsharded file; a
+  dead shard is re-run with ``--resume`` and merged again.
 
 Records carry no timestamps or host information on purpose: the file is
 a pure function of ``(grid, code)``, which is what makes the byte-level
@@ -55,11 +64,7 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, Optional, Sequence
 
-from repro.adversary.initializers import (
-    ADVERSARIES,
-    CODE_ADVERSARIES,
-    COUNTS_ADVERSARIES,
-)
+from repro.adversary.initializers import ADVERSARIES, CODE_ADVERSARIES
 from repro.baselines.cai_izumi_wada import CaiIzumiWada
 from repro.baselines.loosely_stabilizing import LooselyStabilizingLeaderElection
 from repro.baselines.nonss_leader import PairwiseElimination
@@ -67,12 +72,7 @@ from repro.core.elect_leader import ElectLeader
 from repro.core.params import BaselineParams, ProtocolParams
 from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import derive_seed, make_rng
-from repro.sim.backends import (
-    DEFAULT_BACKEND,
-    NATIVE_COUNTS,
-    get_backend,
-    make_simulation,
-)
+from repro.sim.backends import DEFAULT_BACKEND, get_backend, make_simulation
 from repro.sim.counts_backend import counts_aware, goal_counts_predicate
 from repro.sim.fault_engine import (
     DEFAULT_FAULT_MODEL,
@@ -407,17 +407,8 @@ class ScenarioOutcome:
 
     @classmethod
     def from_record(cls, record: dict[str, Any]) -> "ScenarioOutcome":
-        fields = {key: record[key] for key in (
-            "index", "protocol", "n", "r", "adversary", "fault_rate",
-            "trial", "seed", "converged", "interactions", "parallel_time",
-        )}
-        fields["fault_bursts"] = record.get("fault_bursts", 0)
-        fields["backend"] = record.get("backend", DEFAULT_BACKEND)
-        fields["fault_model"] = record.get("fault_model", NO_FAULTS)
-        fields["burst_size"] = record.get("burst_size", 1)
-        fields["availability"] = record.get("availability")
-        fields["median_repair"] = record.get("median_repair")
-        return cls(**fields)
+        """The outcome a trial record holds; a missing field is a ``KeyError``."""
+        return cls(**{field.name: record[field.name] for field in fields(cls)})
 
 
 def expand_grid(grid: GridSpec) -> list[ScenarioSpec]:
@@ -496,13 +487,9 @@ def expand_grid(grid: GridSpec) -> list[ScenarioSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic sharding
+# Sharding
 # ---------------------------------------------------------------------------
 
-
-#: Fixed salt under which :func:`shard_of` hashes trial indices.  Part of
-#: the checkpoint format: changing it re-partitions every sharded sweep.
-_SHARD_SALT = 0x51A2D
 
 #: A shard request: ``(index, count)`` with ``0 <= index < count``.
 Shard = tuple[int, int]
@@ -521,43 +508,41 @@ def validate_shard(shard: Shard) -> Shard:
     return index, count
 
 
-def shard_of(index: int, shard_count: int) -> int:
-    """The shard owning global trial index ``index`` among ``shard_count``.
+def parse_shard(text: str) -> Shard:
+    """Parse the CLI shard syntax ``"i/k"`` into a validated ``(i, k)`` pair."""
+    index_text, _, count_text = text.partition("/")
+    try:
+        shard = (int(index_text), int(count_text))
+    except ValueError:
+        raise SweepError(f"shard must look like I/K (e.g. 0/4), got {text!r}") from None
+    return validate_shard(shard)
 
-    A splitmix-style hash of the trial index alone (:func:`derive_seed`
-    under a fixed salt), so the assignment is a pure function of
-    ``(index, shard_count)`` — stable across processes, enumeration
-    orders, and machines.  That stability is what makes shard outputs
-    disjoint by construction and lets the merge validator treat any
-    duplicate trial index as evidence of double-counting.
+
+def shard_of(ordinal: int, shard_count: int) -> int:
+    """The shard owning unit ``ordinal`` among ``shard_count``: round robin.
+
+    Part of the checkpoint format: it fixes which shard file holds which
+    record (the module docstring says what a unit is).
     """
-    if shard_count < 1:
-        raise SweepError(f"shard count must be >= 1, got {shard_count}")
-    return derive_seed(_SHARD_SALT, index) % shard_count
+    return ordinal % shard_count
 
 
 def shard_specs(
     specs: Sequence[ScenarioSpec], shard: Shard, *, by_cell: bool = False
 ) -> list[ScenarioSpec]:
-    """Select the specs one shard owns, preserving expansion order.
+    """Select the specs one shard owns from a grid's full expansion, in order.
 
-    Trial-granular by default: spec ``i`` belongs to shard
-    ``shard_of(i, count)``.  With ``by_cell=True`` whole grid cells are
-    assigned by the hash of their *first* trial index — required by the
-    batch-cell engines, whose per-row outcomes depend on the full cell
-    membership advancing in lockstep (splitting a cell across shards
-    would change its bytes relative to an unsharded run).
+    The units dealt out by :func:`shard_of` are trials, or with
+    ``by_cell=True`` (batch-cell backends) whole grid cells.
     """
     index, count = validate_shard(shard)
-    if count == 1:
-        return list(specs)
-    if not by_cell:
-        return [spec for spec in specs if shard_of(spec.index, count) == index]
-    selected: list[ScenarioSpec] = []
-    for cell in _iter_cells(specs):
-        if shard_of(cell[0].index, count) == index:
-            selected.extend(cell)
-    return selected
+    units = _iter_cells(specs) if by_cell else ([spec] for spec in specs)
+    return [
+        spec
+        for ordinal, unit in enumerate(units)
+        if shard_of(ordinal, count) == index
+        for spec in unit
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -796,17 +781,32 @@ def _meta_record(grid: GridSpec, shard: Optional[Shard] = None) -> dict[str, Any
     return record
 
 
-def _default_legacy_grid_keys(stored_grid: dict[str, Any]) -> dict[str, Any]:
-    # Checkpoints written before the backend / fault-model / burst knobs
-    # existed carry none of those keys; they are object-backend,
-    # default-model files, so defaulting the keys (mirroring
-    # ScenarioOutcome.from_record) keeps them readable instead of
-    # rejecting them as "a different grid".
-    stored_grid = dict(stored_grid)
-    stored_grid.setdefault("backend", DEFAULT_BACKEND)
-    stored_grid.setdefault("burst_sizes", [1])
-    stored_grid.setdefault("fault_models", [DEFAULT_FAULT_MODEL])
-    return stored_grid
+def _parse_meta(path: Path, meta: dict[str, Any]) -> tuple[GridSpec, Optional[Shard]]:
+    """Validate a decoded metadata record; return its ``(grid, shard)``.
+
+    The grid must name every :class:`GridSpec` field: a checkpoint written
+    before the backend, fault-model and burst-size axes existed is refused
+    rather than read with guessed defaults.
+    """
+    if meta.get("kind") != _META_KIND:
+        raise SweepError(f"{path}: first line is not a {_META_KIND} record")
+    if meta.get("version") != _JSONL_VERSION:
+        raise SweepError(f"{path}: unsupported checkpoint version {meta.get('version')}")
+    stored_grid = meta.get("grid")
+    if not isinstance(stored_grid, dict):
+        raise SweepError(f"{path}: metadata record carries no grid")
+    missing = [key for key in GRID_FILE_KEYS if key not in stored_grid]
+    if missing:
+        raise SweepError(
+            f"{path}: checkpoint predates the current format (its grid has no "
+            f"{', '.join(missing)}); start a fresh output file"
+        )
+    try:
+        grid = GridSpec.from_dict(stored_grid)
+    except (TypeError, SweepError) as error:
+        raise SweepError(f"{path}: metadata grid does not parse: {error}") from None
+    shard = meta.get("shard")
+    return grid, validate_shard(tuple(shard)) if shard is not None else None
 
 
 def read_checkpoint_grid(path: Path) -> tuple[GridSpec, Optional[Shard]]:
@@ -827,19 +827,7 @@ def read_checkpoint_grid(path: Path) -> tuple[GridSpec, Optional[Shard]]:
             raise ValueError("not a sweep record")
     except (ValueError, UnicodeDecodeError) as error:
         raise SweepError(f"{path}: corrupt metadata line: {error}") from None
-    if meta.get("kind") != _META_KIND:
-        raise SweepError(f"{path}: first line is not a {_META_KIND} record")
-    if meta.get("version") != _JSONL_VERSION:
-        raise SweepError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-    stored_grid = meta.get("grid")
-    if not isinstance(stored_grid, dict):
-        raise SweepError(f"{path}: metadata record carries no grid")
-    try:
-        grid = GridSpec.from_dict(_default_legacy_grid_keys(stored_grid))
-    except (TypeError, SweepError) as error:
-        raise SweepError(f"{path}: metadata grid does not parse: {error}") from None
-    shard = meta.get("shard")
-    return grid, validate_shard(tuple(shard)) if shard is not None else None
+    return _parse_meta(path, meta)
 
 
 def write_checkpoint(
@@ -934,8 +922,9 @@ def load_checkpoint(
     Returns ``(outcomes by global index, valid byte length)``.  The final
     line is allowed to be garbage — a killed writer leaves a partial line
     — and is simply discarded; corruption anywhere *else* is an error, as
-    is a metadata line whose grid differs from ``grid`` or a trial record
-    that contradicts its spec (different seed ⇒ different grid or code).
+    is a metadata line of an older format or for a grid other than
+    ``grid``, or a trial record that lacks a field or contradicts its
+    spec (different seed ⇒ different grid or code).
     ``shard`` is the shard this checkpoint is expected to cover — a file
     written for a different shard (or an unsharded file when a shard is
     expected, and vice versa) is refused rather than silently mixed.
@@ -963,38 +952,15 @@ def load_checkpoint(
     if not records:
         return {}, 0
     meta, meta_end = records[0]
-    if meta.get("kind") != _META_KIND:
-        raise SweepError(f"{path}: first line is not a {_META_KIND} record")
-    if meta.get("version") != _JSONL_VERSION:
-        raise SweepError(f"{path}: unsupported checkpoint version {meta.get('version')}")
-    stored_grid = meta.get("grid")
-    if isinstance(stored_grid, dict):
-        # Pre-fault-engine counts-backend cells with code-space
-        # adversaries drew the O(n) codes form; this version draws the
-        # O(S) counts twin (same law, different realization).  Resuming
-        # such a file would silently mix two start-configuration streams,
-        # so refuse it before defaulting its missing keys.
-        if (
-            "fault_models" not in stored_grid
-            and get_backend(grid.backend).native_form == NATIVE_COUNTS
-            and any(adversary in COUNTS_ADVERSARIES for adversary in grid.adversaries)
-        ):
-            raise SweepError(
-                f"{path}: checkpoint predates the fault-engine schema and its "
-                "counts-backend adversarial cells used the codes-form start "
-                "law; finish it with the version that wrote it or start a "
-                "fresh output file"
-            )
-        stored_grid = _default_legacy_grid_keys(stored_grid)
-    if stored_grid != grid.to_dict():
+    _, stored_shard = _parse_meta(path, meta)
+    if meta["grid"] != grid.to_dict():
         raise SweepError(
             f"{path}: checkpoint was written for a different grid; "
             "re-run with the original flags or start a fresh output file"
         )
-    expected_shard = None if shard is None else list(validate_shard(shard))
-    stored_shard = meta.get("shard")
+    expected_shard = None if shard is None else validate_shard(shard)
     if stored_shard != expected_shard:
-        def _describe(value: Optional[list[int]]) -> str:
+        def _describe(value: Optional[Shard]) -> str:
             return "unsharded" if value is None else f"shard {value[0]}/{value[1]}"
         raise SweepError(
             f"{path}: checkpoint is {_describe(stored_shard)} but this run is "
@@ -1032,6 +998,120 @@ def load_checkpoint(
         outcomes[outcome.index] = outcome
         valid_end = end
     return outcomes, valid_end
+
+
+def _refuse_strays(
+    path: Path, outcomes: dict[int, ScenarioOutcome], owned: Sequence[ScenarioSpec]
+) -> None:
+    """Refuse a shard checkpoint holding a record that another shard owns.
+
+    Resume and merge both check this: such a record means a worker wrote
+    into the wrong file, and keeping it would count its trial twice.
+    """
+    stray = sorted(set(outcomes) - {spec.index for spec in owned})
+    if stray:
+        raise SweepError(
+            f"{path}: trial record {stray[0]} belongs to another shard — "
+            "a worker may have written into the wrong file; "
+            "refusing to double-count"
+        )
+
+
+@dataclass(frozen=True)
+class MergeReport:
+    """What a successful merge covered."""
+
+    out: Path
+    shards: int
+    trials: int
+
+
+def _format_indices(indices: Sequence[int], limit: int = 10) -> str:
+    """``[0, 3, 7]`` rendered for an error message, elided past ``limit``."""
+    shown = ", ".join(str(index) for index in indices[:limit])
+    if len(indices) > limit:
+        shown += f", ... ({len(indices) - limit} more)"
+    return f"[{shown}]"
+
+
+def merge_checkpoints(
+    paths: Sequence[str | Path],
+    out: str | Path,
+    *,
+    grid: Optional[GridSpec] = None,
+) -> MergeReport:
+    """Merge a complete set of shard checkpoints into ``out``.
+
+    ``paths`` must be every shard of one sharded sweep (any order).
+    Validation is strict — same grid in every file, shard count equal to
+    the number of files, indices exactly ``0..k-1``, each file covering
+    exactly the units its shard owns (:func:`shard_specs`) — and only
+    then are the outcomes written to ``out`` through the canonical
+    encoder, byte-identical to the checkpoint an unsharded sweep of the
+    same grid writes.  ``grid`` (when given) additionally pins the
+    expected grid, catching a merge pointed at the wrong run's files.
+    """
+    shard_paths = [Path(path) for path in paths]
+    if not shard_paths:
+        raise SweepError("nothing to merge: no shard checkpoints given")
+    metas = [read_checkpoint_grid(path) for path in shard_paths]
+    merged_grid = grid if grid is not None else metas[0][0]
+    count = len(shard_paths)
+    paths_of: dict[int, list[Path]] = {}
+    for path, (stored_grid, shard) in zip(shard_paths, metas):
+        if stored_grid != merged_grid:
+            reference = "the given grid" if grid is not None else str(shard_paths[0])
+            raise SweepError(
+                f"{path}: checkpoint grid differs from {reference}; "
+                "shards of different sweeps cannot merge"
+            )
+        if shard is None:
+            raise SweepError(
+                f"{path}: not a shard checkpoint (written without --shard); "
+                "merge only combines sharded files"
+            )
+        index, shard_count = shard
+        if shard_count != count:
+            raise SweepError(
+                f"{path}: written as shard {index}/{shard_count} but {count} "
+                f"file{'s were' if count != 1 else ' was'} given; a merge "
+                f"needs all {shard_count} shards"
+            )
+        paths_of.setdefault(index, []).append(path)
+    duplicates = sorted(index for index, found in paths_of.items() if len(found) > 1)
+    if duplicates:
+        detail = "; ".join(
+            f"shard {index} in " + ", ".join(str(p) for p in paths_of[index])
+            for index in duplicates
+        )
+        raise SweepError(
+            f"duplicate shard indices {_format_indices(duplicates)}: each appears "
+            f"twice or more ({detail}); refusing to double-count"
+        )
+    # k files with distinct indices in 0..k-1: every shard is present.
+
+    specs = expand_grid(merged_grid)
+    by_cell = get_backend(merged_grid.backend).batch_cells
+    merged: dict[int, ScenarioOutcome] = {}
+    for path, (_, shard) in zip(shard_paths, metas):
+        outcomes, _ = load_checkpoint(path, merged_grid, specs, shard=shard)
+        owned = shard_specs(specs, shard, by_cell=by_cell)
+        _refuse_strays(path, outcomes, owned)
+        missing = [spec.index for spec in owned if spec.index not in outcomes]
+        if missing:
+            raise SweepError(
+                f"{path}: shard {shard[0]}/{shard[1]} is incomplete "
+                f"(missing trials {_format_indices(missing)}, "
+                f"{len(missing)} in total); "
+                "resume it with repro sweep --resume before merging"
+            )
+        merged.update(outcomes)
+
+    # Disjoint + per-shard complete + all shards present => full coverage.
+    ordered = [merged[index] for index in range(len(specs))]
+    out_path = Path(out)
+    write_checkpoint(out_path, merged_grid, ordered)
+    return MergeReport(out=out_path, shards=count, trials=len(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -1179,14 +1259,12 @@ def run_sweep(
     the JSONL bytes themselves) are identical for any ``workers`` value
     and for any interrupt/resume split.
 
-    With ``shard=(i, k)`` the run owns only its hash-assigned slice of
-    the expanded grid (:func:`shard_specs`): the checkpoint carries the
+    With ``shard=(i, k)`` the run owns only its round-robin slice of the
+    expanded grid (:func:`shard_specs`): the checkpoint carries the
     shard identity in its metadata, resume refuses a mismatched file,
     and the trial records are exactly the unsharded run's bytes for the
-    owned indices — which is what lets ``repro merge`` concatenate the
-    ``k`` shard files back into the byte-identical unsharded checkpoint.
-    On a batch-cell backend whole cells are assigned to shards, keeping
-    the lockstep cell membership (and therefore the bytes) intact.
+    owned indices, which :func:`merge_checkpoints` joins back into the
+    unsharded checkpoint.
 
     On a batch-cell backend (``Backend.batch_cells``, e.g. ``batch``)
     the sweep runs cell-grouped and in-process — every cell's trials are
@@ -1202,19 +1280,13 @@ def run_sweep(
     else:
         shard = validate_shard(shard)
         work_specs = shard_specs(specs, shard, by_cell=batch_cells)
-    owned = {spec.index for spec in work_specs}
     completed: dict[int, ScenarioOutcome] = {}
     path = Path(jsonl_path) if jsonl_path is not None else None
     fresh_file = True
     if path is not None and path.exists() and path.stat().st_size > 0:
         if resume:
             completed, valid_end = load_checkpoint(path, grid, specs, shard=shard)
-            stray = sorted(set(completed) - owned)
-            if stray:
-                raise SweepError(
-                    f"{path}: trial record {stray[0]} is not owned by "
-                    f"shard {shard[0]}/{shard[1]}"
-                )
+            _refuse_strays(path, completed, work_specs)
             with open(path, "r+b") as handle:
                 handle.truncate(valid_end)
             fresh_file = valid_end == 0

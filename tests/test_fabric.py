@@ -1,9 +1,10 @@
-"""Tests for the fabric's partition layer and merge validator.
+"""Tests for sweep sharding (``repro sweep --shard``) and ``repro merge``.
 
 The headline contract: for any grid and any shard count ``k``, the ``k``
-shards are a disjoint, covering, order-stable partition of the expanded
-trial stream, and merging the ``k`` shard checkpoints reproduces the
-unsharded checkpoint byte for byte.
+shards are a disjoint, covering, order-stable round-robin partition of
+the expanded trial stream (of its cells, on a batch-cell backend), and
+merging the ``k`` shard checkpoints reproduces the unsharded checkpoint
+byte for byte.
 """
 
 from __future__ import annotations
@@ -14,13 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fabric import FabricError, merge_checkpoints, parse_shard, shard_grid
+from repro.sim.backends import get_backend
 from repro.sim.sweep import (
     CLEAN,
     GridSpec,
     SweepError,
     expand_grid,
     load_grid_file,
+    merge_checkpoints,
+    parse_shard,
     run_sweep,
     shard_of,
     shard_specs,
@@ -92,19 +95,28 @@ class TestShardPartition:
                 assert all(m in {spec.index for spec in owned} for m in members)
 
     def test_assignment_is_a_pure_function(self):
-        # Same (index, count) -> same shard, regardless of grid or order.
-        assert [shard_of(i, 3) for i in range(20)] == [shard_of(i, 3) for i in range(20)]
-        assert all(0 <= shard_of(i, 5) < 5 for i in range(100))
-
-    def test_shard_grid_matches_shard_specs(self):
-        grid = tiny_grid()
-        specs = expand_grid(grid)
-        for index in range(3):
-            assert shard_grid(grid, index, 3) == shard_specs(specs, (index, 3))
+        # Round robin: unit i goes to shard i % k, whatever the grid or order.
+        for count in range(1, 9):
+            assert [shard_of(i, count) for i in range(50)] == [i % count for i in range(50)]
 
     def test_single_shard_is_the_whole_grid(self):
-        grid = tiny_grid()
-        assert shard_grid(grid, 0, 1) == expand_grid(grid)
+        specs = expand_grid(tiny_grid())
+        assert shard_specs(specs, (0, 1)) == specs
+        assert shard_specs(specs, (0, 1), by_cell=True) == specs
+
+    def test_batch_cells_go_round_robin(self):
+        """k cells land in k shards, though each cell's trials are a multiple of k."""
+        pytest.importorskip("numpy")
+        grid = tiny_grid(
+            protocols=("pairwise_elimination",), ns=(16, 24, 32, 40), trials=2,
+            backend="batch",
+        )
+        specs = expand_grid(grid)
+        by_cell = get_backend(grid.backend).batch_cells
+        for index, ns in enumerate([{16, 32}, {24, 40}]):
+            owned = shard_specs(specs, (index, 2), by_cell=by_cell)
+            assert len(owned) == 4
+            assert {spec.n for spec in owned} == ns
 
 
 class TestShardSyntax:
@@ -115,7 +127,7 @@ class TestShardSyntax:
 
     @pytest.mark.parametrize("text", ["", "3", "a/b", "1/", "/4", "1/0", "5/5", "-1/4"])
     def test_parse_rejects_bad_syntax(self, text):
-        with pytest.raises(FabricError):
+        with pytest.raises(SweepError):
             parse_shard(text)
 
     def test_validate_shard(self):
@@ -144,9 +156,7 @@ class TestShardCheckpoints:
         meta = json.loads(path.read_text().splitlines()[0])
         assert meta["shard"] == [1, 2]
         assert result.shard == (1, 2)
-        assert {spec.index for spec in result.specs} == {
-            spec.index for spec in shard_grid(tiny_grid(), 1, 2)
-        }
+        assert result.specs == shard_specs(expand_grid(tiny_grid()), (1, 2))
 
     def test_unsharded_meta_has_no_shard_key(self, tmp_path):
         path = tmp_path / "full.jsonl"
@@ -196,43 +206,44 @@ class TestMerge:
         assert out.read_bytes() == full.read_bytes()
 
     @pytest.mark.parametrize(
-        "trials, shard_1_trials",
-        [(2, 0), (3, 3)],
-        ids=["all-cells-in-shard-0", "cells-split"],
+        "ns, shard_1_trials",
+        [((16,), 0), ((16, 24), 3)],
+        ids=["one-cell-empty-shard", "cells-split"],
     )
-    def test_batch_cells_merge_byte_identical(self, tmp_path, trials, shard_1_trials):
+    def test_batch_cells_merge_byte_identical(self, tmp_path, ns, shard_1_trials):
         """Batch grids shard whole cells; an empty shard merges too."""
         pytest.importorskip("numpy")
         grid = tiny_grid(
-            protocols=("pairwise_elimination",), ns=(16, 24), trials=trials, backend="batch"
+            protocols=("pairwise_elimination",), ns=ns, trials=3, backend="batch"
         )
-        assert len(shard_grid(grid, 1, 2)) == shard_1_trials
+        specs = expand_grid(grid)
+        assert len(shard_specs(specs, (1, 2), by_cell=True)) == shard_1_trials
         full, shards = sweep_full_and_shards(grid, tmp_path)
         out = tmp_path / "merged.jsonl"
         report = merge_checkpoints(shards, out, grid=grid)
         assert out.read_bytes() == full.read_bytes()
-        assert report.trials == 2 * trials
+        assert report.trials == len(specs)
 
     def test_merge_rejects_duplicate_shard(self, sharded, tmp_path):
         _, _, shards = sharded
-        with pytest.raises(FabricError, match="appears twice"):
+        with pytest.raises(SweepError, match="appears twice"):
             merge_checkpoints([shards[0], shards[0]], tmp_path / "out.jsonl")
 
     def test_merge_rejects_missing_shard(self, sharded, tmp_path):
         _, _, shards = sharded
-        with pytest.raises(FabricError, match="needs all 2 shards"):
+        with pytest.raises(SweepError, match="needs all 2 shards"):
             merge_checkpoints([shards[0]], tmp_path / "out.jsonl")
 
     def test_merge_rejects_unsharded_input(self, sharded, tmp_path):
         _, full, shards = sharded
-        with pytest.raises(FabricError, match="not a shard checkpoint"):
+        with pytest.raises(SweepError, match="not a shard checkpoint"):
             merge_checkpoints([shards[0], full], tmp_path / "out.jsonl")
 
     def test_merge_rejects_incomplete_shard(self, sharded, tmp_path):
         _, _, shards = sharded
         lines = shards[1].read_text().splitlines(keepends=True)
         shards[1].write_text("".join(lines[:-1]))
-        with pytest.raises(FabricError, match="incomplete"):
+        with pytest.raises(SweepError, match="incomplete"):
             merge_checkpoints(shards, tmp_path / "out.jsonl")
 
     def test_dead_shard_resumes_then_merges(self, sharded, tmp_path):
@@ -241,21 +252,32 @@ class TestMerge:
         data = shards[1].read_bytes()
         shards[1].write_bytes(data[: len(data) - 10])
         out = tmp_path / "out.jsonl"
-        with pytest.raises(FabricError, match="incomplete"):
+        with pytest.raises(SweepError, match="incomplete"):
             merge_checkpoints(shards, out)
         run_sweep(grid, jsonl_path=shards[1], resume=True, shard=(1, 2))
         merge_checkpoints(shards, out)
         assert out.read_bytes() == full.read_bytes()
 
+    def test_record_of_another_shard_is_refused(self, sharded, tmp_path):
+        """Resume and merge both refuse a shard file holding another shard's record."""
+        grid, _, shards = sharded
+        stray = shards[1].read_text().splitlines(keepends=True)[1]
+        with open(shards[0], "a", encoding="utf-8") as handle:
+            handle.write(stray)
+        with pytest.raises(SweepError, match="belongs to another shard"):
+            run_sweep(grid, jsonl_path=shards[0], resume=True, shard=(0, 2))
+        with pytest.raises(SweepError, match="belongs to another shard"):
+            merge_checkpoints(shards, tmp_path / "out.jsonl")
+
     def test_merge_rejects_grid_mismatch(self, sharded, tmp_path):
         grid, _, shards = sharded
         other = tmp_path / "other.jsonl"
         run_sweep(tiny_grid(seed=grid.seed + 1), jsonl_path=other, shard=(1, 2))
-        with pytest.raises(FabricError, match="different sweeps cannot merge"):
+        with pytest.raises(SweepError, match="different sweeps cannot merge"):
             merge_checkpoints([shards[0], other], tmp_path / "out.jsonl")
 
     def test_merge_rejects_empty_input(self, tmp_path):
-        with pytest.raises(FabricError, match="nothing to merge"):
+        with pytest.raises(SweepError, match="nothing to merge"):
             merge_checkpoints([], tmp_path / "out.jsonl")
 
 

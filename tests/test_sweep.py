@@ -11,11 +11,11 @@ The two headline contracts:
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from repro.fabric.merge import merge_checkpoints
 from repro.sim.sweep import (
     CLEAN,
     NO_FAULTS,
@@ -25,6 +25,7 @@ from repro.sim.sweep import (
     aggregate_rows,
     expand_grid,
     load_checkpoint,
+    merge_checkpoints,
     read_checkpoint_grid,
     run_scenario,
     run_sweep,
@@ -47,6 +48,21 @@ def small_grid(**overrides) -> GridSpec:
     )
     settings.update(overrides)
     return GridSpec(**settings)
+
+
+def assert_pre_schema_refused(path: Path, grid: GridSpec, key: str, merged: Path) -> None:
+    """Resume and merge refuse a checkpoint whose grid lacks ``key``.
+
+    The refusal names the file and the missing key, and the file keeps
+    its bytes.
+    """
+    data = path.read_bytes()
+    refusal = re.escape(f"{path}: checkpoint predates the current format") + f".*{key}"
+    with pytest.raises(SweepError, match=refusal):
+        run_sweep(grid, workers=1, jsonl_path=path, resume=True)
+    with pytest.raises(SweepError, match=refusal):
+        merge_checkpoints([path], merged)
+    assert path.read_bytes() == data
 
 
 class TestGridSpec:
@@ -280,9 +296,10 @@ class TestResume:
 
     def test_pre_backend_checkpoint_still_resumes(self, finished, tmp_path):
         # Checkpoints written before the backend knob existed carry
-        # neither a grid "backend" key nor per-trial "backend" fields;
-        # they are object-backend files and must keep resuming.
-        grid, _, full_bytes, full_table = finished
+        # neither a grid "backend" key nor per-trial "backend" fields.
+        # They are no longer resumed as object-backend files: resume and
+        # merge refuse them by name instead of guessing the default.
+        grid, _, full_bytes, _ = finished
         lines = full_bytes.decode().splitlines()
         legacy = []
         for line in lines:
@@ -294,9 +311,7 @@ class TestResume:
             legacy.append(json.dumps(record, separators=(",", ":")))
         path = tmp_path / "legacy.jsonl"
         path.write_text("\n".join(legacy[:3]) + "\n")
-        result = run_sweep(grid, workers=1, jsonl_path=path, resume=True)
-        assert result.resumed_trials == 2  # legacy meta + 2 legacy trials
-        assert format_table(result.rows) == full_table
+        assert_pre_schema_refused(path, grid, "backend", tmp_path / "merged.jsonl")
 
     def test_checkpoint_naming_an_unregistered_backend_is_refused(
         self, finished, tmp_path
@@ -554,7 +569,8 @@ class TestCountsNativeAdversaries:
         # A pre-fault-engine checkpoint (no "fault_models" grid key) for a
         # counts-backend grid with code-space adversaries drew the codes
         # form; this version draws the counts twin, so resuming would mix
-        # two start laws in one file — refuse rather than blend.
+        # two start laws in one file. Like every pre-schema file, it is
+        # refused by name.
         pytest.importorskip("numpy")
         grid = self.scramble_grid("counts")
         path = tmp_path / "legacy.jsonl"
@@ -569,11 +585,9 @@ class TestCountsNativeAdversaries:
                 record.pop(key)
             legacy_trials.append(json.dumps(record, separators=(",", ":")))
         path.write_text(
-            "\n".join([json.dumps(meta, separators=(",", ":")), *legacy_trials[:0]])
-            + "\n"
+            "\n".join([json.dumps(meta, separators=(",", ":")), *legacy_trials]) + "\n"
         )
-        with pytest.raises(SweepError, match="codes-form start law"):
-            run_sweep(grid, workers=1, jsonl_path=path, resume=True)
+        assert_pre_schema_refused(path, grid, "fault_models", tmp_path / "merged.jsonl")
 
     def test_other_backends_draw_the_codes_form(self, monkeypatch):
         pytest.importorskip("numpy")
@@ -704,16 +718,19 @@ class TestBurstSizeAxis:
         record = outcome.to_record()
         assert record["burst_size"] == 4
         assert ScenarioOutcome.from_record(record) == outcome
-        # Pre-axis records default to 1.
+        # A record without the field is malformed, not read as size 1.
         del record["burst_size"]
-        assert ScenarioOutcome.from_record(record).burst_size == 1
+        with pytest.raises(KeyError, match="burst_size"):
+            ScenarioOutcome.from_record(record)
         rows = aggregate_rows(specs, [run_scenario(s) for s in specs])
         by_burst = {row["burst_size"] for row in rows}
         assert by_burst == {"-", 1, 4}
 
+
     def test_pre_burst_axis_checkpoint_still_resumes(self, tmp_path):
         # A checkpoint written before the burst axis existed carries no
-        # "burst_sizes" grid key: defaulting it keeps the file resumable.
+        # "burst_sizes" grid key. It is not read as burst size 1: the
+        # loader, resume and merge refuse it by name.
         pytest.importorskip("numpy")
         grid = self.burst_grid(fault_rates=(0.0,), burst_sizes=(1,))
         path = tmp_path / "legacy.jsonl"
@@ -727,9 +744,9 @@ class TestBurstSizeAxis:
             record.pop("burst_size")
             trials.append(json.dumps(record, separators=(",", ":")))
         path.write_text("\n".join([json.dumps(meta, separators=(",", ":")), *trials]) + "\n")
-        specs = expand_grid(grid)
-        outcomes, _ = load_checkpoint(path, grid, specs)
-        assert len(outcomes) == len(specs)
+        with pytest.raises(SweepError, match="predates the current format.*burst_sizes"):
+            load_checkpoint(path, grid, expand_grid(grid))
+        assert_pre_schema_refused(path, grid, "burst_sizes", tmp_path / "merged.jsonl")
 
 
 class TestBatchBackendSweep:

@@ -16,8 +16,8 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Three environment knobs control the execution substrate (see
-:mod:`repro.sim.parallel` and :mod:`repro.sim.array_backend`):
+Two environment knobs control the execution substrate (see
+:mod:`repro.sim.parallel`):
 
 * ``REPRO_BENCH_WORKERS`` — worker processes for trial fan-out in every
   ``run_trials``-based experiment (unset or ``0`` = one per CPU; ``1`` =
@@ -25,14 +25,8 @@ Three environment knobs control the execution substrate (see
   wall-clock changes.
 * ``REPRO_BENCH_FAST=1`` — CI smoke mode: experiments that opt in via
   :func:`fast_scaled` trim their sweeps to minutes-scale budgets.
-* ``REPRO_BENCH_BACKEND`` — default execution engine (any registered
-  backend: ``object`` / ``array`` / ``counts``) for every
-  ``run_trials``/``run_until`` call that does not pin one explicitly.
-  Only finite-state protocols run on the vectorized engines;
-  ``ElectLeader_r`` experiments fail fast under them by design, so set
-  it per-invocation, not globally.  ``bench_array_backend.py`` and
-  ``bench_counts_backend.py`` compare engines explicitly regardless of
-  this knob.
+
+Experiments run on the object engine unless they name another.
 """
 
 from __future__ import annotations

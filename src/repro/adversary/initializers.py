@@ -342,22 +342,11 @@ def single_agent_scrambler(protocol: ElectLeader):
 #   codes variant.
 #
 # Both draw from a caller-supplied ``numpy.random.Generator`` (use
-# :func:`code_rng` to build one from a derived seed) so adversarial sweeps
-# stay pure functions of their spec seed — and, given one seed, every
-# backend starts from the same configuration law.  numpy is imported
-# lazily: the object-only runtime keeps working without it.
-
-
-def code_rng(seed: int):
-    """A PCG64 generator for the vectorized initializers.
-
-    Thin alias of :func:`repro.scheduler.rng.np_generator` — the blessed
-    stream constructor — kept so initializer signatures read as "pass a
-    code-space generator" at the call site.
-    """
-    from repro.scheduler.rng import np_generator
-
-    return np_generator(seed)
+# :func:`repro.scheduler.rng.np_generator` to build one from a derived
+# seed) so adversarial sweeps stay pure functions of their spec seed —
+# and, given one seed, every backend starts from the same configuration
+# law.  numpy is imported lazily: the object-only runtime keeps working
+# without it.
 
 
 def _encoding_size(protocol) -> int:
@@ -452,9 +441,10 @@ CODE_ADVERSARIES: dict[str, Callable] = {
 #: The ``O(S)`` count-vector twins of :data:`CODE_ADVERSARIES`, keyed by
 #: the same names: each maps ``(protocol, numpy_generator, n)`` to an
 #: ``(S,)`` count vector distributed identically to ``bincount`` of the
-#: codes form.  Counts-native backends (``Backend.counts_native`` in the
-#: registry) consume these directly, so an adversarial ``n = 10⁶`` sweep
-#: cell draws a few hundred integers instead of a million codes.
+#: codes form.  :class:`repro.sim.initial_state.SampledStart` hands them
+#: to the engines that ask for count vectors, so an adversarial
+#: ``n = 10⁶`` sweep cell draws a few hundred integers instead of a
+#: million codes.
 COUNTS_ADVERSARIES: dict[str, Callable] = {
     "scramble": scrambled_counts,
     "plant_minority": planted_counts,

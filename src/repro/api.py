@@ -50,11 +50,7 @@ from repro.obs import (
     summarize_trace,
     to_chrome_trace,
 )
-from repro.sim.backends import (
-    backend_names,
-    make_simulation,
-    resolve_backend,
-)
+from repro.sim.backends import backend_names, make_simulation
 from repro.sim.initial_state import (
     Clean,
     CodeArray,
@@ -105,7 +101,6 @@ __all__ = [
     "SimulationResult",
     "backend_names",
     "make_simulation",
-    "resolve_backend",
     "run_until",
     # trial batches
     "TrialSummary",

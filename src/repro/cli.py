@@ -30,8 +30,8 @@ interval, which is also the batch size of the simulator's fast path.
 (:mod:`repro.sim.backends`): ``array`` (vectorized per-agent state
 codes), ``counts`` (count-vector aggregate) or ``batch`` (trial-
 vectorized counts matrix, one lockstep engine per sweep cell) for
-finite-state protocols, else the default ``object`` engine (or
-``$REPRO_BENCH_BACKEND``); see README "Execution backends".
+finite-state protocols, else the default ``object`` engine; see README
+"Execution backends".
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
 from repro.obs import TraceError, configure_tracing
 from repro.scheduler.rng import make_rng
-from repro.sim.backends import BACKEND_OBJECT, backend_names, resolve_backend
+from repro.sim.backends import DEFAULT_BACKEND, backend_names
 from repro.sim.fault_engine import DEFAULT_FAULT_MODEL, fault_model_names
 from repro.sim.simulation import Simulation
 from repro.sim.sweep import (
@@ -111,8 +111,7 @@ def _shard_spec(text: str) -> tuple[int, int]:
 
 
 #: Grid values used when neither a flag nor a --grid file supplies one.
-#: Keys are GridSpec fields; ``backend=None`` defers to resolve_backend
-#: ($REPRO_BENCH_BACKEND, else 'object').
+#: Keys are GridSpec fields.
 _GRID_DEFAULTS: dict[str, object] = {
     "protocols": ["elect_leader"],
     "ns": [16, 32],
@@ -125,7 +124,7 @@ _GRID_DEFAULTS: dict[str, object] = {
     "seed": 0,
     "max_interactions": 20_000_000,
     "check_interval": 1_000,
-    "backend": None,
+    "backend": DEFAULT_BACKEND,
 }
 
 #: argparse dest -> GridSpec key for the grid-shaped flags.
@@ -203,8 +202,7 @@ def _add_grid_arguments(parser: argparse.ArgumentParser) -> None:
         "per-interaction, 'array' = vectorized per-agent state codes, "
         "'counts' = count-vector aggregate, 'batch' = trial-vectorized "
         "counts matrix running each whole cell in lockstep (the "
-        "vectorized engines are finite-state only). "
-        "Default: $REPRO_BENCH_BACKEND, else 'object'.",
+        "vectorized engines are finite-state only). Default: 'object'.",
     )
     parser.add_argument(
         "--trials", type=_positive_int, default=None, help="trials per cell"
@@ -223,10 +221,6 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
         flag = getattr(args, dest)
         if flag is not None:
             values[key] = flag
-    try:
-        backend = resolve_backend(values["backend"])
-    except ValueError as error:  # bad $REPRO_BENCH_BACKEND or file backend
-        raise _UsageError(str(error)) from error
     return GridSpec(
         protocols=tuple(values["protocols"]),
         ns=tuple(values["ns"]),
@@ -239,7 +233,7 @@ def _grid_from_args(args: argparse.Namespace) -> GridSpec:
         seed=values["seed"],
         max_interactions=values["max_interactions"],
         check_interval=values["check_interval"],
-        backend=backend,
+        backend=values["backend"],
     )
 
 
@@ -430,10 +424,6 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
             check_interval=args.batch,
             label=f"r={r}",
             workers=args.workers,
-            # ElectLeader has no finite state encoding, so this command is
-            # object-engine only; pinning it keeps a stray
-            # $REPRO_BENCH_BACKEND from turning the sweep into a traceback.
-            backend=BACKEND_OBJECT,
         )
         rows.append(
             {

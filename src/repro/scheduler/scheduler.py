@@ -50,9 +50,9 @@ def _pair_stream(getrandbits: Callable[[int], int], n: int) -> Iterator[tuple[in
 class RandomScheduler:
     """Draws uniformly random ordered pairs of distinct agents.
 
-    Every method reads the one pair stream, which draws only on demand,
-    so any mix of :meth:`next_pair`, :meth:`next_pairs` and :meth:`pairs`
-    calls consumes the RNG as the same number of :meth:`next_pair` calls.
+    Both methods read the one pair stream, which draws only on demand, so
+    any mix of :meth:`next_pair` and :meth:`pairs` calls consumes the RNG
+    as the same number of :meth:`next_pair` calls.
     """
 
     def __init__(self, n: int, rng: RNG):
@@ -64,17 +64,6 @@ class RandomScheduler:
     def next_pair(self) -> tuple[int, int]:
         """One ordered pair ``(i, j)``, ``i != j``, uniform over all such pairs."""
         return next(self._stream)
-
-    def next_pairs(self, count: int) -> list[tuple[int, int]]:
-        """``count`` independent pairs materialized in one call.
-
-        Callers that immediately unpack the pairs should prefer
-        :meth:`pairs`, which draws identically but never holds ``count``
-        tuples alive at once.
-        """
-        if count < 0:
-            raise ValueError(f"pair count must be non-negative, got {count}")
-        return list(self.pairs(count))
 
     def pairs(self, count: int) -> Iterator[tuple[int, int]]:
         """A stream of ``count`` independent pairs (the batch-loop fast path).

@@ -44,10 +44,6 @@ line below), and every entry point picks it up.
   the engine's native representation (``to_config`` / ``to_codes`` /
   ``to_counts``), so one value describes the start on every backend and
   adversaries no longer need to know which form an engine prefers;
-* ``native_form`` — which representation the engine consumes natively
-  (``"config"``, ``"codes"`` or ``"counts"``): registry metadata for
-  docs, ``--help`` and schema-compatibility checks (nothing dispatches
-  on it);
 * ``supports(protocol)`` — ``None`` when the engine can run the protocol,
   else a human-readable reason (used by :class:`~repro.sim.sweep
   .GridSpec` validation and by callers that want to fail before spawning
@@ -63,43 +59,30 @@ line below), and every entry point picks it up.
   cell), as one engine instead of one work item per trial;
 * ``description`` — one line for ``--help`` and error messages.
 
-**Resolution happens once.**  :func:`resolve_backend` applies the
-``None`` → ``$REPRO_BENCH_BACKEND`` → ``object`` defaulting rule and is
-called once, at the outermost entry point (``run_trials``, the sweep
-CLI).  Everything downstream carries the resolved name and uses
-:func:`get_backend` — a pure dictionary lookup that never consults the
-environment — so worker processes can never disagree with their parent
-about which engine runs.
+``backend=None`` names the object engine on every entry point
+(:func:`make_simulation`, :func:`repro.sim.simulation.run_until`,
+:func:`repro.sim.trials.run_trials`, ``repro sweep``); engine selection
+reads no environment variable.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.protocol import PopulationProtocol
 from repro.sim.initial_state import InitialState, Replicated, require_init
 
-#: Environment variable naming the default backend (see resolve_backend).
-BACKEND_ENV = "REPRO_BENCH_BACKEND"
-
 #: Canonical backend names.  These are ordinary registry keys — nothing
-#: dispatches on them — kept as constants so call sites that *pin* an
-#: engine (e.g. the object-only ``tradeoff`` CLI command) spell it
-#: consistently.
+#: dispatches on them — kept as constants so the registrations below and
+#: :data:`DEFAULT_BACKEND` spell them once.
 BACKEND_OBJECT = "object"
 BACKEND_ARRAY = "array"
 BACKEND_COUNTS = "counts"
 BACKEND_BATCH = "batch"
 
-#: The engine used when neither the caller nor the environment names one.
+#: The engine ``backend=None`` names.
 DEFAULT_BACKEND = BACKEND_OBJECT
-
-#: The three native configuration representations (``Backend.native_form``).
-NATIVE_CONFIG = "config"
-NATIVE_CODES = "codes"
-NATIVE_COUNTS = "counts"
 
 #: The canonical engine surface: the members every engine defines itself
 #: (methods or attributes).  Everything else an engine exposes — ``run``,
@@ -133,8 +116,6 @@ class Backend:
     factory: SimulationFactory
     supports: SupportsCheck
     description: str = ""
-    #: The representation the engine consumes natively (registry metadata).
-    native_form: str = NATIVE_CONFIG
     #: True when the engine runs whole batches through the batch surface.
     batch_cells: bool = False
 
@@ -164,12 +145,6 @@ def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
         raise ValueError(f"backend name must be a simple identifier, got {backend.name!r}")
     if backend.name in _REGISTRY and not replace:
         raise ValueError(f"backend '{backend.name}' is already registered")
-    if backend.native_form not in (NATIVE_CONFIG, NATIVE_CODES, NATIVE_COUNTS):
-        raise ValueError(
-            f"backend native_form must be one of "
-            f"{NATIVE_CONFIG!r}/{NATIVE_CODES!r}/{NATIVE_COUNTS!r}, "
-            f"got {backend.native_form!r}"
-        )
     _REGISTRY[backend.name] = backend
     return backend
 
@@ -180,7 +155,7 @@ def backend_names() -> tuple[str, ...]:
 
 
 def get_backend(name: str) -> Backend:
-    """Pure lookup of a *resolved* backend name (never reads the env)."""
+    """The registered engine called ``name``."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -188,19 +163,6 @@ def get_backend(name: str) -> Backend:
         # however (and in whatever order) engines were registered.
         known = ", ".join(sorted(backend_names()))
         raise ValueError(f"unknown backend '{name}' (known: {known})") from None
-
-
-def resolve_backend(backend: Optional[str] = None) -> str:
-    """Normalize a backend request: ``None`` → ``$REPRO_BENCH_BACKEND`` → default.
-
-    The environment variable gives benchmarks and the CLI a process-wide
-    default without threading a flag through every call site; an explicit
-    ``backend=`` argument always wins.  Call this once at the entry point
-    and pass the resolved name down (:func:`get_backend` from there on).
-    """
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV, "") or DEFAULT_BACKEND
-    return get_backend(backend).name
 
 
 def make_simulation(
@@ -215,12 +177,10 @@ def make_simulation(
 
     The initial configuration is ``init`` — an
     :class:`~repro.sim.initial_state.InitialState` — or ``n`` for a clean
-    start.  ``backend=None`` resolves the environment default; a
-    non-``None`` name is treated as already resolved and looked up
-    directly.  Everything after ``protocol`` is keyword-only.
+    start.  Everything after ``protocol`` is keyword-only.
     """
     init = require_init(init)
-    entry = get_backend(backend if backend is not None else resolve_backend(None))
+    entry = get_backend(DEFAULT_BACKEND if backend is None else backend)
     return entry.factory(protocol, init=init, n=n, seed=seed)
 
 
@@ -302,7 +262,6 @@ register_backend(
         factory=_object_factory,
         supports=_object_supports,
         description="per-interaction state objects (every protocol; observers, faults)",
-        native_form=NATIVE_CONFIG,
     )
 )
 register_backend(
@@ -311,7 +270,6 @@ register_backend(
         factory=_array_factory,
         supports=_finite_state_supports,
         description="vectorized per-agent state-code array (finite-state protocols)",
-        native_form=NATIVE_CODES,
     )
 )
 register_backend(
@@ -320,7 +278,6 @@ register_backend(
         factory=_counts_factory,
         supports=_finite_state_supports,
         description="count-vector over state codes (finite-state protocols, aggregate statistics)",
-        native_form=NATIVE_COUNTS,
     )
 )
 register_backend(
@@ -332,7 +289,6 @@ register_backend(
             "the counts engine over a (T, S) matrix — a whole trial batch "
             "per engine, per-row or lockstep sampling (finite-state protocols)"
         ),
-        native_form=NATIVE_COUNTS,
         batch_cells=True,
     )
 )

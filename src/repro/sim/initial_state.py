@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NoReturn, Optional, Sequence, Union
 
 from repro.core.protocol import PopulationProtocol
+from repro.scheduler.rng import np_generator
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy
@@ -211,7 +212,7 @@ class SampledStart(InitialState):
     ask for the ``O(S)`` form get the law-matched
     :data:`~repro.adversary.initializers.COUNTS_ADVERSARIES` twin where
     one exists.  Every materialization builds a fresh generator from
-    ``seed`` (:func:`repro.adversary.initializers.code_rng`), so the
+    ``seed`` (:func:`repro.scheduler.rng.np_generator`), so the
     draw is a pure function of this value — same start in every process,
     and the counts twin consumes an independent realization of the same
     law (exactly the contract the sweep's counts-native cells already
@@ -237,13 +238,11 @@ class SampledStart(InitialState):
         return CodeArray(self.to_codes(protocol)).to_config(protocol)
 
     def to_codes(self, protocol: PopulationProtocol) -> Codes:
-        from repro.adversary.initializers import code_rng
-
         initializer = self._code_initializer()
-        return initializer(protocol, code_rng(self.seed), self.n)
+        return initializer(protocol, np_generator(self.seed), self.n)
 
     def to_counts(self, protocol: PopulationProtocol) -> Counts:
-        from repro.adversary.initializers import COUNTS_ADVERSARIES, code_rng
+        from repro.adversary.initializers import COUNTS_ADVERSARIES
 
         self._code_initializer()  # unknown names fail identically everywhere
         twin = COUNTS_ADVERSARIES.get(self.adversary)
@@ -251,7 +250,7 @@ class SampledStart(InitialState):
             from repro.sim.counts_backend import counts_from_codes
 
             return counts_from_codes(protocol, self.to_codes(protocol))
-        return twin(protocol, code_rng(self.seed), self.n)
+        return twin(protocol, np_generator(self.seed), self.n)
 
 
 @dataclass(frozen=True)

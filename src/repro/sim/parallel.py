@@ -44,10 +44,8 @@ from repro.sim.simulation import ConfigPredicate, run_until
 class TrialSpec:
     """One fully-determined trial, picklable for process fan-out.
 
-    ``backend`` names a registered execution engine, *already resolved*
-    by the parent (:func:`repro.sim.backends.resolve_backend`): workers
-    do a pure registry lookup and never consult their own environment,
-    so every process runs the same engine.
+    ``backend`` names a registered execution engine
+    (:mod:`repro.sim.backends`).
 
     The start configuration is ``init`` — an
     :class:`~repro.sim.initial_state.InitialState`, whose members cover

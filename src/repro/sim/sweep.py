@@ -356,7 +356,7 @@ class ScenarioSpec:
     seed: int  # child seed derived from (grid seed, index) in the parent
     max_interactions: int
     check_interval: int
-    backend: str = DEFAULT_BACKEND  # execution engine, resolved in the parent
+    backend: str = DEFAULT_BACKEND  # execution engine (registry name)
     fault_model: str = NO_FAULTS  # corruption law for fault_rate > 0 cells
     burst_size: int = 1  # agents corrupted per burst (fault cells)
 

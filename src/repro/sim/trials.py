@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 
 from repro.core.protocol import PopulationProtocol
 from repro.scheduler.rng import derive_seed
-from repro.sim.backends import get_backend, make_simulation, resolve_backend
+from repro.sim.backends import DEFAULT_BACKEND, get_backend, make_simulation
 from repro.sim.initial_state import Clean, InitialState, Replicated
 from repro.sim.parallel import TrialSpec, resolve_workers, run_trial, stream_ordered
 from repro.sim.simulation import ConfigPredicate
@@ -119,19 +119,12 @@ def run_trials(
     backend asks for).
 
     ``backend`` names a registered execution engine
-    (:mod:`repro.sim.backends`; ``None`` resolves ``$REPRO_BENCH_BACKEND``,
-    defaulting to the object engine).  Resolution happens exactly once,
-    here in the parent: specs carry the resolved name, and everything
-    downstream — :func:`repro.sim.parallel.run_trial` in whichever
-    process, :func:`repro.sim.backends.make_simulation` — does a pure
-    registry lookup that never consults the environment, so workers
-    cannot disagree with their parent about which engine ran.  A batch
-    engine (``batch_cells``) runs the whole call as the rows of one
-    in-process engine seeded with ``derive_seed(seed, 0)``; ``workers``
-    is irrelevant there — the batch engine's row matrix *is* its
-    parallelism.
+    (:mod:`repro.sim.backends`).  A batch engine (``batch_cells``) runs
+    the whole call as the rows of one in-process engine seeded with
+    ``derive_seed(seed, 0)``; ``workers`` is irrelevant there — the batch
+    engine's row matrix *is* its parallelism.
     """
-    engine = resolve_backend(backend)
+    engine = get_backend(DEFAULT_BACKEND if backend is None else backend)
 
     def init_for(index: int) -> Optional[InitialState]:
         if init is None or isinstance(init, InitialState):
@@ -149,10 +142,10 @@ def run_trials(
             check_interval=check_interval,
             init=start,
             n=None if start is not None else n,
-            backend=engine,
+            backend=engine.name,
         )
 
-    if get_backend(engine).batch_cells and trials > 0:
+    if engine.batch_cells and trials > 0:
         # One engine whose rows are the trials (a Replicated start needs
         # at least one row).
         rows = [init_for(index) or Clean(n) for index in range(trials)]
@@ -160,7 +153,7 @@ def run_trials(
             protocol,
             init=Replicated(rows, trials),
             seed=derive_seed(seed, 0),
-            backend=engine,
+            backend=engine.name,
         )
         outcomes = simulation.run_rows_until(
             predicate, max_interactions=max_interactions, check_interval=check_interval

@@ -1,9 +1,15 @@
-"""Lint fixture: clock reads outside repro.obs, tracing inside δ (L007)."""
+"""Lint fixture: clock and environment reads outside repro.obs, tracing
+inside δ (L007)."""
 
+import os
 import time
 from time import perf_counter
 
 from repro.obs import get_tracer
+
+
+def default_backend() -> str:
+    return os.environ.get("REPRO_ENGINE", "object")
 
 
 def measure() -> float:

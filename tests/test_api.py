@@ -89,10 +89,6 @@ class TestKeywordOnlySurface:
         with pytest.raises(TypeError, match="takes 1 positional argument but 2"):
             api.make_simulation(make_protocol(), None)
 
-    def test_resolve_backend_rejects_positional_extras(self):
-        with pytest.raises(TypeError, match=r"resolve_backend\(\) takes from 0 to 1"):
-            api.resolve_backend("object", "array")
-
     def test_run_until_rejects_positional_budget(self):
         with pytest.raises(TypeError, match=r"run_until\(\) takes 2 positional"):
             api.run_until(make_protocol(), lambda config: True, 100)

@@ -50,11 +50,7 @@ from repro.sim.array_backend import (  # noqa: E402
     replay_array,
     transition_table_for,
 )
-from repro.sim.backends import (  # noqa: E402
-    get_backend,
-    make_simulation,
-    resolve_backend,
-)
+from repro.sim.backends import get_backend, make_simulation  # noqa: E402
 from repro.sim.counts_backend import (  # noqa: E402
     CountsSimulation,
     counts_from_configuration,
@@ -596,25 +592,12 @@ class TestArraySimulation:
 
 
 class TestBackendRouting:
-    def test_resolve_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        assert resolve_backend(None) == "object"
-        assert resolve_backend("array") == "array"
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend("gpu")
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "array")
-        assert resolve_backend(None) == "array"
-        assert resolve_backend("object") == "object"  # explicit beats env
-
-    def test_make_simulation_routes(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
+    def test_make_simulation_routes(self):
         protocol = PairwiseElimination(8)
         from repro.sim.simulation import Simulation
 
         assert isinstance(make_simulation(protocol, n=8), Simulation)
         assert isinstance(make_simulation(protocol, n=8, backend="array"), ArraySimulation)
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "array")
-        assert isinstance(make_simulation(protocol, n=8), ArraySimulation)
 
     def test_run_trials_backend_parity(self):
         protocol = PairwiseElimination(16)

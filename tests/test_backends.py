@@ -5,18 +5,14 @@ Contracts gated here:
 * the registry knows exactly the four built-in engines (object first),
   rejects unknown names with the known list, and supports one-file
   extension via :func:`register_backend`;
-* resolution (``None`` → ``$REPRO_BENCH_BACKEND`` → default) happens only
-  in :func:`resolve_backend`; :func:`get_backend` and
-  ``make_simulation(backend=<resolved name>)`` are pure lookups that never
-  consult the environment;
+* ``backend=None`` is the object engine;
 * capability checks: the object engine runs everything, the vectorized
   engines reject protocols without a finite encoding, with a reason;
 * ``make_simulation`` routes to the right engine class and materializes
   one ``init=`` :class:`~repro.sim.initial_state.InitialState` into each
   engine's native form;
-* the deprecated ``config=``/``codes=``/``counts=`` kwargs go through
-  the one-release shim — a ``DeprecationWarning`` and a start identical
-  to the ``init=`` path;
+* the removed ``config=``/``codes=``/``counts=`` kwargs get Python's own
+  ``TypeError``;
 * the dispatch sites themselves (``simulation``/``trials``/``sweep``/
   ``cli``) contain no hardcoded backend-name conditionals.
 """
@@ -33,15 +29,11 @@ from repro.core.elect_leader import ElectLeader
 from repro.core.params import ProtocolParams
 from repro.sim import backends
 from repro.sim.backends import (
-    NATIVE_CODES,
-    NATIVE_CONFIG,
-    NATIVE_COUNTS,
     Backend,
     backend_names,
     get_backend,
     make_simulation,
     register_backend,
-    resolve_backend,
 )
 from repro.sim.initial_state import CodeArray, CountVector
 from repro.sim.simulation import Simulation
@@ -89,7 +81,7 @@ class TestRegistry:
         )
         try:
             assert "dummy" in backend_names()
-            assert resolve_backend("dummy") == "dummy"
+            assert get_backend("dummy").name == "dummy"
             sim = make_simulation(PairwiseElimination(8), n=8, backend="dummy")
             assert calls["built"] and isinstance(sim, Simulation)
         finally:
@@ -99,15 +91,6 @@ class TestRegistry:
         original = get_backend("object")
         register_backend(original, replace=True)  # no-op re-registration
         assert get_backend("object") is original
-
-    def test_native_forms(self):
-        # Each engine declares which InitialState materialization it asks
-        # for — the registry-level fact that replaced the old
-        # counts_native boolean.
-        assert get_backend("counts").native_form == NATIVE_COUNTS
-        assert get_backend("batch").native_form == NATIVE_COUNTS
-        assert get_backend("object").native_form == NATIVE_CONFIG
-        assert get_backend("array").native_form == NATIVE_CODES
 
     def test_batch_entry_hooks(self):
         # The batch engine is the only one with the whole-batch hook that
@@ -134,26 +117,8 @@ class TestRegistry:
 
 
 class TestResolution:
-    def test_explicit_name_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "counts")
-        assert resolve_backend("object") == "object"
-        assert resolve_backend(None) == "counts"
-
-    def test_none_defaults_to_object(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_BACKEND", raising=False)
-        assert resolve_backend(None) == "object"
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "bogus")
-        with pytest.raises(ValueError, match="unknown backend 'bogus'"):
-            resolve_backend(None)
-
-    def test_resolved_names_never_consult_env(self, monkeypatch):
-        # The resolve-once contract: a worker holding a resolved name must
-        # be immune to its own (possibly bogus) environment.
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "bogus")
-        assert isinstance(make_simulation(PairwiseElimination(8), n=8, backend="object"),
-                          Simulation)
+    def test_none_defaults_to_object(self):
+        assert isinstance(make_simulation(PairwiseElimination(8), n=8), Simulation)
 
 
 class TestCapabilities:

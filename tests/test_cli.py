@@ -55,6 +55,7 @@ class TestParser:
         assert grid.protocols == ("elect_leader",)
         assert grid.ns == (16, 32) and grid.rs == (4,)
         assert grid.adversaries == ("clean",) and grid.fault_rates == (0.0,)
+        assert grid.backend == "object"
 
     def test_sweep_shard_flag(self):
         args = build_parser().parse_args(["sweep", "--shard", "1/4"])
@@ -262,24 +263,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "error:" in err and "array" in err
 
-    def test_sweep_backend_env_default(self, capsys, tmp_path, monkeypatch):
-        pytest.importorskip("numpy")
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "array")
-        out = tmp_path / "env.jsonl"
+    def test_sweep_grid_file_unknown_backend_exits_2(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text('{"protocols": ["pairwise_elimination"], "backend": "bogus"}')
         code = main([
-            "sweep", "--protocols", "pairwise_elimination", "--ns", "8",
-            "--trials", "1", "--max-interactions", "100000", "--batch", "100",
-            "--no-progress", "--out", str(out),
-        ])
-        assert code == 0
-        assert '"backend":"array"' in out.read_text()
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "bogus")
-        code = main([
-            "sweep", "--protocols", "pairwise_elimination", "--ns", "8",
-            "--trials", "1", "--no-progress", "--out", str(tmp_path / "y.jsonl"),
+            "sweep", "--grid", str(grid), "--no-progress", "--out", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2
-        assert "unknown backend" in capsys.readouterr().err
+        assert "error: unknown backend 'bogus'" in capsys.readouterr().err
 
     def test_sweep_counts_backend(self, capsys, tmp_path):
         pytest.importorskip("numpy")

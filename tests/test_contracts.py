@@ -3,14 +3,14 @@
 Six contracts guard what makes this reproduction trustworthy: every run
 is a pure function of its seed, every engine has one surface, dispatch
 goes through the backend registry, every δ table compiles its protocol's
-transition function exactly, counts stay ``int64`` and the wall clock is
-read in one place.  Each contract has a scanner: a function from one
-parsed file (its repository-relative path and AST) to the lines that
-break the contract.  Each contract's test asserts that its scanner flags
-no ``(path, line)`` in the shipped roots (``src``, ``benchmarks``,
-``examples``); the engine-surface and transition-purity tests also build
-every registered engine and every finite-state table, and fail if one
-cannot be built.
+transition function exactly, counts stay ``int64``, and the wall clock
+and the environment are read in one place.  Each contract has a
+scanner: a function from one parsed file (its repository-relative path
+and AST) to the lines that break the contract.  Each contract's test
+asserts that its scanner flags no ``(path, line)`` in the shipped roots
+(``src``, ``benchmarks``, ``examples``); the engine-surface and
+transition-purity tests also build every registered engine and every
+finite-state table, and fail if one cannot be built.
 
 ``tests/lint_fixtures/`` holds one violating snippet per contract;
 ``tests/test_lint.py`` asserts that each is flagged by its own
@@ -351,16 +351,26 @@ def test_int64_counts():
 #: legal: it is control flow, not measurement.
 CLOCK_CALLS = {"time.time", "time.monotonic", "time.perf_counter", "time.perf_counter_ns"}
 
+#: The environment.  The library's one environment input is the trace
+#: sink ``$REPRO_TRACE``, read in ``repro.obs``, so a run is a function of
+#: its arguments; benchmarks keep their ``REPRO_BENCH_*`` knobs.
+ENV_READS = {"os.environ", "os.getenv"}
+
 
 def scan_clock_and_obs(relpath: str, tree: ast.Module) -> Iterator[int]:
-    """Outside ``repro.obs``, no direct clock read, and no δ or
-    ``transition_table`` body calls into ``repro.obs``."""
+    """Outside ``repro.obs``, no direct clock read, no δ or
+    ``transition_table`` body calls into ``repro.obs``, and, outside
+    ``benchmarks`` too, no environment read."""
     if "repro/obs/" in relpath:
         return
     resolve = _resolver(tree)
     for call in _calls(tree):
         if resolve(call.func) in CLOCK_CALLS:
             yield call.lineno
+    if not relpath.startswith("benchmarks/"):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and resolve(node) in ENV_READS:
+                yield node.lineno
     for func in _semantics(tree):
         for call in _calls(func):
             target = resolve(call.func)
@@ -369,7 +379,8 @@ def scan_clock_and_obs(relpath: str, tree: ast.Module) -> Iterator[int]:
 
 
 def test_clock_and_obs_discipline():
-    """L007: timing flows through ``repro.obs.perf_counter``, and tracing
-    never sits on the semantic hot path."""
+    """L007: timing flows through ``repro.obs.perf_counter``, tracing
+    never sits on the semantic hot path, and the library reads no
+    environment variable but the trace sink's."""
     assert offences(scan_clock_and_obs) == []
 

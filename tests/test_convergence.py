@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.nonss_leader import PairwiseElimination
+from repro.core.roles import Role
 from repro.scheduler.rng import make_rng
 from repro.sim.replay import reachable_via, record_and_replay_matches, replay
 from repro.sim.simulation import Simulation
@@ -51,6 +52,19 @@ class TestReplay:
 
 
 class TestEventCounters:
+    def test_clean_run_takes_no_reset(self, small_protocol):
+        small_protocol.reset_events()
+        sim = Simulation(small_protocol, n=small_protocol.n, seed=1)
+        result = sim.run_until(
+            small_protocol.is_safe_configuration,
+            max_interactions=5_000_000,
+            check_interval=1_000,
+        )
+        assert result.converged
+        assert all(state.role is Role.VERIFYING for state in sim.config)
+        assert small_protocol.events["hard_reset"] == 0
+        assert small_protocol.events["soft_reset"] == 0
+
     def test_hard_and_soft_resets_counted(self, small_protocol):
         from repro.adversary.initializers import all_duplicate_rank, corrupted_messages
 
@@ -70,6 +84,7 @@ class TestEventCounters:
         config = corrupted_messages(small_protocol, make_rng(3), corruptions=3)
         for agent in config:
             agent.sv.probation_timer = 0
+        ranks = [agent.rank for agent in config]
         sim = Simulation(small_protocol, config=config, seed=4)
         result = sim.run_until(
             small_protocol.is_safe_configuration,
@@ -79,6 +94,8 @@ class TestEventCounters:
         assert result.converged
         assert small_protocol.events["soft_reset"] >= 1
         assert small_protocol.events["hard_reset"] == 0
+        # The soft path moves generations and never a rank.
+        assert [agent.rank for agent in sim.config] == ranks
 
     def test_reset_events_clears(self, small_protocol):
         small_protocol.events["hard_reset"] = 5

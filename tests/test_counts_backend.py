@@ -52,7 +52,6 @@ np = pytest.importorskip("numpy")
 
 from pair_oracle import PairOracle  # noqa: E402
 from repro.adversary.initializers import (  # noqa: E402
-    code_rng,
     planted_codes,
     planted_counts,
     scrambled_codes,
@@ -1165,8 +1164,8 @@ class TestVectorizedAdversaries:
     def test_scramble_codes_shape_range_determinism(self):
         protocol = LooselyStabilizingLeaderElection(BaselineParams(n=50), tau=1.0)
         size = protocol.num_states()
-        first = scrambled_codes(protocol, code_rng(3), 50)
-        again = scrambled_codes(protocol, code_rng(3), 50)
+        first = scrambled_codes(protocol, np_generator(3), 50)
+        again = scrambled_codes(protocol, np_generator(3), 50)
         assert first.shape == (50,)
         assert first.min() >= 0 and first.max() < size
         assert first.tolist() == again.tolist()
@@ -1177,9 +1176,9 @@ class TestVectorizedAdversaries:
         total_counts = np.zeros(2, dtype=np.int64)
         for seed in range(30):
             total_codes += np.bincount(
-                scrambled_codes(protocol, code_rng(seed), 400), minlength=2
+                scrambled_codes(protocol, np_generator(seed), 400), minlength=2
             )
-            counts = scrambled_counts(protocol, code_rng(1_000 + seed), 400)
+            counts = scrambled_counts(protocol, np_generator(1_000 + seed), 400)
             assert int(counts.sum()) == 400
             total_counts += counts
         # Same mean occupancy (n/S) for both emitters, within ~5σ.
@@ -1189,18 +1188,18 @@ class TestVectorizedAdversaries:
     def test_planted_twins(self):
         protocol = LooselyStabilizingLeaderElection(BaselineParams(n=64), tau=1.0)
         base = protocol.encode_state(protocol.initial_state())
-        codes = planted_codes(protocol, code_rng(5), 64)
+        codes = planted_codes(protocol, np_generator(5), 64)
         assert codes.shape == (64,)
         assert int((codes != base).sum()) <= 8  # ⌈64/8⌉ corruption budget
-        counts = planted_counts(protocol, code_rng(5), 64)
+        counts = planted_counts(protocol, np_generator(5), 64)
         assert int(counts.sum()) == 64
         assert int(counts[base]) >= 64 - 8
         with pytest.raises(ValueError, match="planted"):
-            planted_codes(protocol, code_rng(0), 8, planted=9)
+            planted_codes(protocol, np_generator(0), 8, planted=9)
 
     def test_one_seed_same_start_on_every_backend(self):
         protocol = CaiIzumiWada(BaselineParams(n=16))
-        codes = scrambled_codes(protocol, code_rng(21), 16)
+        codes = scrambled_codes(protocol, np_generator(21), 16)
         object_sim = make_simulation(protocol, init=CodeArray(codes), backend="object")
         array_sim = make_simulation(protocol, init=CodeArray(codes), backend="array")
         counts_sim = make_simulation(protocol, init=CodeArray(codes), backend="counts")

@@ -7,6 +7,7 @@ fixtures double as precision probes for the scanners.
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -48,3 +49,10 @@ class TestEveryRuleFires:
     def test_every_registered_rule_has_a_fixture(self):
         fixtures = sorted(fixture for _, fixture in CONTRACTS.values())
         assert sorted(path.name for path in FIXTURES.glob("*.py")) == fixtures
+
+
+def test_environment_reads_are_l007_offences_outside_obs_and_benchmarks():
+    tree = ast.parse("import os\nfrom os import getenv\nos.environ.get('X')\ngetenv('Y')\n")
+    assert sorted(scan_clock_and_obs("src/repro/sim/backends.py", tree)) == [3, 4]
+    assert list(scan_clock_and_obs("src/repro/obs/tracing.py", tree)) == []
+    assert list(scan_clock_and_obs("benchmarks/conftest.py", tree)) == []

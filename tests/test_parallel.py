@@ -3,7 +3,7 @@
 The two contracts under test:
 
 * batching never changes semantics — ``run_batch(k)`` (and the
-  ``next_pairs`` draw under it) consumes the RNG streams exactly like
+  ``pairs`` stream under it) consumes the RNG streams exactly like
   ``k`` calls of ``step()``, so batched and stepwise runs of one seed are
   bit-identical;
 * worker count never changes results — ``stream_ordered`` yields
@@ -33,36 +33,41 @@ def protocol() -> PairwiseElimination:
 
 
 class TestNextPairs:
+    """``next_pair`` and the ``pairs`` stream read one pair stream."""
+
     def test_matches_stepwise_draws(self):
         batched = RandomScheduler(9, make_rng(7))
         stepwise = RandomScheduler(9, make_rng(7))
-        assert batched.next_pairs(250) == [stepwise.next_pair() for _ in range(250)]
+        assert list(batched.pairs(250)) == [stepwise.next_pair() for _ in range(250)]
 
     def test_leaves_rng_in_same_state(self):
         batched = RandomScheduler(9, make_rng(7))
         stepwise = RandomScheduler(9, make_rng(7))
-        batched.next_pairs(50)
+        for _ in batched.pairs(50):
+            pass
         for _ in range(50):
             stepwise.next_pair()
         assert batched.next_pair() == stepwise.next_pair()
 
     def test_empty_batch(self):
         scheduler = RandomScheduler(5, make_rng(0))
-        assert scheduler.next_pairs(0) == []
+        assert list(scheduler.pairs(0)) == []
 
     def test_rejects_negative_count(self):
         scheduler = RandomScheduler(5, make_rng(0))
         with pytest.raises(ValueError):
-            scheduler.next_pairs(-1)
+            scheduler.pairs(-1)
 
     def test_pairs_stream_matches_materialized_draw(self):
-        # The lazy iterator is the batch loop's fast path: same RNG
-        # consumption, same pairs, no list of `count` tuples held alive.
-        streamed = RandomScheduler(9, make_rng(7))
+        # The lazy iterator is the batch loop's fast path: a draw split
+        # into pieces, as successive run_batch calls split it, gives the
+        # pairs one materialized draw gives.
+        pieces = RandomScheduler(9, make_rng(7))
         materialized = RandomScheduler(9, make_rng(7))
-        assert list(streamed.pairs(250)) == materialized.next_pairs(250)
+        split = [pair for count in (1, 99, 150) for pair in pieces.pairs(count)]
+        assert split == list(materialized.pairs(250))
         # Both leave the stream in the same place.
-        assert streamed.next_pair() == materialized.next_pair()
+        assert pieces.next_pair() == materialized.next_pair()
 
     def test_pairs_stream_is_lazy(self):
         scheduler = RandomScheduler(9, make_rng(7))

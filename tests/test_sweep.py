@@ -426,9 +426,9 @@ class TestCodeAdversaries:
 
     def test_same_seed_same_start_across_backends(self):
         pytest.importorskip("numpy")
-        from repro.adversary.initializers import CODE_ADVERSARIES, code_rng
+        from repro.adversary.initializers import CODE_ADVERSARIES
         from repro.sim.sweep import _ADVERSARY_STREAM
-        from repro.scheduler.rng import derive_seed
+        from repro.scheduler.rng import derive_seed, np_generator
 
         grids = {
             backend: small_grid(
@@ -447,12 +447,12 @@ class TestCodeAdversaries:
 
         reference = draw(
             CaiIzumiWada(BaselineParams(n=10)),
-            code_rng(derive_seed(seed, _ADVERSARY_STREAM)),
+            np_generator(derive_seed(seed, _ADVERSARY_STREAM)),
             10,
         ).tolist()
         again = draw(
             CaiIzumiWada(BaselineParams(n=10)),
-            code_rng(derive_seed(seed, _ADVERSARY_STREAM)),
+            np_generator(derive_seed(seed, _ADVERSARY_STREAM)),
             10,
         ).tolist()
         assert reference == again

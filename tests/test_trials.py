@@ -204,22 +204,6 @@ class TestBackendSelection:
         assert summary.converged == 4
         assert all(t > 0 for t in summary.parallel_times)
 
-    def test_explicit_backend_immune_to_bogus_env(self, monkeypatch):
-        # Resolution happens once at the entry point; an explicit name is
-        # a pure registry lookup and never consults the environment.
-        monkeypatch.setenv("REPRO_BENCH_BACKEND", "bogus")
-        protocol = PairwiseElimination(12)
-        summary = run_trials(
-            protocol,
-            protocol.is_goal_configuration,
-            n=12,
-            trials=2,
-            max_interactions=100_000,
-            seed=1,
-            backend="object",
-        )
-        assert summary.converged == 2
-
     def test_codes_factory_builds_encoded_starts(self):
         import pytest
 
